@@ -55,9 +55,24 @@ def _model_path(cfg: RunConfig, author: str, seed: int, method: str) -> Path:
     return cfg.output_dir / "models" / f"{author}_{seed}.{ext}"
 
 
+def _load(loader, path: Path, *args):
+    """Run a file loader; a corrupt file becomes a ConfigError naming it."""
+    try:
+        return loader(path, *args)
+    except ValueError as exc:
+        message = str(exc)
+        raise ConfigError(
+            message if str(path) in message else f"{path}: {message}"
+        ) from exc
+
+
+def _load_vocabulary(cfg: RunConfig, author: str) -> textproc.Vocabulary:
+    return _load(textproc.load_vocabulary, _vocab_path(cfg, author))
+
+
 def _load_processed(cfg: RunConfig, author: str):
-    vocab = textproc.load_vocabulary(_vocab_path(cfg, author))
-    processed = textproc.load_processed(_corpus_path(cfg, author), vocab)
+    vocab = _load_vocabulary(cfg, author)
+    processed = _load(textproc.load_processed, _corpus_path(cfg, author), vocab)
     return vocab, processed
 
 
@@ -243,7 +258,7 @@ def _load_model(cfg: RunConfig, author: str, seed: int, method: str):
     path = _model_path(cfg, author, seed, method)
     train_cmd = "authorlm train-nnlm" if method == "nnlm" else "authorlm train-ngram"
     _require(path, train_cmd)
-    return nnlm.load_model(path) if method == "nnlm" else kn.load_model(path)
+    return _load(nnlm.load_model if method == "nnlm" else kn.load_model, path)
 
 
 def cmd_eval(cfg: RunConfig) -> int:
@@ -275,11 +290,7 @@ def cmd_eval(cfg: RunConfig) -> int:
 
     summary_rows = []
     for method in METHODS:
-        values = per_method[method]
-        if len(values) >= 2:
-            mean, std = evaluation.mean_std(values)
-        else:
-            mean, std = values[0], 0.0
+        mean, std = evaluation.mean_std_or_single(per_method[method])
         summary_rows.append(
             [method, repr(mean), repr(std), evaluation.format_mean_std(mean, std)]
         )
@@ -290,21 +301,24 @@ def cmd_eval(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _test_pools(cfg: RunConfig, authors: list[str], seed: int):
-    """Per-author stemmed test sentences for one split seed.
+def _test_pools(cfg: RunConfig, authors: list[str]) -> dict[int, dict[str, list]]:
+    """Per-seed, per-author stemmed test sentences.
 
     Pools come from the raw text (tokenize + stem only), not from the
     encoded corpus, because classification re-encodes them under every
-    candidate's vocabulary.
+    candidate's vocabulary.  Each author file is read once, and only the
+    lines of a seed's test part are stemmed.
     """
     ratios = cfg.split["ratios"]
     stemming = bool(cfg.pipeline["stemming"])
-    pools = {}
+    pools = {seed: {} for seed in cfg.seeds}
     for author in authors:
         raw = textproc.read_corpus_file(cfg.corpus_dir / f"{author}.txt")
-        tokens = textproc.preprocess_sentences(raw.sentences, stemming=stemming)
-        assignment = textproc.split(len(tokens), seed, ratios)
-        pools[author] = [tokens[i] for i in assignment.test]
+        for seed in cfg.seeds:
+            assignment = textproc.split(len(raw.sentences), seed, ratios)
+            pools[seed][author] = textproc.preprocess_sentences(
+                [raw.sentences[i] for i in assignment.test], stemming=stemming
+            )
     return pools
 
 
@@ -323,7 +337,8 @@ def cmd_experiment(cfg: RunConfig) -> int:
                 )
     out = _stage_dir(cfg, "experiment")
 
-    vocabs = {author: _load_processed(cfg, author)[0] for author in authors}
+    vocabs = {author: _load_vocabulary(cfg, author) for author in authors}
+    pools = _test_pools(cfg, authors)
     accuracy_curves = defaultdict(list)
     json_summary = {"seeds": cfg.seeds, "excluded_authors": excluded, "methods": {}}
     for method in METHODS:
@@ -336,15 +351,13 @@ def cmd_experiment(cfg: RunConfig) -> int:
                 )
                 for author in authors
             ]
-            pools = _test_pools(cfg, authors, seed)
             report = evaluation.accuracy_sweep(
                 candidates,
-                pools,
+                pools[seed],
                 sentence_counts,
                 trials,
                 seed=seed,
                 excluded_authors=excluded,
-                workers=cfg.workers,
             )
             evaluation.write_trials_csv(
                 report, out / f"trials_{method}_{seed}.csv", method
@@ -364,11 +377,7 @@ def cmd_experiment(cfg: RunConfig) -> int:
         curves = accuracy_curves[method]
         method_summary = {}
         for s in sentence_counts:
-            values = [c[s] for c in curves]
-            if len(values) >= 2:
-                mean, std = evaluation.mean_std(values)
-            else:
-                mean, std = values[0], 0.0
+            mean, std = evaluation.mean_std_or_single([c[s] for c in curves])
             summary_rows.append((method, s, mean, std))
             method_summary[str(s)] = {"mean": mean, "std": std}
         json_summary["methods"][method] = {"accuracy_by_count": method_summary}
@@ -395,10 +404,7 @@ def cmd_report(cfg: RunConfig) -> int:
     perp_rows = []
     perp_json = {}
     for method in sorted(perps):
-        values = perps[method]
-        mean, std = (
-            evaluation.mean_std(values) if len(values) >= 2 else (values[0], 0.0)
-        )
+        mean, std = evaluation.mean_std_or_single(perps[method])
         perp_rows.append([method, repr(mean), repr(std), evaluation.format_mean_std(mean, std)])
         perp_json[method] = {"mean": mean, "std": std}
     _write_csv(
@@ -428,9 +434,8 @@ def cmd_report(cfg: RunConfig) -> int:
         per_seed = [curve for (m, _), curve in sorted(curves.items()) if m == method]
         counts = sorted({s for curve in per_seed for s in curve})
         for s in counts:
-            values = [hits / total for curve in per_seed for hits, total in [curve[s]]]
-            mean, std = (
-                evaluation.mean_std(values) if len(values) >= 2 else (values[0], 0.0)
+            mean, std = evaluation.mean_std_or_single(
+                [hits / total for curve in per_seed for hits, total in [curve[s]]]
             )
             acc_rows.append((method, s, mean, std))
             acc_json[method][str(s)] = {"mean": mean, "std": std}

@@ -6,6 +6,14 @@ Attribution scores a pooled set of test sentences under every candidate
 author's model, each with its own vocabulary, and predicts the author
 whose model assigns the lowest perplexity; ties break toward the lowest
 author index so repeated runs agree.
+
+Sweeps score once and sum per trial: every sentence of a test pool is
+encoded and scored under each candidate exactly once, one batch per
+(candidate, pool), and the per-token log probabilities are kept.  A trial
+gathers its drawn sentences' tokens in draw order and sums that stream with
+the same chunked sum as ``perplexity``, so its accumulated perplexity is
+that of the pooled token stream, with no per-sentence partial sums.
+``classify`` is the one-pool, one-trial case of the same code.
 """
 
 from __future__ import annotations
@@ -13,7 +21,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -51,20 +58,32 @@ class PerplexityReport:
         return math.exp(-self.total_log_prob / self.token_count)
 
 
-def perplexity_from_samples(model: LanguageModel, samples: Samples) -> PerplexityReport:
-    """Perplexity over prediction samples, summed in log space."""
-    n = len(samples)
+def _log_probs(model: LanguageModel, samples: Samples) -> np.ndarray:
+    """Per-sample log probabilities, queried in chunks of ``_CHUNK`` rows."""
+    chunks = [
+        model.log_probs(
+            samples.contexts[start : start + _CHUNK],
+            samples.targets[start : start + _CHUNK],
+        )
+        for start in range(0, len(samples), _CHUNK)
+    ]
+    return np.concatenate(chunks) if chunks else np.empty(0)
+
+
+def _report(log_probs: np.ndarray) -> PerplexityReport:
+    """Perplexity of a token stream, summed chunk by chunk in log space."""
+    n = len(log_probs)
     if n == 0:
         raise ValueError("no predictable tokens")
     total = 0.0
     for start in range(0, n, _CHUNK):
-        total += float(
-            model.log_probs(
-                samples.contexts[start : start + _CHUNK],
-                samples.targets[start : start + _CHUNK],
-            ).sum()
-        )
+        total += float(log_probs[start : start + _CHUNK].sum())
     return PerplexityReport(token_count=n, total_log_prob=total)
+
+
+def perplexity_from_samples(model: LanguageModel, samples: Samples) -> PerplexityReport:
+    """Perplexity over prediction samples, summed in log space."""
+    return _report(_log_probs(model, samples))
 
 
 def perplexity(model: LanguageModel, sentences: Sequence[Sequence[int]]) -> PerplexityReport:
@@ -92,6 +111,49 @@ class ClassificationResult:
         return self.true_author is not None and self.predicted_author == self.true_author
 
 
+@dataclass(frozen=True)
+class _PoolTable:
+    """Every candidate's per-token log probabilities over one test pool.
+
+    ``log_probs[c]`` is candidate c's token stream over the whole pool;
+    sentence k owns the positions ``positions[k]`` of every stream (a
+    sentence yields the same number of tokens under any vocabulary).
+    """
+
+    log_probs: list[np.ndarray]
+    positions: list[np.ndarray]
+
+
+def _score_pool(authors: Sequence[AuthorModel], pool: Sequence[Sequence[str]]) -> _PoolTable:
+    """Encode a pool under each candidate's vocabulary and score it once."""
+    log_probs = []
+    for author in authors:
+        order = author.model.order
+        encoded = [encode_sentence(sent, author.vocabulary, order) for sent in pool]
+        log_probs.append(_log_probs(author.model, samples_from_sentences(encoded, order)))
+    ends = np.cumsum([len(sent) + 1 for sent in pool])
+    return _PoolTable(
+        log_probs=log_probs,
+        positions=[np.arange(end - len(sent) - 1, end) for sent, end in zip(pool, ends)],
+    )
+
+
+def _decide(table: _PoolTable, chosen: Sequence[int]) -> tuple[int, list[float]]:
+    """Index of the minimum-perplexity candidate, and every perplexity.
+
+    Each candidate's perplexity is that of the chosen sentences' token
+    stream in draw order.  Only a strictly lower perplexity replaces the
+    best so far, so exact ties go to the lowest candidate index.
+    """
+    stream_positions = np.concatenate([table.positions[k] for k in chosen])
+    perps = [_report(lp[stream_positions]).perplexity for lp in table.log_probs]
+    best = 0
+    for i, value in enumerate(perps):
+        if value < perps[best]:
+            best = i
+    return best, perps
+
+
 def classify(
     authors: Sequence[AuthorModel],
     token_sentences: Sequence[Sequence[str]],
@@ -108,19 +170,11 @@ def classify(
         raise ValueError("no candidate authors")
     if not token_sentences:
         raise ValueError("no test sentences")
-    perps = {}
-    best_index = None
-    for i, author in enumerate(authors):
-        order = author.model.order
-        encoded = [
-            encode_sentence(sent, author.vocabulary, order) for sent in token_sentences
-        ]
-        perps[author.author_id] = perplexity(author.model, encoded).perplexity
-        if best_index is None or perps[author.author_id] < perps[authors[best_index].author_id]:
-            best_index = i
+    table = _score_pool(authors, token_sentences)
+    best, perps = _decide(table, range(len(token_sentences)))
     return ClassificationResult(
-        predicted_author=authors[best_index].author_id,
-        perplexities=perps,
+        predicted_author=authors[best].author_id,
+        perplexities={a.author_id: pp for a, pp in zip(authors, perps)},
         true_author=true_author,
     )
 
@@ -189,55 +243,42 @@ def accuracy_sweep(
     trials: int,
     seed: int,
     excluded_authors: Sequence[str] = (),
-    workers: int = 1,
 ) -> ExperimentReport:
     """Classification accuracy versus test-text length.
 
     For each (author, sentence count, trial) the trial's own PCG64 stream,
     keyed by (seed, author index, count, trial), draws that many sentences
-    from the author's test pool without replacement.  Keying each trial
-    independently makes the report identical no matter how many workers
-    run it.
+    from the author's test pool without replacement.  Every pool is scored
+    under every candidate once up front; a trial only sums the rows of its
+    drawn sentences.
     """
     sentence_counts = tuple(int(s) for s in sentence_counts)
     if any(s < 1 for s in sentence_counts):
         raise ValueError("sentence counts must be >= 1")
     max_s = max(sentence_counts, default=0)
-    for i, author in enumerate(authors):
-        pool = test_pools[author.author_id]
+    pools = [test_pools[author.author_id] for author in authors]
+    for author, pool in zip(authors, pools):
         if len(pool) < max_s:
             raise ValueError(
                 f"author {author.author_id!r} has {len(pool)} test sentences, "
                 f"need {max_s}"
             )
 
-    tasks = [
-        (i, s, t)
-        for i, _ in enumerate(authors)
-        for s in sentence_counts
-        for t in range(trials)
-    ]
-
-    def run(task):
-        i, s, t = task
-        author = authors[i]
-        pool = test_pools[author.author_id]
-        rng = stream(seed, i, s, t)
-        chosen = rng.choice(len(pool), size=s, replace=False)
-        sentences = [pool[int(j)] for j in chosen]
-        result = classify(authors, sentences, true_author=author.author_id)
-        return TrialRecord(
-            author_id=author.author_id,
-            sentence_count=s,
-            trial=t,
-            predicted_author=result.predicted_author,
-        )
-
-    if workers > 1 and tasks:
-        with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-            records = tuple(pool_exec.map(run, tasks))
-    else:
-        records = tuple(run(task) for task in tasks)
+    records = []
+    for i, (author, pool) in enumerate(zip(authors, pools)):
+        table = _score_pool(authors, pool)
+        for s in sentence_counts:
+            for t in range(trials):
+                chosen = stream(seed, i, s, t).choice(len(pool), size=s, replace=False)
+                best, _ = _decide(table, chosen)
+                records.append(
+                    TrialRecord(
+                        author_id=author.author_id,
+                        sentence_count=s,
+                        trial=t,
+                        predicted_author=authors[best].author_id,
+                    )
+                )
 
     return ExperimentReport(
         author_ids=tuple(a.author_id for a in authors),
@@ -245,7 +286,7 @@ def accuracy_sweep(
         trials=trials,
         seed=seed,
         excluded_authors=tuple(excluded_authors),
-        records=records,
+        records=tuple(records),
     )
 
 
@@ -255,6 +296,13 @@ def mean_std(values: Sequence[float]) -> tuple[float, float]:
         raise ValueError("aggregation needs at least 2 values")
     arr = np.asarray(values, dtype=np.float64)
     return float(arr.mean()), float(arr.std(ddof=1))
+
+
+def mean_std_or_single(values: Sequence[float]) -> tuple[float, float]:
+    """``mean_std`` over two or more values; one value stands alone with std 0."""
+    if len(values) == 1:
+        return values[0], 0.0
+    return mean_std(values)
 
 
 def aggregate_over_seeds(

@@ -334,9 +334,17 @@ def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _read_lines(path: str | Path, magic: str) -> list[str]:
+    """Lines of a file whose first line must be the ``# <magic>`` header."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0] != f"# {magic}":
+        raise ValueError(f"{path}: expected header {magic!r} on line 1")
+    return lines
+
+
 def load_vocabulary(path: str | Path) -> Vocabulary:
     words, counts = [], []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(_read_lines(path, _VOCAB_MAGIC), 1):
         if not line or line.startswith("#"):
             continue
         fields = line.split("\t")
@@ -366,7 +374,7 @@ def save_processed(processed: ProcessedCorpus, path: str | Path) -> None:
 def load_processed(path: str | Path, vocab: Vocabulary) -> ProcessedCorpus:
     order = stemming = prune_threshold = None
     sentences = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(_read_lines(path, _CORPUS_MAGIC), 1):
         if not line:
             continue
         if line.startswith("#"):

@@ -133,3 +133,39 @@ class TestPipeline:
         assert run("synth", "--config", "cfg.json", "--corpus-dir", "elsewhere") == cli.EXIT_OK
         assert (workdir / "elsewhere" / "author00.txt").is_file()
         assert not (workdir / "corpus").exists()
+
+
+class TestCorruptInputs:
+    @pytest.fixture
+    def trained(self, workdir):
+        for command in ("synth", "preprocess", "train-nnlm", "train-ngram"):
+            assert run(command, "--config", "cfg.json") == cli.EXIT_OK, command
+        return workdir / "outputs"
+
+    @pytest.mark.parametrize("stage", ["eval", "experiment"])
+    def test_truncated_nnlm_is_config_error(self, trained, stage, capsys):
+        path = trained / "models" / "author00_0.nnlm"
+        payload = path.read_bytes()
+        path.write_bytes(payload[: len(payload) // 2])
+        capsys.readouterr()
+        assert run(stage, "--config", "cfg.json") == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert "models/author00_0.nnlm: truncated tensor" in err
+
+    @pytest.mark.parametrize("stage", ["eval", "experiment"])
+    def test_garbled_kn_is_config_error(self, trained, stage, capsys):
+        path = trained / "models" / "author01_0.arpa"
+        path.write_text(path.read_text().replace("\\data\\", "\\date\\"))
+        capsys.readouterr()
+        assert run(stage, "--config", "cfg.json") == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert "models/author01_0.arpa:" in err
+
+    def test_bad_vocabulary_header_is_config_error(self, trained, capsys):
+        path = trained / "preprocess" / "author00.vocab.tsv"
+        path.write_text(path.read_text().replace("authorlm-vocab 1", "authorlm-vocab 9"))
+        capsys.readouterr()
+        assert run("experiment", "--config", "cfg.json") == cli.EXIT_CONFIG
+        assert "expected header" in capsys.readouterr().err

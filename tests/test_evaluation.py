@@ -1,7 +1,8 @@
 """Perplexity, classification, sweeps, aggregation, and report files."""
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from kn_reference import ReferenceKn
 from authorlm import evaluation as ev
 from authorlm import kn, nnlm, synthetic
 from authorlm import textproc as tp
+from authorlm.prng import stream
 
 
 @dataclass(frozen=True)
@@ -103,6 +105,89 @@ def disjoint_authors():
         authors.append(ev.AuthorModel(name, model, vocab))
         corpora.append(tokens)
     return authors, corpora
+
+
+def confusable_corpora():
+    """Three authors over one lexicon; the first two are near twins."""
+    lex = synthetic.default_lexicon(12)
+    base = synthetic.random_markov_author("c0", lex, seed=41, concentration=0.4)
+    mixed = 0.9 * base.transitions + 0.1 / len(lex)
+    twin = synthetic.MarkovAuthor(
+        "c1", lex, initial=base.initial, transitions=mixed / mixed.sum(axis=1, keepdims=True)
+    )
+    other = synthetic.random_markov_author("c2", lex, seed=99, concentration=0.4)
+    corpora = synthetic.generate_synthetic_corpus([base, twin, other], seed=8, sentence_count=80)
+    out = []
+    for corpus in corpora:
+        tokens = tp.preprocess_sentences(corpus.sentences, stemming=False)
+        # the last ten sentences stay out of the vocabulary, so pools hold unknowns
+        vocab = tp.build_vocabulary(tokens[:70])
+        out.append((corpus.author_id, vocab, tp.encode(tokens[:60], vocab, order=3), tokens[60:]))
+    return out
+
+
+def kn_candidates():
+    return [
+        ev.AuthorModel(name, kn.train_model(pc.sentences, 3, vocab.size), vocab)
+        for name, vocab, pc, _ in confusable_corpora()
+    ]
+
+
+def nnlm_candidates():
+    authors = []
+    for i, (name, vocab, _, _) in enumerate(confusable_corpora()):
+        cfg = nnlm.NnlmConfig(
+            vocab_size=vocab.size, order=3, embed_dim=4, hidden_dim=5,
+            init_seed=i, init_scale=0.8,
+        )
+        authors.append(ev.AuthorModel(name, nnlm.NnlmModel(cfg, nnlm.init_params(cfg)), vocab))
+    return authors
+
+
+def confusable_pools():
+    return {name: pool for name, _, _, pool in confusable_corpora()}
+
+
+def reference_sweep(authors, pools, sentence_counts, trials, seed):
+    """Per-trial path: draw, encode under each candidate, score, argmin."""
+    records = []
+    for i, author in enumerate(authors):
+        pool = pools[author.author_id]
+        for s in sentence_counts:
+            for t in range(trials):
+                chosen = stream(seed, i, s, t).choice(len(pool), size=s, replace=False)
+                sentences = [pool[int(j)] for j in chosen]
+                perps = []
+                for candidate in authors:
+                    order = candidate.model.order
+                    encoded = [
+                        tp.encode_sentence(x, candidate.vocabulary, order) for x in sentences
+                    ]
+                    perps.append(ev.perplexity(candidate.model, encoded).perplexity)
+                best = 0
+                for k, value in enumerate(perps):
+                    if value < perps[best]:
+                        best = k
+                records.append(ev.TrialRecord(author.author_id, s, t, authors[best].author_id))
+    return tuple(records)
+
+
+@dataclass(eq=False)
+class CountingModel:
+    """Uniform model that records every (context, target) it scores."""
+
+    order: int
+    vocab_size: int
+    scored: Counter = field(default_factory=Counter)
+    calls: int = 0
+
+    def log_prob(self, context, target):
+        return math.log(1.0 / self.vocab_size)
+
+    def log_probs(self, contexts, targets):
+        self.calls += 1
+        self.scored.update((tuple(int(c) for c in ctx), int(t)) for ctx, t in zip(contexts, targets))
+        return np.full(len(targets), math.log(1.0 / self.vocab_size))
 
 
 class TestClassify:
@@ -201,11 +286,42 @@ class TestSweep:
         r2 = ev.accuracy_sweep(authors, pools, [1, 3], trials=5, seed=11)
         assert r1 == r2
 
-    def test_workers_do_not_change_report(self):
-        authors, pools = self.make_setup()
-        serial = ev.accuracy_sweep(authors, pools, [1, 2, 4], trials=6, seed=2)
-        parallel = ev.accuracy_sweep(authors, pools, [1, 2, 4], trials=6, seed=2, workers=4)
-        assert serial == parallel
+    def test_matches_per_trial_reference(self):
+        pools = confusable_pools()
+        counts = [1, 2, 5, 10]
+        for authors in (kn_candidates(), nnlm_candidates()):
+            report = ev.accuracy_sweep(authors, pools, counts, trials=8, seed=4)
+            assert report.records == reference_sweep(authors, pools, counts, 8, seed=4)
+            predicted = {r.predicted_author for r in report.records}
+            assert len(predicted) == 3  # every candidate wins some trials
+        # an exact tie: a copy of c0 under another name never wins
+        authors = kn_candidates()
+        authors.insert(1, ev.AuthorModel("copy", authors[0].model, authors[0].vocabulary))
+        pools["copy"] = pools["c0"]
+        report = ev.accuracy_sweep(authors, pools, counts, trials=8, seed=4)
+        assert report.records == reference_sweep(authors, pools, counts, 8, seed=4)
+        assert "copy" not in {r.predicted_author for r in report.records}
+        assert any(r.predicted_author == "c0" for r in report.records)
+
+    def test_scores_each_pool_sentence_once(self):
+        corpora = confusable_corpora()
+        pools = confusable_pools()
+        authors = [
+            ev.AuthorModel(name, CountingModel(order=3, vocab_size=vocab.size), vocab)
+            for name, vocab, _, _ in corpora
+        ]
+        ev.accuracy_sweep(authors, pools, [1, 3, 10], trials=5, seed=1)
+        for author in authors:
+            expected = Counter()
+            for pool in pools.values():
+                encoded = [tp.encode_sentence(x, author.vocabulary, 3) for x in pool]
+                samples = tp.samples_from_sentences(encoded, 3)
+                expected.update(
+                    (tuple(int(c) for c in ctx), int(t))
+                    for ctx, t in zip(samples.contexts, samples.targets)
+                )
+            assert author.model.scored == expected
+            assert author.model.calls == len(pools)  # one batch per pool
 
     def test_insufficient_pool_names_author(self):
         authors, pools = self.make_setup()
@@ -308,6 +424,12 @@ class TestAggregation:
             ev.mean_std([1.0])
         with pytest.raises(ValueError):
             ev.aggregate_over_seeds([{"a": 1.0}])
+
+    def test_single_value_stands_alone(self):
+        assert ev.mean_std_or_single([2.5]) == (2.5, 0.0)
+        assert ev.mean_std_or_single([66.0, 68.0]) == ev.mean_std([66.0, 68.0])
+        with pytest.raises(ValueError):
+            ev.mean_std_or_single([])
 
     def test_aggregate_over_keys(self):
         out = ev.aggregate_over_seeds([{"acc": 0.9, "pp": 60.0}, {"acc": 1.0, "pp": 70.0}])

@@ -239,9 +239,29 @@ class TestSerialization:
 
     def test_vocab_bad_line(self, tmp_path):
         path = tmp_path / "v.tsv"
-        path.write_text("<s>\t0\t0\nbroken line\n")
-        with pytest.raises(ValueError, match="2"):
+        path.write_text("# authorlm-vocab 1\n<s>\t0\t0\nbroken line\n")
+        with pytest.raises(ValueError, match=":3:"):
             tp.load_vocabulary(path)
+
+    @pytest.mark.parametrize("first", ["", "# authorlm-vocab 2\n", "# size 4\n"])
+    def test_vocab_wrong_or_missing_magic(self, tmp_path, first):
+        vocab = tp.build_vocabulary([["a"]])
+        path = tmp_path / "v.tsv"
+        tp.save_vocabulary(vocab, path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(first + "".join(lines[1:]))
+        with pytest.raises(ValueError, match="v.tsv: expected header"):
+            tp.load_vocabulary(path)
+
+    @pytest.mark.parametrize("first", ["", "# authorlm-corpus 0\n", "# authorlm-vocab 1\n"])
+    def test_corpus_wrong_or_missing_magic(self, tmp_path, first):
+        vocab = tp.build_vocabulary([["a"]])
+        path = tmp_path / "c.txt"
+        tp.save_processed(tp.encode([["a"]], vocab, order=2), path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(first + "".join(lines[1:]))
+        with pytest.raises(ValueError, match="c.txt: expected header"):
+            tp.load_processed(path, vocab)
 
 
 class TestRawCorpus:
