@@ -88,6 +88,19 @@ def _run_items(items, fn, workers: int) -> list:
     return [fn(item) for item in items]
 
 
+def _report_items(stage: str, results) -> int:
+    """Print one line per (author, seed, error-or-None) work item; a failed
+    item goes to stderr and makes the stage a partial failure."""
+    code = EXIT_OK
+    for author, seed, exc in results:
+        if exc is None:
+            print(f"{stage}: {author} seed {seed}: done")
+        else:
+            print(f"{stage}: {author} seed {seed}: {exc}", file=sys.stderr)
+            code = EXIT_PARTIAL
+    return code
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write(evaluation.timestamp_line() + "\n")
@@ -196,7 +209,10 @@ def cmd_train_nnlm(cfg: RunConfig) -> int:
     def run(item):
         ai, author, seed = item
         vocab, processed = _load_processed(cfg, author)
-        assignment = textproc.split(len(processed), seed, ratios)
+        try:
+            assignment = textproc.split(len(processed), seed, ratios)
+        except ValueError as exc:  # too few sentences for this author
+            return (author, seed, exc)
         train_samples = textproc.extract_samples(processed, assignment.train)
         val_samples = textproc.extract_samples(processed, assignment.validation)
         model_cfg = nnlm.NnlmConfig(
@@ -224,14 +240,11 @@ def cmd_train_nnlm(cfg: RunConfig) -> int:
         )
         return (author, seed, None)
 
-    diverged = False
-    for author, seed, exc in _run_items(items, run, cfg.workers):
-        if exc is not None:
-            diverged = True
-            print(f"train-nnlm: {author} seed {seed}: {exc}", file=sys.stderr)
-        else:
-            print(f"train-nnlm: {author} seed {seed}: done")
-    return EXIT_DIVERGED if diverged else EXIT_OK
+    results = _run_items(items, run, cfg.workers)
+    code = _report_items("train-nnlm", results)
+    if any(isinstance(exc, nnlm.TrainingDiverged) for _, _, exc in results):
+        return EXIT_DIVERGED
+    return code
 
 
 def cmd_train_ngram(cfg: RunConfig) -> int:
@@ -243,15 +256,16 @@ def cmd_train_ngram(cfg: RunConfig) -> int:
     def run(item):
         author, seed = item
         vocab, processed = _load_processed(cfg, author)
-        assignment = textproc.split(len(processed), seed, ratios)
+        try:
+            assignment = textproc.split(len(processed), seed, ratios)
+        except ValueError as exc:  # too few sentences for this author
+            return (author, seed, exc)
         sentences = [processed.sentences[i] for i in assignment.train]
         model = kn.train_model(sentences, processed.order, vocab.size)
         kn.save_model(model, _model_path(cfg, author, seed, "kn"))
-        return (author, seed)
+        return (author, seed, None)
 
-    for author, seed in _run_items(items, run, cfg.workers):
-        print(f"train-ngram: {author} seed {seed}: done")
-    return EXIT_OK
+    return _report_items("train-ngram", _run_items(items, run, cfg.workers))
 
 
 def _load_model(cfg: RunConfig, author: str, seed: int, method: str):

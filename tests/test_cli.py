@@ -115,6 +115,23 @@ class TestPipeline:
         stats = (workdir / "outputs" / "preprocess" / "stats.csv").read_text()
         assert "broken" not in stats
 
+    def test_short_author_is_partial_failure(self, workdir, capsys):
+        # one sentence passes preprocess but cannot be split for training
+        assert run("synth", "--config", "cfg.json") == cli.EXIT_OK
+        (workdir / "corpus" / "short.txt").write_text("a single sentence\n")
+        assert run("preprocess", "--config", "cfg.json") == cli.EXIT_OK
+        models = workdir / "outputs" / "models"
+        for stage, ext in (("train-ngram", "arpa"), ("train-nnlm", "nnlm")):
+            capsys.readouterr()
+            assert run(stage, "--config", "cfg.json") == cli.EXIT_PARTIAL, stage
+            assert capsys.readouterr().err.splitlines() == [
+                f"{stage}: short seed 0: need at least 10 sentences to split, got 1"
+            ]
+            # the other authors still trained
+            assert (models / f"author00_0.{ext}").is_file()
+            assert (models / f"author01_0.{ext}").is_file()
+            assert not (models / f"short_0.{ext}").exists()
+
     def test_divergence_exit_code(self, workdir):
         assert run("synth", "--config", "cfg.json") == cli.EXIT_OK
         assert run("preprocess", "--config", "cfg.json") == cli.EXIT_OK

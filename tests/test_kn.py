@@ -288,3 +288,181 @@ class TestSerialization:
         )
         with pytest.raises(kn.KnParseError, match="misses id 1"):
             kn.load_model(path)
+
+
+def saved_lines(tmp_path, sentences, order):
+    vocab, pc = make_corpus(sentences, order)
+    model = kn.train_model(pc.sentences, order, vocab.size)
+    path = tmp_path / "m.arpa"
+    kn.save_model(model, path)
+    return model, path, path.read_text().splitlines()
+
+
+def middle_of_section(lines, k, fields=None):
+    """0-based index of an entry line halfway through section k, optionally
+    one with the given number of tab-separated fields."""
+    start = lines.index(f"\\{k}-grams:") + 1
+    end = start
+    while end < len(lines) and not lines[end].startswith("\\"):
+        end += 1
+    rows = [
+        i for i in range(start, end)
+        if fields is None or len(lines[i].split("\t")) == fields
+    ]
+    return rows[len(rows) // 2]
+
+
+TRIGRAM_CORPUS = [
+    ["the", "cat", "sat", "on", "the", "mat"],
+    ["the", "dog", "sat", "on", "the", "log"],
+    ["a", "cat", "and", "a", "dog"],
+    ["to", "be", "or", "not", "to", "be"],
+]
+
+
+def set_field(line, j, value):
+    fields = line.split("\t")
+    fields[j] = value
+    return "\t".join(fields)
+
+
+class TestMalformedEntries:
+    """One bad entry in the middle of a section: the error names its line
+    and the same message the line-by-line reader gives."""
+
+    @pytest.mark.parametrize(
+        "section, fields, edit, message",
+        [
+            (2, 3, lambda l: set_field(l, 1, "1 x"), "bad id list '1 x'"),
+            (3, None, lambda l: set_field(l, 1, "1 2"), "id list length != section order 3"),
+            (2, None, lambda l: set_field(l, 1, "1 999"), "word id out of range"),
+            (3, None, lambda l: set_field(l, 0, "-0.5x"), "bad probability '-0.5x'"),
+            (1, None, lambda l: set_field(l, 0, "na"), "unigram entries need a probability"),
+            (3, None, lambda l: l + "\t-0.25", "top-order entries cannot carry a bow"),
+            (2, 3, lambda l: set_field(l, 2, "bow"), "bad back-off weight 'bow'"),
+        ],
+        ids=["id-list", "id-count", "id-range", "probability", "na-unigram",
+             "top-order-bow", "back-off"],
+    )
+    def test_error_names_line_and_message(self, tmp_path, section, fields, edit, message):
+        _, path, lines = saved_lines(tmp_path, TRIGRAM_CORPUS, 3)
+        i = middle_of_section(lines, section, fields)
+        lines[i] = edit(lines[i])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(kn.KnParseError) as err:
+            kn.load_model(path)
+        assert str(err.value) == f"{path}:{i + 1}: {message}"
+        assert err.value.line == i + 1
+
+    def test_long_and_short_id_lists_do_not_cancel(self, tmp_path):
+        _, path, lines = saved_lines(tmp_path, TRIGRAM_CORPUS, 3)
+        i = middle_of_section(lines, 3)
+        lines[i] = set_field(lines[i], 1, lines[i].split("\t")[1] + " 1")
+        lines[i + 1] = set_field(lines[i + 1], 1, "1 2")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(kn.KnParseError) as err:
+            kn.load_model(path)
+        assert str(err.value) == f"{path}:{i + 1}: id list length != section order 3"
+
+    def test_duplicate_entry_keeps_last_value(self, tmp_path):
+        model, path, lines = saved_lines(tmp_path, TRIGRAM_CORPUS, 3)
+        i = middle_of_section(lines, 3)
+        lines.insert(i + 2, set_field(lines[i], 0, "-0.125"))
+        count = f"ngram 3={len(model.probs[3])}"
+        lines[lines.index(count)] = f"ngram 3={len(model.probs[3]) + 1}"
+        path.write_text("\n".join(lines) + "\n")
+        loaded = kn.load_model(path)
+        *ctx, w = (int(t) for t in lines[i].split("\t")[1].split())
+        assert loaded.log10_prob(ctx, w) == -0.125
+        assert len(loaded.probs[3]) == len(model.probs[3])
+
+
+def read_entries(path):
+    """(probs, bows) dicts of a saved model, keyed by id tuple."""
+    probs, bows = {}, {}
+    for line in path.read_text().splitlines():
+        fields = line.split("\t")
+        if len(fields) < 2:
+            continue
+        gram = tuple(int(t) for t in fields[1].split())
+        if fields[0] != "na":
+            probs[gram] = float(fields[0])
+        if len(fields) == 3:
+            bows[gram] = float(fields[2])
+    return probs, bows
+
+
+def scalar_log10(entries, context, target):
+    """Back-off walk over a saved model's entries, one token at a time."""
+    probs, bows = entries
+    acc = 0.0
+    for k in range(len(context), 0, -1):
+        sub = tuple(context[len(context) - k :])
+        if sub + (target,) in probs:
+            return acc + probs[sub + (target,)]
+        acc += bows.get(sub, 0.0)
+    return acc + probs[(target,)]
+
+
+class TestBatchedQueries:
+    def test_batch_matches_rows_and_scalar_walk(self, tmp_path):
+        model, path, _ = saved_lines(tmp_path, TRIGRAM_CORPUS, 4)
+        V = model.vocab_size
+        _, pc = make_corpus(TRIGRAM_CORPUS, 4)
+        rng = np.random.default_rng(3)
+        windows = [s[i : i + 4] for s in pc.sentences for i in range(len(s) - 3)]
+        rows = [(w[:3], w[3]) for w in windows]  # top-order hits
+        start = (tp.START_ID,) * 3
+        assert start in model.bows[3] and start not in model.probs[3]  # an "na" entry
+        rows += [(start, w) for w in range(V)]
+        rows += [(tuple(rng.integers(0, V, size=3)), int(rng.integers(0, V))) for _ in range(300)]
+        contexts = np.array([c for c, _ in rows], dtype=np.int64)
+        targets = np.array([t for _, t in rows], dtype=np.int64)
+        batch = model.log_probs(contexts, targets)
+        entries = read_entries(path)
+        for width in (3, 2, 1, 0):  # full, short, and empty contexts
+            ctx = contexts[:, 3 - width :]
+            got = model.log_probs(ctx, targets) if width < 3 else batch
+            for i in range(len(rows)):
+                row = tuple(int(c) for c in ctx[i])
+                assert got[i] == model.log_prob(row, int(targets[i]))
+                assert got[i] == scalar_log10(entries, row, int(targets[i])) * math.log(10.0)
+
+    def test_batch_rejects_out_of_range_ids(self):
+        vocab, pc = abab()
+        model = kn.train_model(pc.sentences, 2, vocab.size)
+        contexts = np.zeros((3, 1), dtype=np.int64)
+        with pytest.raises(ValueError, match="out of range"):
+            model.log_probs(contexts, np.array([0, vocab.size, 1]))
+        contexts[1, 0] = -1
+        with pytest.raises(ValueError, match="out of range"):
+            model.log_probs(contexts, np.array([0, 1, 1]))
+
+
+class TestWideKeys:
+    """V**order beyond int64: keys fall back to exact Python ints."""
+
+    def test_order5_large_vocab_matches_reference_and_roundtrips(self, tmp_path):
+        sentences = [["to", "be", "or", "not", "to", "be"], ["be", "not", "to", "see"]]
+        vocab, pc = make_corpus(sentences, 5)
+        V = 7000  # 7000**5 > 2**63
+        model = kn.train_model(pc.sentences, 5, V)
+        assert model.probs[5].keys.dtype == object
+        ref = ReferenceKn(pc.sentences, 5, V)
+        rng = np.random.default_rng(11)
+        contexts = [s[i : i + 4] for s in pc.sentences for i in range(len(s) - 4)]
+        contexts += [tuple(int(x) for x in rng.integers(0, V, size=4)) for _ in range(5)]
+        targets = list(range(vocab.size)) + [V - 1]
+        for ctx in contexts:
+            for w in targets:
+                got = math.exp(model.log_prob(ctx, w))
+                assert got == pytest.approx(float(ref.prob(ctx, w)), abs=1e-12)
+
+        path = tmp_path / "m.arpa"
+        kn.save_model(model, path)
+        loaded = kn.load_model(path)
+        kn.save_model(loaded, tmp_path / "again.arpa")
+        assert (tmp_path / "again.arpa").read_bytes() == path.read_bytes()
+        ctx = np.array([c for c in contexts for _ in targets], dtype=np.int64)
+        tgt = np.array(targets * len(contexts), dtype=np.int64)
+        assert loaded.log_probs(ctx, tgt).tobytes() == model.log_probs(ctx, tgt).tobytes()
