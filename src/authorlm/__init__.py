@@ -6,16 +6,14 @@ text, then compares models by held-out perplexity and by attributing
 pooled test sentences to the minimum-perplexity author.
 """
 
-from . import cli, config, evaluation, kn, nnlm, porter, prng, synthetic, textproc
+from . import config, evaluation, kn, nnlm, porter, prng, synthetic, textproc
 from .evaluation import (
     AuthorModel,
     ClassificationResult,
     ExperimentReport,
     PerplexityReport,
     accuracy_sweep,
-    aggregate_over_seeds,
     classify,
-    confusion_matrix,
     perplexity,
 )
 from .kn import KnModel
@@ -30,7 +28,6 @@ from .textproc import (
     build_vocabulary,
     encode,
     extract_samples,
-    porter_stem,
     split,
     tokenize,
 )

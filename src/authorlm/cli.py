@@ -3,7 +3,7 @@
 Subcommands: synth, preprocess, train-nnlm, train-ngram, eval, experiment,
 report.  Outputs land under ``<output_dir>/<stage>/`` with file names of
 the form ``<author>_<seed>.<ext>`` so runs are scriptable.  Exit codes:
-0 success, 1 configuration error, 2 partial failure, 3 divergence.
+0 success, 1 configuration or usage error, 2 partial failure, 3 divergence.
 """
 
 from __future__ import annotations
@@ -12,12 +12,11 @@ import argparse
 import csv
 import sys
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, kn, nnlm, synthetic, textproc
+from . import evaluation, kn, nnlm, porter, synthetic, textproc
 from .config import ConfigError, RunConfig
 from .prng import derive_seed
 
@@ -81,13 +80,6 @@ def _require(path: Path, hint: str) -> None:
         raise ConfigError(f"missing {path} (run `{hint}` first)")
 
 
-def _run_items(items, fn, workers: int) -> list:
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _report_items(stage: str, results) -> int:
     """Print one line per (author, seed, error-or-None) work item; a failed
     item goes to stderr and makes the stage a partial failure."""
@@ -114,19 +106,21 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 def cmd_synth(cfg: RunConfig) -> int:
     s = cfg.synth
-    lexicon = synthetic.default_lexicon(int(s["lexicon_size"]))
-    base_seed = int(s["seed"])
-    authors = [
-        synthetic.random_markov_author(
-            f"author{i:02d}",
-            lexicon,
-            seed=derive_seed(base_seed, i, 1),
-            concentration=float(s["concentration"]),
-            length_range=tuple(int(x) for x in s["length_range"]),
-        )
-        for i in range(int(s["authors"]))
-    ]
-    corpora = synthetic.generate_synthetic_corpus(authors, base_seed, int(s["sentences"]))
+    lexicon = synthetic.default_lexicon(s["lexicon_size"])
+    try:
+        authors = [
+            synthetic.random_markov_author(
+                f"author{i:02d}",
+                lexicon,
+                seed=derive_seed(s["seed"], i, 1),
+                concentration=s["concentration"],
+                length_range=tuple(s["length_range"]),
+            )
+            for i in range(s["authors"])
+        ]
+        corpora = synthetic.generate_synthetic_corpus(authors, s["seed"], s["sentences"])
+    except ValueError as exc:  # an out-of-range synth setting
+        raise ConfigError(f"synth: {exc}") from None
     cfg.corpus_dir.mkdir(parents=True, exist_ok=True)
     for corpus in corpora:
         path = cfg.corpus_dir / f"{corpus.author_id}.txt"
@@ -138,9 +132,9 @@ def cmd_synth(cfg: RunConfig) -> int:
 def cmd_preprocess(cfg: RunConfig) -> int:
     files = _author_files(cfg)
     pipeline = cfg.pipeline
-    order = int(pipeline["order"])
-    stemming = bool(pipeline["stemming"])
-    threshold = float(pipeline["prune_threshold"])
+    order = pipeline["order"]
+    stemming = pipeline["stemming"]
+    threshold = pipeline["prune_threshold"]
     out = _stage_dir(cfg, "preprocess")
 
     rows = []
@@ -151,7 +145,7 @@ def cmd_preprocess(cfg: RunConfig) -> int:
             raw = textproc.read_corpus_file(path)
             raw_tokens = [textproc.tokenize(line) for line in raw.sentences]
             tokens = (
-                [[textproc.porter_stem(t) for t in sent] for sent in raw_tokens]
+                [[porter.stem(t) for t in sent] for sent in raw_tokens]
                 if stemming
                 else raw_tokens
             )
@@ -203,11 +197,8 @@ def cmd_train_nnlm(cfg: RunConfig) -> int:
     _stage_dir(cfg, "models")
     _stage_dir(cfg, "logs")
     ratios = cfg.split["ratios"]
-    hp = cfg.nnlm
-    items = [(ai, author, seed) for ai, author in enumerate(authors) for seed in cfg.seeds]
 
-    def run(item):
-        ai, author, seed = item
+    def run(ai, author, seed):
         vocab, processed = _load_processed(cfg, author)
         try:
             assignment = textproc.split(len(processed), seed, ratios)
@@ -215,19 +206,7 @@ def cmd_train_nnlm(cfg: RunConfig) -> int:
             return (author, seed, exc)
         train_samples = textproc.extract_samples(processed, assignment.train)
         val_samples = textproc.extract_samples(processed, assignment.validation)
-        model_cfg = nnlm.NnlmConfig(
-            vocab_size=vocab.size,
-            order=processed.order,
-            embed_dim=int(hp["embed_dim"]),
-            hidden_dim=int(hp["hidden_dim"]),
-            batch_size=int(hp["batch_size"]),
-            learning_rate=float(hp["learning_rate"]),
-            momentum=float(hp["momentum"]),
-            max_epochs=int(hp["max_epochs"]),
-            patience=int(hp["patience"]),
-            init_seed=derive_seed(seed, ai, 1),
-            init_scale=float(hp["init_scale"]),
-        )
+        model_cfg = cfg.nnlm_config(vocab.size, processed.order, derive_seed(seed, ai, 1))
         try:
             model, history = nnlm.train(model_cfg, train_samples, val_samples)
         except nnlm.TrainingDiverged as exc:
@@ -240,7 +219,9 @@ def cmd_train_nnlm(cfg: RunConfig) -> int:
         )
         return (author, seed, None)
 
-    results = _run_items(items, run, cfg.workers)
+    results = [
+        run(ai, author, seed) for ai, author in enumerate(authors) for seed in cfg.seeds
+    ]
     code = _report_items("train-nnlm", results)
     if any(isinstance(exc, nnlm.TrainingDiverged) for _, _, exc in results):
         return EXIT_DIVERGED
@@ -251,10 +232,8 @@ def cmd_train_ngram(cfg: RunConfig) -> int:
     authors = _train_inputs(cfg)
     _stage_dir(cfg, "models")
     ratios = cfg.split["ratios"]
-    items = [(author, seed) for author in authors for seed in cfg.seeds]
 
-    def run(item):
-        author, seed = item
+    def run(author, seed):
         vocab, processed = _load_processed(cfg, author)
         try:
             assignment = textproc.split(len(processed), seed, ratios)
@@ -265,7 +244,8 @@ def cmd_train_ngram(cfg: RunConfig) -> int:
         kn.save_model(model, _model_path(cfg, author, seed, "kn"))
         return (author, seed, None)
 
-    return _report_items("train-ngram", _run_items(items, run, cfg.workers))
+    results = [run(author, seed) for author in authors for seed in cfg.seeds]
+    return _report_items("train-ngram", results)
 
 
 def _load_model(cfg: RunConfig, author: str, seed: int, method: str):
@@ -324,7 +304,7 @@ def _test_pools(cfg: RunConfig, authors: list[str]) -> dict[int, dict[str, list]
     lines of a seed's test part are stemmed.
     """
     ratios = cfg.split["ratios"]
-    stemming = bool(cfg.pipeline["stemming"])
+    stemming = cfg.pipeline["stemming"]
     pools = {seed: {} for seed in cfg.seeds}
     for author in authors:
         raw = textproc.read_corpus_file(cfg.corpus_dir / f"{author}.txt")
@@ -339,9 +319,8 @@ def _test_pools(cfg: RunConfig, authors: list[str]) -> dict[int, dict[str, list]
 def cmd_experiment(cfg: RunConfig) -> int:
     authors = _train_inputs(cfg)
     exp = cfg.experiment
-    sentence_counts = [int(s) for s in exp["sentence_counts"]]
-    trials = int(exp["trials"])
-    excluded = [str(a) for a in exp["excluded_authors"]]
+    sentence_counts = exp["sentence_counts"]
+    excluded = exp["excluded_authors"]
     for author in authors:
         for seed in cfg.seeds:
             for method in METHODS:
@@ -369,7 +348,7 @@ def cmd_experiment(cfg: RunConfig) -> int:
                 candidates,
                 pools[seed],
                 sentence_counts,
-                trials,
+                exp["trials"],
                 seed=seed,
                 excluded_authors=excluded,
             )
@@ -478,8 +457,15 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line, with the configuration-error code."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="authorlm",
         description="Per-author language models compared by perplexity "
         "and closed-set attribution.",
@@ -497,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--corpus-dir", help="override corpus_dir")
         p.add_argument("--output-dir", help="override output_dir")
-        p.add_argument("--workers", type=int, help="override workers")
     return parser
 
 
@@ -515,8 +500,6 @@ def main(argv: list[str] | None = None) -> int:
             cfg.data["corpus_dir"] = args.corpus_dir
         if args.output_dir:
             cfg.data["output_dir"] = args.output_dir
-        if args.workers is not None:
-            cfg.data["workers"] = args.workers
         cfg.validate(need_corpus=need_corpus)
         return fn(cfg)
     except ConfigError as exc:

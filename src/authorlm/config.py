@@ -2,7 +2,9 @@
 
 Values resolve in order: built-in defaults, then the config file, then
 ``--set key=value`` overrides, then dedicated command-line flags.  Every
-command validates the fields it uses before touching the filesystem.
+command validates the whole config before touching the filesystem:
+``RunConfig.validate`` reads each value once as the type of its default,
+so commands use the values as they are.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from .nnlm import MIN_VOCAB_SIZE, NnlmConfig
+
 
 class ConfigError(ValueError):
     pass
@@ -21,7 +25,6 @@ class ConfigError(ValueError):
 _DEFAULTS: dict[str, Any] = {
     "corpus_dir": "corpus",
     "output_dir": "outputs",
-    "workers": 1,
     "pipeline": {
         "stemming": True,
         "prune_threshold": 1e-5,
@@ -57,14 +60,46 @@ _DEFAULTS: dict[str, Any] = {
 }
 
 
-def _merge(base: dict, override: dict) -> dict:
+def _merge(base: dict, override: dict, prefix: str = "") -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
+        if key not in base:
+            raise ConfigError(f"unknown config key {prefix + key!r}")
+        if isinstance(base[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{prefix + key} must be an object")
+            out[key] = _merge(base[key], value, f"{prefix}{key}.")
         else:
             out[key] = copy.deepcopy(value)
     return out
+
+
+def _convert(default, value):
+    """``value`` read as the type of ``default``, a list entry by entry.
+
+    The one list whose default is empty, ``experiment.excluded_authors``,
+    holds strings.
+    """
+    if isinstance(default, list):
+        if not isinstance(value, (list, tuple)):
+            raise TypeError("not a list")
+        return [_convert(default[0] if default else "", v) for v in value]
+    if isinstance(default, bool) and value not in (True, False):
+        raise ValueError("not true or false")
+    return type(default)(value)
+
+
+def _convert_all(defaults: dict, node: dict, prefix: str = "") -> None:
+    """Replace every value under ``node`` with its converted form."""
+    for key, default in defaults.items():
+        dotted = prefix + key
+        if isinstance(default, dict):
+            _convert_all(default, node[key], dotted + ".")
+            continue
+        try:
+            node[key] = _convert(default, node[key])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{dotted}: {exc}") from None
 
 
 @dataclass
@@ -82,10 +117,10 @@ class RunConfig:
             raise ConfigError(f"{path}: invalid JSON ({exc})")
         if not isinstance(loaded, dict):
             raise ConfigError(f"{path}: top level must be an object")
-        unknown = set(loaded) - set(_DEFAULTS)
-        if unknown:
-            raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-        return cls(data=_merge(_DEFAULTS, loaded))
+        try:
+            return cls(data=_merge(_DEFAULTS, loaded))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
     def apply_override(self, dotted: str, raw: str) -> None:
         """Apply one ``section.key=value`` override; values parse as JSON
@@ -98,6 +133,8 @@ class RunConfig:
             node = node[part]
         if last not in node:
             raise ConfigError(f"unknown config key {dotted!r}")
+        if isinstance(node[last], dict):
+            raise ConfigError(f"{dotted!r} is a section; set its keys one by one")
         try:
             node[last] = json.loads(raw)
         except json.JSONDecodeError:
@@ -112,10 +149,6 @@ class RunConfig:
     @property
     def output_dir(self) -> Path:
         return Path(self.data["output_dir"])
-
-    @property
-    def workers(self) -> int:
-        return int(self.data["workers"])
 
     @property
     def pipeline(self) -> dict:
@@ -139,34 +172,38 @@ class RunConfig:
 
     @property
     def seeds(self) -> list[int]:
-        return [int(s) for s in self.split["seeds"]]
+        return self.split["seeds"]
+
+    def nnlm_config(self, vocab_size: int, order: int, init_seed: int) -> NnlmConfig:
+        """The neural model settings for one (author, seed) work item."""
+        return NnlmConfig(
+            vocab_size=vocab_size, order=order, init_seed=init_seed, **self.nnlm
+        )
 
     def validate(self, need_corpus: bool = True) -> None:
+        _convert_all(_DEFAULTS, self.data)
         p = self.pipeline
-        if int(p["order"]) < 2:
+        if p["order"] < 2:
             raise ConfigError("pipeline.order must be >= 2")
-        if not 0.0 <= float(p["prune_threshold"]) <= 1.0:
+        if not 0.0 <= p["prune_threshold"] <= 1.0:
             raise ConfigError("pipeline.prune_threshold must be in [0, 1]")
         ratios = self.split["ratios"]
         if len(ratios) != 3:
             raise ConfigError("split.ratios must have three entries")
-        if abs(sum(float(r) for r in ratios) - 1.0) > 1e-9:
+        if abs(sum(ratios) - 1.0) > 1e-9:
             raise ConfigError("split.ratios must sum to 1")
-        if not self.seeds:
-            raise ConfigError("split.seeds must be nonempty")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ConfigError("split.seeds must be nonempty and all >= 0")
         exp = self.experiment
-        if int(exp["trials"]) < 0:
+        if exp["trials"] < 0:
             raise ConfigError("experiment.trials must be >= 0")
-        if any(int(s) < 1 for s in exp["sentence_counts"]):
+        if any(s < 1 for s in exp["sentence_counts"]):
             raise ConfigError("experiment.sentence_counts must all be >= 1")
-        for key in ("embed_dim", "hidden_dim", "batch_size", "max_epochs", "patience"):
-            if int(self.nnlm[key]) < 1:
-                raise ConfigError(f"nnlm.{key} must be >= 1")
-        if float(self.nnlm["learning_rate"]) <= 0:
-            raise ConfigError("nnlm.learning_rate must be positive")
-        if not 0.0 <= float(self.nnlm["momentum"]) < 1.0:
-            raise ConfigError("nnlm.momentum must be in [0, 1)")
+        if len(self.synth["length_range"]) != 2:
+            raise ConfigError("synth.length_range must have two entries")
+        try:
+            self.nnlm_config(MIN_VOCAB_SIZE, p["order"], init_seed=0)
+        except ValueError as exc:
+            raise ConfigError(f"nnlm: {exc}") from None
         if need_corpus and not self.corpus_dir.is_dir():
             raise ConfigError(f"corpus directory not found: {self.corpus_dir}")

@@ -202,12 +202,9 @@ class ExperimentReport:
     excluded_authors: tuple[str, ...]
     records: tuple[TrialRecord, ...]
 
-    def accuracy_by_count(self, include_excluded: bool = False) -> dict[int, float]:
+    def accuracy_by_count(self) -> dict[int, float]:
         """Mean accuracy per sentence count over the non-excluded authors."""
-        keep = {
-            a for a in self.author_ids
-            if include_excluded or a not in self.excluded_authors
-        }
+        keep = {a for a in self.author_ids if a not in self.excluded_authors}
         hits = {s: 0 for s in self.sentence_counts}
         totals = {s: 0 for s in self.sentence_counts}
         for rec in self.records:
@@ -228,12 +225,6 @@ class ExperimentReport:
             if sentence_count is None or rec.sentence_count == sentence_count:
                 matrix[index[rec.author_id], index[rec.predicted_author]] += 1
         return matrix
-
-
-def confusion_matrix(report: ExperimentReport, sentence_count: int | None = None) -> np.ndarray:
-    if not report.records:
-        raise ValueError("report has no trials")
-    return report.confusion(sentence_count)
 
 
 def accuracy_sweep(
@@ -303,17 +294,6 @@ def mean_std_or_single(values: Sequence[float]) -> tuple[float, float]:
     if len(values) == 1:
         return values[0], 0.0
     return mean_std(values)
-
-
-def aggregate_over_seeds(
-    per_seed: Sequence[Mapping], keys: Sequence | None = None
-) -> dict:
-    """Mean and std per metric key across per-seed report dictionaries."""
-    if len(per_seed) < 2:
-        raise ValueError("need reports from at least 2 seeds")
-    if keys is None:
-        keys = list(per_seed[0].keys())
-    return {k: mean_std([m[k] for m in per_seed]) for k in keys}
 
 
 def format_mean_std(mean: float, std: float) -> str:

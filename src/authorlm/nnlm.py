@@ -22,6 +22,7 @@ from .textproc import Samples
 
 _MODEL_MAGIC = "authorlm-nnlm"
 _MODEL_VERSION = 1
+MIN_VOCAB_SIZE = 4  # the three reserved ids plus one word
 
 
 class TrainingDiverged(RuntimeError):
@@ -49,18 +50,17 @@ class NnlmConfig:
     def __post_init__(self):
         if self.order < 2:
             raise ValueError("order must be >= 2")
-        if self.vocab_size < 4:
+        if self.vocab_size < MIN_VOCAB_SIZE:
             raise ValueError("vocab_size must cover the reserved ids plus one word")
-        if min(self.embed_dim, self.hidden_dim, self.batch_size) < 1:
-            raise ValueError("embed_dim, hidden_dim and batch_size must be >= 1")
+        for name in ("embed_dim", "hidden_dim", "batch_size", "max_epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
         if self.init_scale < 0.0:
             raise ValueError("init_scale must be non-negative")
-        if self.max_epochs < 1 or self.patience < 1:
-            raise ValueError("max_epochs and patience must be >= 1")
 
 
 @dataclass
@@ -226,7 +226,7 @@ class EpochStats:
 
 @dataclass(frozen=True)
 class NnlmModel:
-    """Trained model; immutable and safe to query from multiple threads."""
+    """Trained model; immutable after training."""
 
     config: NnlmConfig
     params: NnlmParams

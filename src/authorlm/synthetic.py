@@ -95,6 +95,8 @@ def random_markov_author(
 ) -> MarkovAuthor:
     """Author with Dirichlet-random tables; low concentration makes the
     per-state next-word distributions spiky and authors easy to tell apart."""
+    if not concentration > 0:
+        raise ValueError(f"concentration must be positive, got {concentration}")
     k = len(lexicon)
     rng = stream(seed)
     alpha = np.full(k, concentration)

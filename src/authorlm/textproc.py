@@ -72,11 +72,6 @@ def tokenize(line: str) -> list[str]:
     return out
 
 
-def porter_stem(word: str) -> str:
-    """Porter stem of a single lowercase word (non a-z tokens unchanged)."""
-    return porter.stem(word)
-
-
 def preprocess_sentences(lines: Iterable[str], stemming: bool = True) -> list[list[str]]:
     """Tokenize (and optionally stem) raw sentence lines.
 
@@ -224,9 +219,6 @@ class SplitAssignment:
     train: tuple[int, ...]
     validation: tuple[int, ...]
     test: tuple[int, ...]
-
-    def part(self, name: str) -> tuple[int, ...]:
-        return {"train": self.train, "validation": self.validation, "test": self.test}[name]
 
 
 def _as_ratio(r) -> Fraction:

@@ -283,12 +283,9 @@ def test_c5_synthetic_attribution():
 # 6. end-to-end determinism
 
 
-def _run_pipeline(workdir: Path, config: Path, output_dir: str, workers: int) -> dict:
+def _run_pipeline(workdir: Path, config: Path, output_dir: str) -> dict:
     for command in ("synth", "preprocess", "train-nnlm", "train-ngram", "eval", "experiment", "report"):
-        code = cli.main(
-            [command, "--config", str(config), "--output-dir", output_dir,
-             "--workers", str(workers)]
-        )
+        code = cli.main([command, "--config", str(config), "--output-dir", output_dir])
         assert code == cli.EXIT_OK, command
     outputs = {}
     for path in sorted((workdir / output_dir).rglob("*")):
@@ -305,7 +302,7 @@ def _strip_timestamps(payload: bytes) -> bytes:
 
 def test_c6_pipeline_determinism(tmp_path, monkeypatch):
     """Two full pipeline runs with one config produce byte-identical files
-    (timestamp comment lines aside), including a parallel experiment."""
+    (timestamp comment lines aside)."""
     monkeypatch.chdir(tmp_path)
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
@@ -318,8 +315,8 @@ def test_c6_pipeline_determinism(tmp_path, monkeypatch):
                   "patience": 3, "init_scale": 0.1},
         "experiment": {"sentence_counts": [1, 3], "trials": 8, "excluded_authors": []},
     }))
-    first = _run_pipeline(tmp_path, config, "out_a", workers=1)
-    second = _run_pipeline(tmp_path, config, "out_b", workers=3)
+    first = _run_pipeline(tmp_path, config, "out_a")
+    second = _run_pipeline(tmp_path, config, "out_b")
     assert set(first) == set(second)
     compared = 0
     for rel in first:
@@ -328,7 +325,7 @@ def test_c6_pipeline_determinism(tmp_path, monkeypatch):
             a, b = _strip_timestamps(a), _strip_timestamps(b)
         assert a == b, f"{rel} differs between runs"
         compared += 1
-    report("criterion 6 (determinism)", f"{compared} files byte-identical across runs and workers")
+    report("criterion 6 (determinism)", f"{compared} files byte-identical across runs")
 
 
 # -----------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """End-to-end command tests: exit codes, outputs, overrides, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import authorlm
 from authorlm import cli
 
 
@@ -62,6 +67,77 @@ class TestConfigErrors:
         (workdir / "weird.json").write_text('{"mystery": 1}')
         assert run("synth", "--config", "weird.json") == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "text", ['{"nnlm": {"max_epoch": 5}}', '{"nnlm": 5}'], ids=["unknown", "not-object"]
+    )
+    def test_bad_config_section(self, workdir, text, capsys):
+        (workdir / "weird.json").write_text(text)
+        assert run("synth", "--config", "weird.json") == cli.EXIT_CONFIG
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "setting, named",
+        [
+            # every NNLM range check
+            ("nnlm.embed_dim=0", "embed_dim"),
+            ("nnlm.hidden_dim=0", "hidden_dim"),
+            ("nnlm.batch_size=0", "batch_size"),
+            ("nnlm.max_epochs=0", "max_epochs"),
+            ("nnlm.patience=0", "patience"),
+            ("nnlm.learning_rate=0", "learning_rate"),
+            ("nnlm.momentum=1", "momentum"),
+            ("nnlm.momentum=-0.5", "momentum"),
+            ("nnlm.init_scale=-1", "init_scale"),
+            # values that cannot be read as their setting's type
+            ("nnlm.embed_dim=abc", "nnlm.embed_dim"),
+            ("nnlm.learning_rate=null", "nnlm.learning_rate"),
+            ("nnlm.max_epochs=Infinity", "nnlm.max_epochs"),
+            ("pipeline.order=abc", "pipeline.order"),
+            ("pipeline.stemming=yes", "pipeline.stemming"),
+            ("experiment.trials=x", "experiment.trials"),
+            ("experiment.sentence_counts=[1, \"x\"]", "experiment.sentence_counts"),
+            ("synth.sentences=x", "synth.sentences"),
+            ("split.seeds=3", "split.seeds"),
+            ('split.ratios="abc"', "split.ratios"),
+            ('nnlm={"embed_dim": 3}', "nnlm"),
+            # other out-of-range values
+            ("split.seeds=[-1]", "split.seeds"),
+            ("synth.length_range=[4, 5, 6]", "synth.length_range"),
+            ("synth.length_range=[5, 2]", "synth"),
+            ("synth.lexicon_size=0", "synth"),
+            ("synth.concentration=0", "synth: concentration"),
+            ("synth.sentences=0", "synth"),
+        ],
+    )
+    def test_bad_setting_is_one_line_config_error(self, workdir, setting, named, capsys):
+        assert run("synth", "--config", "cfg.json", "--set", setting) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and named in err[0], err
+        assert not (workdir / "corpus").exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["synth", "--workers", "1"], ["eval", "--bogus", "1"], ["nope"]]
+    )
+    def test_usage_error_is_config_error(self, workdir, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run(*argv, "--config", "cfg.json")
+        assert exit_info.value.code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "error:" in err[0], err
+
+    def test_module_run_writes_one_stderr_line(self, workdir):
+        src = str(Path(authorlm.__file__).resolve().parents[1])
+        path = [src, os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "authorlm.cli", "preprocess", "--config", "cfg.json"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == cli.EXIT_CONFIG
+        assert proc.stderr.splitlines() == [
+            "authorlm preprocess: corpus directory not found: corpus"
+        ]
+
 
 class TestPipeline:
     def run_all(self, workdir):
@@ -93,9 +169,9 @@ class TestPipeline:
             for p in (workdir / "outputs").rglob("*")
             if p.is_file()
         }
-        # re-run everything into the same tree with more workers
+        # re-run everything into the same tree
         for command in ("preprocess", "train-nnlm", "train-ngram", "eval", "experiment", "report"):
-            assert run(command, "--config", "cfg.json", "--workers", "3") == cli.EXIT_OK
+            assert run(command, "--config", "cfg.json") == cli.EXIT_OK
         for rel, payload in first.items():
             now = (workdir / "outputs" / rel).read_bytes()
             if rel.suffix in (".csv",):
