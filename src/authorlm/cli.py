@@ -328,10 +328,18 @@ def cmd_experiment(cfg: RunConfig) -> int:
                     _model_path(cfg, author, seed, method),
                     "authorlm train-nnlm / train-ngram",
                 )
+    pools = _test_pools(cfg, authors)
+    need = max(sentence_counts, default=0)
+    for seed, seed_pools in pools.items():
+        for author, pool in seed_pools.items():
+            if len(pool) < need:
+                raise ConfigError(
+                    f"author {author!r} seed {seed} has {len(pool)} "
+                    f"test sentences, fewer than sentence count {need}"
+                )
     out = _stage_dir(cfg, "experiment")
 
     vocabs = {author: _load_vocabulary(cfg, author) for author in authors}
-    pools = _test_pools(cfg, authors)
     accuracy_curves = defaultdict(list)
     json_summary = {"seeds": cfg.seeds, "excluded_authors": excluded, "methods": {}}
     for method in METHODS:

@@ -6,11 +6,29 @@ concatenated in position order, and the model is trained to minimize mean
 cross-entropy of the next word with mini-batch gradient descent plus
 classical (heavy-ball) momentum.  All arithmetic is float64; softmax is
 computed in log space with max subtraction.
+
+Each parameter set (weights, velocity, gradients) is one contiguous
+float64 vector; the five tensors are row-major views into it in the order
+embed, w_hid, b_hid, w_out, b_out, which is also the order of their bytes
+in a saved model.  The momentum update therefore runs once over the whole
+vector.  Training is bit-exact with a plain per-tensor implementation
+because every float operation and its order are kept:
+
+- the sigmoid is ``e = exp(-|x|)``, then ``where(x >= 0, 1, e) / (1+e)``:
+  ``1/(1+e)`` where ``x >= 0`` and ``e/(1+e)`` elsewhere, elementwise the
+  same values as ``1/(1+exp(-x))`` and ``exp(x)/(1+exp(x))`` evaluated on
+  the two halves;
+- the embedding gradient is one ``np.bincount`` over ``id*D + column``,
+  which, like ``np.add.at``, adds each cell's contributions from 0.0 in
+  row order;
+- every matrix product keeps its operands (the same arrays, transposes
+  and memory layouts), so BLAS picks the same kernels.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -57,15 +75,25 @@ class NnlmConfig:
                 raise ValueError(f"{name} must be >= 1")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
-        if self.init_scale < 0.0:
-            raise ValueError("init_scale must be non-negative")
+        # written so that NaN fails them too
+        if not (0.0 < self.learning_rate < math.inf):
+            raise ValueError("learning_rate must be positive and finite")
+        if not (0.0 <= self.init_scale < math.inf):
+            raise ValueError("init_scale must be non-negative and finite")
 
 
-@dataclass
+TENSOR_NAMES = ("embed", "w_hid", "b_hid", "w_out", "b_out")
+
+
+def tensor_shapes(config: NnlmConfig) -> tuple[tuple[int, ...], ...]:
+    """Shapes of the tensors named in TENSOR_NAMES, in that order."""
+    v, d, h = config.vocab_size, config.embed_dim, config.hidden_dim
+    return ((v, d), ((config.order - 1) * d, h), (h,), (h, v), (v,))
+
+
 class NnlmParams:
-    """All weight and bias tensors; embeddings are shared across positions."""
+    """All weight and bias tensors as views into one float64 vector ``flat``;
+    embeddings are shared across positions."""
 
     embed: np.ndarray   # (V, D)
     w_hid: np.ndarray   # ((order-1)*D, H)
@@ -73,37 +101,38 @@ class NnlmParams:
     w_out: np.ndarray   # (H, V)
     b_out: np.ndarray   # (V,)
 
+    def __init__(self, flat: np.ndarray, shapes: Sequence[tuple[int, ...]]):
+        self.flat = flat
+        self.shapes = tuple(shapes)
+        start = 0
+        for name, shape in zip(TENSOR_NAMES, self.shapes):
+            stop = start + math.prod(shape)
+            setattr(self, name, flat[start:stop].reshape(shape))
+            start = stop
+        if start != flat.size:
+            raise ValueError(f"{flat.size} values do not fit shapes {self.shapes}")
+
     def tensors(self) -> Iterator[tuple[str, np.ndarray]]:
-        yield "embed", self.embed
-        yield "w_hid", self.w_hid
-        yield "b_hid", self.b_hid
-        yield "w_out", self.w_out
-        yield "b_out", self.b_out
+        for name in TENSOR_NAMES:
+            yield name, getattr(self, name)
 
     def copy(self) -> "NnlmParams":
-        return NnlmParams(*(t.copy() for _, t in self.tensors()))
+        return NnlmParams(self.flat.copy(), self.shapes)
 
     def zeros_like(self) -> "NnlmParams":
-        return NnlmParams(*(np.zeros_like(t) for _, t in self.tensors()))
+        return NnlmParams(np.zeros_like(self.flat), self.shapes)
 
 
 def init_params(config: NnlmConfig) -> NnlmParams:
-    """Weights uniform on (-init_scale, init_scale) from the seeded stream;
-    biases exactly zero."""
+    """Weights uniform on (-init_scale, init_scale) from the seeded stream,
+    drawn for embed, w_hid and w_out in turn; biases exactly zero."""
     rng = stream(config.init_seed)
     s = config.init_scale
-    ctx = config.order - 1
-
-    def draw(*shape):
-        return rng.uniform(-s, s, size=shape)
-
-    return NnlmParams(
-        embed=draw(config.vocab_size, config.embed_dim),
-        w_hid=draw(ctx * config.embed_dim, config.hidden_dim),
-        b_hid=np.zeros(config.hidden_dim),
-        w_out=draw(config.hidden_dim, config.vocab_size),
-        b_out=np.zeros(config.vocab_size),
-    )
+    shapes = tensor_shapes(config)
+    params = NnlmParams(np.zeros(sum(math.prod(shape) for shape in shapes)), shapes)
+    for weights in (params.embed, params.w_hid, params.w_out):
+        weights[...] = rng.uniform(-s, s, size=weights.shape)
+    return params
 
 
 @dataclass
@@ -117,17 +146,17 @@ class ForwardTrace:
     embedded: np.ndarray      # (B, (order-1)*D)
     hidden: np.ndarray        # (B, H)
     log_probs: np.ndarray     # (B, V)
-    output_probs: np.ndarray  # (B, V)
     loss: float
+
+    @property
+    def output_probs(self) -> np.ndarray:  # (B, V)
+        return np.exp(self.log_probs)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp of a non-positive argument, so neither branch can overflow
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _check_ids(contexts: np.ndarray, targets: np.ndarray, vocab_size: int) -> None:
@@ -139,18 +168,18 @@ def _check_ids(contexts: np.ndarray, targets: np.ndarray, vocab_size: int) -> No
         raise ValueError(f"word id out of range: saw {lo}..{hi} for V={vocab_size}")
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return shifted - lse
-
-
 def _activations(params: NnlmParams, contexts: np.ndarray):
     b = contexts.shape[0]
     embedded = params.embed[contexts].reshape(b, -1)
-    hidden = _sigmoid(embedded @ params.w_hid + params.b_hid)
-    log_probs = _log_softmax(hidden @ params.w_out + params.b_out)
-    return embedded, hidden, log_probs
+    pre = embedded @ params.w_hid
+    pre += params.b_hid
+    hidden = _sigmoid(pre)
+    logits = hidden @ params.w_out
+    logits += params.b_out
+    # log-softmax in place: subtract the row max, then the log-sum-exp
+    logits -= logits.max(axis=1, keepdims=True)
+    logits -= np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    return embedded, hidden, logits
 
 
 def forward(params: NnlmParams, batch: Samples) -> ForwardTrace:
@@ -160,45 +189,50 @@ def forward(params: NnlmParams, batch: Samples) -> ForwardTrace:
     _check_ids(contexts, targets, params.b_out.shape[0])
     embedded, hidden, log_probs = _activations(params, contexts)
     loss = cross_entropy(log_probs, targets)
-    return ForwardTrace(
-        embedded=embedded,
-        hidden=hidden,
-        log_probs=log_probs,
-        output_probs=np.exp(log_probs),
-        loss=loss,
-    )
+    return ForwardTrace(embedded=embedded, hidden=hidden, log_probs=log_probs, loss=loss)
 
 
 def cross_entropy(log_probs: np.ndarray, targets: np.ndarray) -> float:
     """Mean over the batch of -log p(target)."""
-    return float(-log_probs[np.arange(len(targets)), targets].mean())
+    picked = log_probs[np.arange(len(targets)), targets]
+    # bit for bit the mean of -picked (negation commutes with rounding),
+    # without np.mean's Python-level wrapper
+    return float(-picked.sum() / len(targets))
 
 
 def backward(params: NnlmParams, trace: ForwardTrace, batch: Samples) -> NnlmParams:
     """Analytic gradients of the batch-mean cross-entropy.
 
     Embedding gradients accumulate over the context positions, so a word
-    repeated within one context contributes once per occurrence.
+    repeated within one context contributes once per occurrence; each
+    cell sums its contributions in batch-row order.
     """
     contexts, targets = batch
     b = contexts.shape[0]
     d = params.embed.shape[1]
 
-    dlogits = trace.output_probs.copy()
+    dlogits = np.exp(trace.log_probs)
     dlogits[np.arange(b), targets] -= 1.0
     dlogits /= b
 
-    grads = params.zeros_like()
-    grads.w_out[:] = trace.hidden.T @ dlogits
-    grads.b_out[:] = dlogits.sum(axis=0)
+    grads = NnlmParams(np.empty_like(params.flat), params.shapes)
+    np.matmul(trace.hidden.T, dlogits, out=grads.w_out)
+    np.add.reduce(dlogits, axis=0, out=grads.b_out)
 
-    dhidden = dlogits @ params.w_out.T
-    dpre = dhidden * trace.hidden * (1.0 - trace.hidden)
-    grads.w_hid[:] = trace.embedded.T @ dpre
-    grads.b_hid[:] = dpre.sum(axis=0)
+    # d loss / d pre-activation = (dhidden * hidden) * (1 - hidden), in place
+    dpre = dlogits @ params.w_out.T
+    dpre *= trace.hidden
+    dpre *= 1.0 - trace.hidden
+    np.matmul(trace.embedded.T, dpre, out=grads.w_hid)
+    np.add.reduce(dpre, axis=0, out=grads.b_hid)
 
-    dembedded = (dpre @ params.w_hid.T).reshape(-1, d)
-    np.add.at(grads.embed, contexts.ravel(), dembedded)
+    # dembedded[i, c*D + j] belongs to cell (contexts[i, c], j) of embed;
+    # bincount adds each cell's terms in row order, as np.add.at does
+    dembedded = dpre @ params.w_hid.T
+    cells = (contexts * d)[..., None] + np.arange(d)
+    grads.embed[...] = np.bincount(
+        cells.ravel(), weights=dembedded.ravel(), minlength=grads.embed.size
+    ).reshape(grads.embed.shape)
     return grads
 
 
@@ -211,10 +245,10 @@ def momentum_step(
 ) -> None:
     """velocity <- momentum * velocity - learning_rate * grads;
     params <- params + velocity.  Updates both arguments in place."""
-    for (_, p), (_, v), (_, g) in zip(params.tensors(), velocity.tensors(), grads.tensors()):
-        v *= momentum
-        v -= learning_rate * g
-        p += v
+    v = velocity.flat
+    v *= momentum
+    v -= learning_rate * grads.flat
+    params.flat += v
 
 
 @dataclass(frozen=True)
@@ -293,12 +327,13 @@ def train(
     n = len(train_samples)
     for epoch in range(1, config.max_epochs + 1):
         perm = stream(config.init_seed, epoch).permutation(n)
+        contexts, targets = train_samples.contexts[perm], train_samples.targets[perm]
         running = 0.0
         for start in range(0, n, config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            batch = Samples(train_samples.contexts[idx], train_samples.targets[idx])
+            stop = start + config.batch_size
+            batch = Samples(contexts[start:stop], targets[start:stop])
             trace = forward(params, batch)
-            if not np.isfinite(trace.loss):
+            if not math.isfinite(trace.loss):
                 raise TrainingDiverged(epoch, "training")
             grads = backward(params, trace, batch)
             momentum_step(params, velocity, grads, config.learning_rate, config.momentum)
@@ -324,20 +359,19 @@ def train(
 
 def save_model(model: NnlmModel, path: str | Path) -> None:
     """Binary container: one JSON header line (config, tensor shapes,
-    dtype, format version) followed by raw row-major float64 tensor bytes.
+    dtype, format version) followed by the raw row-major float64 bytes of
+    each tensor in header order, i.e. the parameter vector as one block.
     Round-trips bit-exactly."""
-    tensors = list(model.params.tensors())
     header = {
         "format": _MODEL_MAGIC,
         "version": _MODEL_VERSION,
         "config": asdict(model.config),
-        "tensors": [[name, list(t.shape)] for name, t in tensors],
+        "tensors": [[name, list(t.shape)] for name, t in model.params.tensors()],
         "dtype": "<f8",
     }
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for _, t in tensors:
-            f.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
+        f.write(model.params.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_model(path: str | Path) -> NnlmModel:
@@ -352,11 +386,14 @@ def load_model(path: str | Path) -> NnlmModel:
         if header.get("version") != _MODEL_VERSION:
             raise ValueError(f"{path}: unsupported version {header.get('version')!r}")
         config = NnlmConfig(**header["config"])
-        arrays = {}
-        for name, shape in header["tensors"]:
-            count = int(np.prod(shape))
-            buf = f.read(count * 8)
-            if len(buf) != count * 8:
-                raise ValueError(f"{path}: truncated tensor {name!r}")
-            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-    return NnlmModel(config=config, params=NnlmParams(**arrays))
+        shapes = tensor_shapes(config)
+        layout = [[name, list(shape)] for name, shape in zip(TENSOR_NAMES, shapes)]
+        if header.get("tensors") != layout:
+            raise ValueError(f"{path}: tensors {header.get('tensors')!r} do not match the config")
+        ends = np.cumsum([math.prod(shape) for shape in shapes]) * 8
+        buf = bytearray(int(ends[-1]))
+        got = f.readinto(buf)
+        if got != len(buf):
+            short = TENSOR_NAMES[int(np.searchsorted(ends, got, side="right"))]
+            raise ValueError(f"{path}: truncated tensor {short!r}")
+    return NnlmModel(config=config, params=NnlmParams(np.frombuffer(buf, dtype="<f8"), shapes))

@@ -13,10 +13,12 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import porter
 from .prng import stream
@@ -274,19 +276,24 @@ def samples_from_sentences(sentences: Iterable[Sequence[int]], order: int) -> Sa
     Every non-padding position becomes a target, the sentence end included,
     so a sentence of T content tokens yields T + 1 samples.
     """
-    contexts, targets = [], []
-    for sent in sentences:
-        for pos in range(order - 1, len(sent)):
-            contexts.append(tuple(sent[pos - order + 1 : pos]))
-            targets.append(sent[pos])
-    if not targets:
+    sentences = list(sentences)
+    width = order - 1
+    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
+    counts = np.maximum(lengths - width, 0)
+    m = int(counts.sum())
+    if m == 0:
         return Samples(
-            contexts=np.empty((0, order - 1), dtype=np.int64),
+            contexts=np.empty((0, width), dtype=np.int64),
             targets=np.empty(0, dtype=np.int64),
         )
+    ids = np.fromiter(chain.from_iterable(sentences), dtype=np.int64, count=int(lengths.sum()))
+    # window j, the r-th of its sentence, starts r ids after that sentence's
+    # first id; in the concatenation that is j plus a per-sentence shift
+    shift = (np.cumsum(lengths) - lengths) - (np.cumsum(counts) - counts)
+    starts = np.arange(m) + np.repeat(shift, counts)
     return Samples(
-        contexts=np.asarray(contexts, dtype=np.int64),
-        targets=np.asarray(targets, dtype=np.int64),
+        contexts=sliding_window_view(ids, width)[starts],
+        targets=ids[starts + width],
     )
 
 

@@ -88,6 +88,8 @@ class TestConfigErrors:
             ("nnlm.momentum=1", "momentum"),
             ("nnlm.momentum=-0.5", "momentum"),
             ("nnlm.init_scale=-1", "init_scale"),
+            ("nnlm.learning_rate=NaN", "learning_rate"),
+            ("nnlm.init_scale=NaN", "init_scale"),
             # values that cannot be read as their setting's type
             ("nnlm.embed_dim=abc", "nnlm.embed_dim"),
             ("nnlm.learning_rate=null", "nnlm.learning_rate"),
@@ -216,6 +218,27 @@ class TestPipeline:
                 "train-nnlm", "--config", "cfg.json", "--set", "nnlm.init_scale=8e307"
             )
         assert code == cli.EXIT_DIVERGED
+
+    def test_sentence_count_above_test_pool_is_config_error(self, workdir, capsys, monkeypatch):
+        # 60 sentences per author leave 6 test sentences, fewer than 20
+        for command in ("synth", "preprocess", "train-nnlm", "train-ngram"):
+            assert run(command, "--config", "cfg.json") == cli.EXIT_OK, command
+
+        def no_model_load(*args):
+            raise AssertionError("a model was loaded")
+
+        monkeypatch.setattr(cli, "_load_model", no_model_load)
+        capsys.readouterr()
+        code = run(
+            "experiment", "--config", "cfg.json", "--set", "experiment.sentence_counts=[1, 20]"
+        )
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "authorlm experiment: author 'author00' seed 0 has 6 test "
+            "sentences, fewer than sentence count 20"
+        ]
+        assert not (workdir / "outputs" / "experiment").exists()
 
     def test_set_overrides_apply(self, workdir):
         assert run("synth", "--config", "cfg.json", "--set", "synth.authors=3") == cli.EXIT_OK

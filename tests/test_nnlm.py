@@ -1,7 +1,9 @@
 """Neural LM: forward/backward correctness, training behavior, storage.
 
 The backward pass is checked against central finite differences of the
-loss; the forward pass against a deliberately naive loop reimplementation.
+loss; the forward pass against a deliberately naive loop reimplementation;
+training, bit for bit, against the plain per-tensor loop in
+nnlm_reference.
 """
 
 import math
@@ -9,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+import nnlm_reference as ref
 from authorlm import nnlm
 from authorlm.textproc import Samples
 
@@ -463,4 +466,147 @@ class TestSerialization:
         path = tmp_path / "m.nnlm"
         path.write_bytes(b"not a model\n")
         with pytest.raises(ValueError):
+            nnlm.load_model(path)
+
+
+def markov_samples(lexicon_size, order, sentences, seed):
+    """Train and validation samples from one synthetic Markov author."""
+    from authorlm import synthetic
+    from authorlm import textproc as tp
+
+    author = synthetic.random_markov_author(
+        "a0", synthetic.default_lexicon(lexicon_size), seed=seed, concentration=0.15
+    )
+    [corpus] = synthetic.generate_synthetic_corpus([author], seed=seed, sentence_count=sentences)
+    tokens = tp.preprocess_sentences(corpus.sentences, stemming=False)
+    vocab = tp.build_vocabulary(tokens)
+    pc = tp.encode(tokens, vocab, order=order)
+    assignment = tp.split(len(pc), 0)
+    return vocab.size, tp.extract_samples(pc, assignment.train), tp.extract_samples(
+        pc, assignment.validation
+    )
+
+
+def random_samples(vocab_size, order, n, seed, repeat_words=False):
+    rng = np.random.default_rng(seed)
+    contexts = rng.integers(0, vocab_size, size=(n, order - 1))
+    if repeat_words:
+        contexts[::2, 1:] = contexts[::2, :1]  # every other row: one word throughout
+        contexts[1::3, 0] = contexts[1::3, -1]
+    return Samples(contexts, rng.integers(0, vocab_size, size=n))
+
+
+def assert_trains_like_reference(cfg, train_s, val_s, tmp_path):
+    model, history = nnlm.train(cfg, train_s, val_s)
+    ref_params, ref_history = ref.train(cfg, train_s, val_s)
+    assert history == ref_history
+    for (name, got), (_, want) in zip(model.params.tensors(), ref_params.tensors()):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    path = tmp_path / "m.nnlm"
+    nnlm.save_model(model, path)
+    assert path.read_bytes() == ref.saved_bytes(cfg, ref_params)
+    return history
+
+
+class TestBitExactTraining:
+    """nnlm.train against the per-tensor reference loop: same params, same
+    history, same saved bytes."""
+
+    def test_readme_shapes(self, tmp_path):
+        vocab_size, train_s, val_s = markov_samples(50, 4, 400, seed=7)
+        cfg = nnlm.NnlmConfig(
+            vocab_size=vocab_size, order=4, embed_dim=16, hidden_dim=48, batch_size=100,
+            learning_rate=0.3, momentum=0.9, max_epochs=4, patience=4, init_seed=11,
+        )
+        assert len(train_s) % cfg.batch_size != 0
+        assert len(assert_trains_like_reference(cfg, train_s, val_s, tmp_path)) == 4
+
+    @pytest.mark.parametrize("n", [320, 321, 345], ids=["full", "one-row", "short"])
+    def test_blas_edge_kernel_shapes(self, tmp_path, n):
+        # D=6/H=10/V=12: row counts that are not a multiple of 4 go through
+        # OpenBLAS edge kernels
+        cfg = nnlm.NnlmConfig(
+            vocab_size=12, order=4, embed_dim=6, hidden_dim=10, batch_size=32,
+            learning_rate=0.2, max_epochs=3, patience=3, init_seed=5,
+        )
+        train_s = random_samples(12, 4, n, seed=n)
+        val_s = random_samples(12, 4, 50, seed=n + 1)
+        assert_trains_like_reference(cfg, train_s, val_s, tmp_path)
+
+    def test_short_last_batch_and_odd_offsets(self, tmp_path):
+        # V*D = 21 puts every later tensor at an odd offset in the vector
+        cfg = tiny_config(batch_size=6, max_epochs=5, patience=5, learning_rate=0.5)
+        train_s = random_samples(cfg.vocab_size, cfg.order, 61, seed=3)
+        val_s = random_samples(cfg.vocab_size, cfg.order, 9, seed=4)
+        assert len(train_s) % cfg.batch_size == 1
+        assert_trains_like_reference(cfg, train_s, val_s, tmp_path)
+
+    def test_repeated_context_words(self, tmp_path):
+        cfg = tiny_config(order=5, batch_size=16, max_epochs=4, patience=4)
+        train_s = random_samples(cfg.vocab_size, cfg.order, 100, seed=8, repeat_words=True)
+        val_s = random_samples(cfg.vocab_size, cfg.order, 20, seed=9, repeat_words=True)
+        assert (train_s.contexts[0] == train_s.contexts[0, 0]).all()
+        assert_trains_like_reference(cfg, train_s, val_s, tmp_path)
+
+    def test_early_stop_history(self, tmp_path):
+        # a large step makes validation loss rise, so patience ends the run
+        cfg = tiny_config(batch_size=8, learning_rate=3.0, max_epochs=30, patience=2)
+        train_s = random_samples(cfg.vocab_size, cfg.order, 40, seed=10)
+        val_s = random_samples(cfg.vocab_size, cfg.order, 20, seed=11)
+        history = assert_trains_like_reference(cfg, train_s, val_s, tmp_path)
+        assert len(history) < cfg.max_epochs
+
+    def test_sigmoid_matches_masked_form(self):
+        special = [0.0, -0.0, 745.0, -745.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300]
+        rng = np.random.default_rng(14)
+        x = np.concatenate([special, rng.normal(0, 30, size=5000), rng.normal(0, 1, size=5000)])
+        got, want = nnlm._sigmoid(x), ref.sigmoid(x)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        keep = ~np.isnan(want)  # a NaN may come out with the other sign bit
+        assert got[keep].tobytes() == want[keep].tobytes()
+        block = x[len(special) : len(special) + 4800].reshape(100, 48)
+        assert nnlm._sigmoid(block).tobytes() == ref.sigmoid(block).tobytes()
+
+
+class TestFlatParameters:
+    def assert_flat(self, params):
+        assert params.flat.ndim == 1 and params.flat.flags.c_contiguous
+        total = 0
+        for _, t in params.tensors():
+            assert np.shares_memory(t, params.flat) and t.flags.c_contiguous
+            total += t.size
+        assert total == params.flat.size
+        # writing through the vector shows in the views
+        params.flat[-1] = 7.5
+        assert params.b_out[-1] == 7.5
+
+    def test_every_set_is_one_vector(self, tmp_path):
+        cfg = tiny_config()
+        params = nnlm.init_params(cfg)
+        batch = random_batch(cfg, np.random.default_rng(15))
+        grads = nnlm.backward(params, nnlm.forward(params, batch), batch)
+        model = nnlm.NnlmModel(config=cfg, params=params.copy())
+        nnlm.save_model(model, tmp_path / "m.nnlm")
+        loaded = nnlm.load_model(tmp_path / "m.nnlm")
+        for p in (params, params.copy(), params.zeros_like(), grads, loaded.params):
+            self.assert_flat(p)
+        assert [t.shape for _, t in loaded.params.tensors()] == list(nnlm.tensor_shapes(cfg))
+
+    def test_tensor_layout_must_match_config(self, tmp_path):
+        cfg = tiny_config()
+        path = tmp_path / "m.nnlm"
+        nnlm.save_model(nnlm.NnlmModel(config=cfg, params=nnlm.init_params(cfg)), path)
+        header, _, payload = path.read_bytes().partition(b"\n")
+        path.write_bytes(header.replace(b'"b_out", [7]', b'"b_out", [8]') + b"\n" + payload)
+        with pytest.raises(ValueError, match="do not match the config"):
+            nnlm.load_model(path)
+
+    @pytest.mark.parametrize("keep, name", [(8, "embed"), (21 * 8, "w_hid")])
+    def test_truncation_names_the_tensor(self, tmp_path, keep, name):
+        cfg = tiny_config()
+        path = tmp_path / "m.nnlm"
+        nnlm.save_model(nnlm.NnlmModel(config=cfg, params=nnlm.init_params(cfg)), path)
+        header, _, payload = path.read_bytes().partition(b"\n")
+        path.write_bytes(header + b"\n" + payload[:keep])
+        with pytest.raises(ValueError, match=f"truncated tensor '{name}'"):
             nnlm.load_model(path)

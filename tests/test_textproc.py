@@ -193,6 +193,25 @@ class TestSamples:
         assert not (samples.targets == tp.START_ID).any()
         assert (samples.targets == tp.END_ID).sum() == len(sentences)
 
+    @given(
+        st.lists(st.lists(st.integers(0, 30), max_size=9), max_size=6),
+        st.integers(min_value=1, max_value=5),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_position_loop(self, sentences, order):
+        # sentences shorter than a window, empty ones and no input at all
+        # included; a generator argument is read once
+        contexts, targets = [], []
+        for sent in sentences:
+            for pos in range(order - 1, len(sent)):
+                contexts.append(sent[pos - order + 1 : pos])
+                targets.append(sent[pos])
+        samples = tp.samples_from_sentences((tuple(s) for s in sentences), order)
+        for got, want in zip(samples, (contexts, targets)):
+            assert got.dtype == np.int64 and got.flags.c_contiguous
+            assert got.tolist() == want
+        assert samples.contexts.shape == (len(targets), order - 1)
+
 
 class TestCoverage:
     def test_full_vocabulary_covers_everything(self):
