@@ -2,21 +2,29 @@
 
 Subcommands: synth, preprocess, train-nnlm, train-ngram, eval, experiment,
 report.  Outputs land under ``<output_dir>/<stage>/`` with file names of
-the form ``<author>_<seed>.<ext>`` so runs are scriptable.  Exit codes:
-0 success, 1 configuration or usage error, 2 partial failure, 3 divergence.
+the form ``<author>_<seed>.<ext>`` so runs are scriptable; every output is
+replaced atomically (``files.write_file``).
+
+The stages after preprocess start from one inventory per author: its
+inputs loaded once, each seed's split (or the error that refused it), and
+the (seed, method) models on disk.  They work on every item the inventory
+allows and print one stderr line for each item they skip.  Exit codes:
+0 success, 1 configuration or usage error, a missing or corrupt input, or
+nothing to work on; 2 partial failure (some items skipped or failed, the
+rest done); 3 divergence.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from collections import defaultdict
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, kn, nnlm, porter, synthetic, textproc
+from . import evaluation, files, kn, nnlm, porter, synthetic, textproc
 from .config import ConfigError, RunConfig
 from .prng import derive_seed
 
@@ -29,10 +37,10 @@ METHODS = ("nnlm", "kn")
 
 
 def _author_files(cfg: RunConfig) -> list[Path]:
-    files = sorted(cfg.corpus_dir.glob("*.txt"))
-    if not files:
+    paths = sorted(cfg.corpus_dir.glob("*.txt"))
+    if not paths:
         raise ConfigError(f"no author files (*.txt) in {cfg.corpus_dir}")
-    return files
+    return paths
 
 
 def _stage_dir(cfg: RunConfig, stage: str) -> Path:
@@ -41,17 +49,14 @@ def _stage_dir(cfg: RunConfig, stage: str) -> Path:
     return path
 
 
-def _vocab_path(cfg: RunConfig, author: str) -> Path:
-    return cfg.output_dir / "preprocess" / f"{author}.vocab.tsv"
-
-
-def _corpus_path(cfg: RunConfig, author: str) -> Path:
-    return cfg.output_dir / "preprocess" / f"{author}.corpus.txt"
-
-
 def _model_path(cfg: RunConfig, author: str, seed: int, method: str) -> Path:
     ext = "nnlm" if method == "nnlm" else "arpa"
     return cfg.output_dir / "models" / f"{author}_{seed}.{ext}"
+
+
+def _require(path: Path, hint: str) -> None:
+    if not path.exists():
+        raise ConfigError(f"missing {path} (run `{hint}` first)")
 
 
 def _load(loader, path: Path, *args):
@@ -65,40 +70,104 @@ def _load(loader, path: Path, *args):
         ) from exc
 
 
-def _load_vocabulary(cfg: RunConfig, author: str) -> textproc.Vocabulary:
-    return _load(textproc.load_vocabulary, _vocab_path(cfg, author))
+def _load_model(cfg: RunConfig, author: str, seed: int, method: str):
+    path = _model_path(cfg, author, seed, method)
+    return _load(nnlm.load_model if method == "nnlm" else kn.load_model, path)
 
 
-def _load_processed(cfg: RunConfig, author: str):
-    vocab = _load_vocabulary(cfg, author)
-    processed = _load(textproc.load_processed, _corpus_path(cfg, author), vocab)
-    return vocab, processed
+@dataclass(frozen=True)
+class _Author:
+    """One author's inputs to a stage, loaded once.
+
+    ``corpus`` is the encoded preprocess output, or the raw text for the
+    attribution sweep; ``splits[seed]`` is that seed's split of it, or the
+    ``ValueError`` that refused it; ``models`` holds the (seed, method)
+    pairs whose model file exists.
+    """
+
+    name: str
+    vocab: textproc.Vocabulary
+    corpus: textproc.ProcessedCorpus | textproc.RawCorpus
+    splits: dict
+    models: frozenset
 
 
-def _require(path: Path, hint: str) -> None:
-    if not path.exists():
-        raise ConfigError(f"missing {path} (run `{hint}` first)")
-
-
-def _report_items(stage: str, results) -> int:
-    """Print one line per (author, seed, error-or-None) work item; a failed
-    item goes to stderr and makes the stage a partial failure."""
-    code = EXIT_OK
-    for author, seed, exc in results:
-        if exc is None:
-            print(f"{stage}: {author} seed {seed}: done")
+def _inventory(cfg: RunConfig, raw: bool = False) -> list[_Author]:
+    """Every author's inventory; ``raw`` reads the author's text file
+    instead of the encoded corpus, which is then never opened."""
+    authors = []
+    for path in _author_files(cfg):
+        name = path.stem
+        vocab_path = cfg.output_dir / "preprocess" / f"{name}.vocab.tsv"
+        _require(vocab_path, "authorlm preprocess")
+        vocab = _load(textproc.load_vocabulary, vocab_path)
+        if raw:
+            corpus = _load(textproc.read_corpus_file, path)
         else:
-            print(f"{stage}: {author} seed {seed}: {exc}", file=sys.stderr)
-            code = EXIT_PARTIAL
-    return code
+            corpus_path = cfg.output_dir / "preprocess" / f"{name}.corpus.txt"
+            _require(corpus_path, "authorlm preprocess")
+            corpus = _load(textproc.load_processed, corpus_path, vocab)
+        splits = {}
+        for seed in cfg.seeds:
+            try:
+                splits[seed] = textproc.split(len(corpus.sentences), seed, cfg.split["ratios"])
+            except ValueError as exc:
+                splits[seed] = exc
+        models = frozenset(
+            (seed, method)
+            for seed in cfg.seeds
+            for method in METHODS
+            if _model_path(cfg, name, seed, method).exists()
+        )
+        authors.append(_Author(name, vocab, corpus, splits, models))
+    return authors
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write(evaluation.timestamp_line() + "\n")
-        writer = csv.writer(f)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _run_items(stage: str, cfg: RunConfig, authors: list[_Author], run) -> list[Exception]:
+    """Call ``run(author_index, author, seed, split)`` for every (author,
+    seed) whose split exists.  Prints one line per item, a failed or
+    refused one with its error on stderr, and returns those errors."""
+    errors = []
+    for ai, author in enumerate(authors):
+        for seed in cfg.seeds:
+            split = author.splits[seed]
+            exc = split if isinstance(split, ValueError) else run(ai, author, seed, split)
+            if exc is None:
+                print(f"{stage}: {author.name} seed {seed}: done")
+            else:
+                errors.append(exc)
+                print(f"{stage}: {author.name} seed {seed}: {exc}", file=sys.stderr)
+    return errors
+
+
+def _write_perplexity_summary(path: Path, per_method: dict) -> dict:
+    """Mean and std of each method's perplexities, as CSV rows and a dict."""
+    rows, summary = [], {}
+    for method, values in per_method.items():
+        mean, std = evaluation.mean_std_or_single(values)
+        rows.append([method, repr(mean), repr(std), evaluation.format_mean_std(mean, std)])
+        summary[method] = {"mean": mean, "std": std}
+    files.write_csv(path, ["method", "mean", "std", "display"], rows)
+    return summary
+
+
+def _write_accuracy_summary(path: Path, curves: dict, counts=None) -> dict:
+    """Mean and std over seeds of each method's accuracy at each sentence
+    count (``counts``, or every count the curves have), as CSV rows and a
+    dict; ``curves[method]`` holds one {count: accuracy} dict per seed."""
+    rows, summary = [], defaultdict(dict)
+    for method, per_seed in curves.items():
+        for s in counts or sorted({s for curve in per_seed for s in curve}):
+            mean, std = evaluation.mean_std_or_single([curve[s] for curve in per_seed])
+            rows.append([method, s, repr(float(mean)), repr(float(std))])
+            summary[method][str(s)] = {"mean": mean, "std": std}
+    files.write_csv(path, ["method", "s", "mean_acc", "std_acc"], rows)
+    return dict(summary)
+
+
+def _write_confusion(path: Path, matrix: np.ndarray, author_ids) -> None:
+    rows = ([author, *map(int, row)] for author, row in zip(author_ids, matrix))
+    files.write_csv(path, ["true\\predicted", *author_ids], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -124,56 +193,42 @@ def cmd_synth(cfg: RunConfig) -> int:
     cfg.corpus_dir.mkdir(parents=True, exist_ok=True)
     for corpus in corpora:
         path = cfg.corpus_dir / f"{corpus.author_id}.txt"
-        path.write_text("\n".join(corpus.sentences) + "\n", encoding="utf-8")
+        files.write_file(path, "\n".join(corpus.sentences) + "\n")
         print(f"synth: wrote {path} ({len(corpus.sentences)} sentences)")
     return EXIT_OK
 
 
 def cmd_preprocess(cfg: RunConfig) -> int:
-    files = _author_files(cfg)
-    pipeline = cfg.pipeline
-    order = pipeline["order"]
-    stemming = pipeline["stemming"]
-    threshold = pipeline["prune_threshold"]
+    author_files = _author_files(cfg)
+    order, stemming, threshold = (
+        cfg.pipeline[key] for key in ("order", "stemming", "prune_threshold")
+    )
     out = _stage_dir(cfg, "preprocess")
 
     rows = []
-    failures = []
-    for path in files:
+    code = EXIT_OK
+    for path in author_files:
         author = path.stem
         try:
             raw = textproc.read_corpus_file(path)
-            raw_tokens = [textproc.tokenize(line) for line in raw.sentences]
-            tokens = (
-                [[porter.stem(t) for t in sent] for sent in raw_tokens]
-                if stemming
-                else raw_tokens
-            )
+            raw_tokens = textproc.preprocess_sentences(raw.sentences, stemming=False)
+            tokens = [[porter.stem(t) for t in s] for s in raw_tokens] if stemming else raw_tokens
             vocab = textproc.build_vocabulary(tokens, threshold)
             processed = textproc.encode(tokens, vocab, order, stemming, threshold)
-            textproc.save_vocabulary(vocab, _vocab_path(cfg, author))
-            textproc.save_processed(processed, _corpus_path(cfg, author))
+            textproc.save_vocabulary(vocab, out / f"{author}.vocab.tsv")
+            textproc.save_processed(processed, out / f"{author}.corpus.txt")
         except (OSError, ValueError) as exc:
-            failures.append((author, exc))
             print(f"preprocess: {author}: {exc}", file=sys.stderr)
+            code = EXIT_PARTIAL
             continue
         coverage = textproc.top_k_coverage(processed, (500, 1000, 2000))
-        n_tokens = sum(len(s) for s in tokens)
-        rows.append(
-            [
-                author,
-                len(raw.sentences),
-                n_tokens,
-                len({t for sent in raw_tokens for t in sent}),
-                len({t for sent in tokens for t in sent}),
-                vocab.size - 3,
-                repr(coverage[500]),
-                repr(coverage[1000]),
-                repr(coverage[2000]),
-            ]
-        )
+        rows.append([
+            author, len(raw.sentences), sum(len(s) for s in tokens),
+            len({t for s in raw_tokens for t in s}), len({t for s in tokens for t in s}),
+            vocab.size - 3, *(repr(coverage[k]) for k in (500, 1000, 2000)),
+        ])
         print(f"preprocess: {author}: V={vocab.size - 3} (+3 reserved)")
-    _write_csv(
+    files.write_csv(
         out / "stats.csv",
         [
             "author", "sentences", "tokens", "raw_vocab", "stemmed_vocab",
@@ -181,210 +236,174 @@ def cmd_preprocess(cfg: RunConfig) -> int:
         ],
         rows,
     )
-    return EXIT_PARTIAL if failures else EXIT_OK
-
-
-def _train_inputs(cfg: RunConfig):
-    files = _author_files(cfg)
-    for path in files:
-        _require(_vocab_path(cfg, path.stem), "authorlm preprocess")
-        _require(_corpus_path(cfg, path.stem), "authorlm preprocess")
-    return [path.stem for path in files]
-
-
-def cmd_train_nnlm(cfg: RunConfig) -> int:
-    authors = _train_inputs(cfg)
-    _stage_dir(cfg, "models")
-    _stage_dir(cfg, "logs")
-    ratios = cfg.split["ratios"]
-
-    def run(ai, author, seed):
-        vocab, processed = _load_processed(cfg, author)
-        try:
-            assignment = textproc.split(len(processed), seed, ratios)
-        except ValueError as exc:  # too few sentences for this author
-            return (author, seed, exc)
-        train_samples = textproc.extract_samples(processed, assignment.train)
-        val_samples = textproc.extract_samples(processed, assignment.validation)
-        model_cfg = cfg.nnlm_config(vocab.size, processed.order, derive_seed(seed, ai, 1))
-        try:
-            model, history = nnlm.train(model_cfg, train_samples, val_samples)
-        except nnlm.TrainingDiverged as exc:
-            return (author, seed, exc)
-        nnlm.save_model(model, _model_path(cfg, author, seed, "nnlm"))
-        _write_csv(
-            cfg.output_dir / "logs" / f"{author}_{seed}.train.csv",
-            ["epoch", "train_loss", "validation_loss"],
-            [[e.epoch, repr(e.train_loss), repr(e.validation_loss)] for e in history],
-        )
-        return (author, seed, None)
-
-    results = [
-        run(ai, author, seed) for ai, author in enumerate(authors) for seed in cfg.seeds
-    ]
-    code = _report_items("train-nnlm", results)
-    if any(isinstance(exc, nnlm.TrainingDiverged) for _, _, exc in results):
-        return EXIT_DIVERGED
     return code
 
 
-def cmd_train_ngram(cfg: RunConfig) -> int:
-    authors = _train_inputs(cfg)
+def cmd_train_nnlm(cfg: RunConfig) -> int:
+    authors = _inventory(cfg)
     _stage_dir(cfg, "models")
-    ratios = cfg.split["ratios"]
+    logs = _stage_dir(cfg, "logs")
 
-    def run(author, seed):
-        vocab, processed = _load_processed(cfg, author)
-        try:
-            assignment = textproc.split(len(processed), seed, ratios)
-        except ValueError as exc:  # too few sentences for this author
-            return (author, seed, exc)
-        sentences = [processed.sentences[i] for i in assignment.train]
-        model = kn.train_model(sentences, processed.order, vocab.size)
-        kn.save_model(model, _model_path(cfg, author, seed, "kn"))
-        return (author, seed, None)
+    def run(ai, author, seed, split):
+        processed = author.corpus
+        train_samples = textproc.extract_samples(processed, split.train)
+        val_samples = textproc.extract_samples(processed, split.validation)
+        try:  # a vocabulary too small for the network is this item's failure
+            model_cfg = cfg.nnlm_config(author.vocab.size, processed.order, derive_seed(seed, ai, 1))
+            model, history = nnlm.train(model_cfg, train_samples, val_samples)
+        except (ValueError, nnlm.TrainingDiverged) as exc:
+            return exc
+        nnlm.save_model(model, _model_path(cfg, author.name, seed, "nnlm"))
+        files.write_csv(
+            logs / f"{author.name}_{seed}.train.csv",
+            ["epoch", "train_loss", "validation_loss"],
+            [[e.epoch, repr(e.train_loss), repr(e.validation_loss)] for e in history],
+        )
+        return None
 
-    results = [run(author, seed) for author in authors for seed in cfg.seeds]
-    return _report_items("train-ngram", results)
+    errors = _run_items("train-nnlm", cfg, authors, run)
+    if any(isinstance(exc, nnlm.TrainingDiverged) for exc in errors):
+        return EXIT_DIVERGED
+    return EXIT_PARTIAL if errors else EXIT_OK
 
 
-def _load_model(cfg: RunConfig, author: str, seed: int, method: str):
-    path = _model_path(cfg, author, seed, method)
-    train_cmd = "authorlm train-nnlm" if method == "nnlm" else "authorlm train-ngram"
-    _require(path, train_cmd)
-    return _load(nnlm.load_model if method == "nnlm" else kn.load_model, path)
+def cmd_train_ngram(cfg: RunConfig) -> int:
+    authors = _inventory(cfg)
+    _stage_dir(cfg, "models")
+
+    def run(ai, author, seed, split):
+        sentences = [author.corpus.sentences[i] for i in split.train]
+        model = kn.train_model(sentences, author.corpus.order, author.vocab.size)
+        kn.save_model(model, _model_path(cfg, author.name, seed, "kn"))
+        return None
+
+    return EXIT_PARTIAL if _run_items("train-ngram", cfg, authors, run) else EXIT_OK
 
 
 def cmd_eval(cfg: RunConfig) -> int:
-    authors = _train_inputs(cfg)
-    for author in authors:
+    """Test perplexity of every (author, seed, method) that has a model."""
+    items, skipped = [], []
+    for author in _inventory(cfg):
         for seed in cfg.seeds:
+            split = author.splits[seed]
+            if isinstance(split, ValueError):
+                skipped.append(f"{author.name} seed {seed}: {split}")
+                continue
             for method in METHODS:
-                _require(
-                    _model_path(cfg, author, seed, method),
-                    "authorlm train-nnlm / train-ngram",
-                )
+                if (seed, method) in author.models:
+                    items.append((author, seed, split, method))
+                else:
+                    path = _model_path(cfg, author.name, seed, method)
+                    skipped.append(f"{author.name} seed {seed} {method}: missing {path}")
+    if not items:
+        raise ConfigError(
+            f"nothing to evaluate: {skipped[0]} (run `authorlm train-nnlm / train-ngram` first)"
+        )
     out = _stage_dir(cfg, "eval")
-    ratios = cfg.split["ratios"]
+    for line in skipped:
+        print(f"eval: {line}", file=sys.stderr)
 
     rows = []
-    per_method = defaultdict(list)
-    for author in authors:
-        vocab, processed = _load_processed(cfg, author)
-        for seed in cfg.seeds:
-            assignment = textproc.split(len(processed), seed, ratios)
-            test_sentences = [processed.sentences[i] for i in assignment.test]
-            for method in METHODS:
-                model = _load_model(cfg, author, seed, method)
-                report = evaluation.perplexity(model, test_sentences)
-                rows.append([author, seed, method, repr(report.perplexity)])
-                per_method[method].append(report.perplexity)
-                print(f"eval: {author} seed {seed} {method}: PP={report.perplexity:.2f}")
-    _write_csv(out / "perplexity.csv", ["author", "seed", "method", "perplexity"], rows)
-
-    summary_rows = []
-    for method in METHODS:
-        mean, std = evaluation.mean_std_or_single(per_method[method])
-        summary_rows.append(
-            [method, repr(mean), repr(std), evaluation.format_mean_std(mean, std)]
-        )
-        print(f"eval: {method} test perplexity {evaluation.format_mean_std(mean, std)}")
-    _write_csv(
-        out / "perplexity_summary.csv", ["method", "mean", "std", "display"], summary_rows
+    per_method = {method: [] for method in METHODS}
+    for author, seed, split, method in items:
+        model = _load_model(cfg, author.name, seed, method)
+        report = evaluation.perplexity(model, [author.corpus.sentences[i] for i in split.test])
+        rows.append([author.name, seed, method, repr(report.perplexity)])
+        per_method[method].append(report.perplexity)
+        print(f"eval: {author.name} seed {seed} {method}: PP={report.perplexity:.2f}")
+    files.write_csv(out / "perplexity.csv", ["author", "seed", "method", "perplexity"], rows)
+    summary = _write_perplexity_summary(
+        out / "perplexity_summary.csv", {m: v for m, v in per_method.items() if v}
     )
-    return EXIT_OK
-
-
-def _test_pools(cfg: RunConfig, authors: list[str]) -> dict[int, dict[str, list]]:
-    """Per-seed, per-author stemmed test sentences.
-
-    Pools come from the raw text (tokenize + stem only), not from the
-    encoded corpus, because classification re-encodes them under every
-    candidate's vocabulary.  Each author file is read once, and only the
-    lines of a seed's test part are stemmed.
-    """
-    ratios = cfg.split["ratios"]
-    stemming = cfg.pipeline["stemming"]
-    pools = {seed: {} for seed in cfg.seeds}
-    for author in authors:
-        raw = textproc.read_corpus_file(cfg.corpus_dir / f"{author}.txt")
-        for seed in cfg.seeds:
-            assignment = textproc.split(len(raw.sentences), seed, ratios)
-            pools[seed][author] = textproc.preprocess_sentences(
-                [raw.sentences[i] for i in assignment.test], stemming=stemming
-            )
-    return pools
+    for method, s in summary.items():
+        print(f"eval: {method} test perplexity {evaluation.format_mean_std(s['mean'], s['std'])}")
+    return EXIT_PARTIAL if skipped else EXIT_OK
 
 
 def cmd_experiment(cfg: RunConfig) -> int:
-    authors = _train_inputs(cfg)
+    """Attribution sweeps over every author whose text splits, for each
+    (method, seed) that has all of those authors' models.
+
+    Test pools come from the raw text (tokenize + stem only), not from the
+    encoded corpus, because classification re-encodes them under every
+    candidate's vocabulary; only the lines of a seed's test part are
+    stemmed.
+    """
     exp = cfg.experiment
-    sentence_counts = exp["sentence_counts"]
-    excluded = exp["excluded_authors"]
-    for author in authors:
-        for seed in cfg.seeds:
-            for method in METHODS:
-                _require(
-                    _model_path(cfg, author, seed, method),
-                    "authorlm train-nnlm / train-ngram",
-                )
-    pools = _test_pools(cfg, authors)
-    need = max(sentence_counts, default=0)
-    for seed, seed_pools in pools.items():
-        for author, pool in seed_pools.items():
-            if len(pool) < need:
+    need = max(exp["sentence_counts"], default=0)
+    authors, skipped = [], []
+    for author in _inventory(cfg, raw=True):
+        refused = [s for s in author.splits.values() if isinstance(s, ValueError)]
+        if refused:
+            skipped.append(f"{author.name}: left out, {refused[0]}")
+            continue
+        for seed, split in author.splits.items():
+            if len(split.test) < need:
                 raise ConfigError(
-                    f"author {author!r} seed {seed} has {len(pool)} "
+                    f"author {author.name!r} seed {seed} has {len(split.test)} "
                     f"test sentences, fewer than sentence count {need}"
                 )
-    out = _stage_dir(cfg, "experiment")
-
-    vocabs = {author: _load_vocabulary(cfg, author) for author in authors}
-    accuracy_curves = defaultdict(list)
-    json_summary = {"seeds": cfg.seeds, "excluded_authors": excluded, "methods": {}}
+        authors.append(author)
+    if not authors:
+        raise ConfigError(f"no author has a test pool: {skipped[0]}")
+    sweeps, unrunnable = [], []
     for method in METHODS:
         for seed in cfg.seeds:
-            candidates = [
-                evaluation.AuthorModel(
-                    author_id=author,
-                    model=_load_model(cfg, author, seed, method),
-                    vocabulary=vocabs[author],
-                )
-                for author in authors
-            ]
-            report = evaluation.accuracy_sweep(
-                candidates,
-                pools[seed],
-                sentence_counts,
-                exp["trials"],
-                seed=seed,
-                excluded_authors=excluded,
+            missing = [a.name for a in authors if (seed, method) not in a.models]
+            if missing:
+                unrunnable.append(f"{method} seed {seed}: skipped, no model for {', '.join(missing)}")
+            else:
+                sweeps.append((method, seed))
+    if not sweeps:
+        raise ConfigError(
+            f"no sweep can run: {unrunnable[0]} (run `authorlm train-nnlm / train-ngram` first)"
+        )
+    skipped += unrunnable
+    pools = {
+        seed: {
+            author.name: textproc.preprocess_sentences(
+                [author.corpus.sentences[i] for i in author.splits[seed].test],
+                stemming=cfg.pipeline["stemming"],
             )
-            evaluation.write_trials_csv(
-                report, out / f"trials_{method}_{seed}.csv", method
-            )
-            evaluation.write_confusion_csv(
-                report.confusion(),
-                report.author_ids,
-                out / f"confusion_{method}_{seed}.csv",
-            )
-            curve = report.accuracy_by_count()
-            accuracy_curves[method].append(curve)
-            shown = {s: round(a, 3) for s, a in curve.items()}
-            print(f"experiment: {method} seed {seed}: accuracy {shown}")
+            for author in authors
+        }
+        for seed in cfg.seeds
+    }
+    out = _stage_dir(cfg, "experiment")
+    for line in skipped:
+        print(f"experiment: {line}", file=sys.stderr)
 
-    summary_rows = []
-    for method in METHODS:
-        curves = accuracy_curves[method]
-        method_summary = {}
-        for s in sentence_counts:
-            mean, std = evaluation.mean_std_or_single([c[s] for c in curves])
-            summary_rows.append((method, s, mean, std))
-            method_summary[str(s)] = {"mean": mean, "std": std}
-        json_summary["methods"][method] = {"accuracy_by_count": method_summary}
-    evaluation.write_summary_csv(summary_rows, out / "summary.csv")
-    evaluation.write_json_summary(json_summary, out / "summary.json")
-    return EXIT_OK
+    curves = defaultdict(list)
+    for method, seed in sweeps:
+        candidates = [
+            evaluation.AuthorModel(a.name, _load_model(cfg, a.name, seed, method), a.vocab)
+            for a in authors
+        ]
+        report = evaluation.accuracy_sweep(
+            candidates, pools[seed], exp["sentence_counts"], exp["trials"],
+            seed=seed, excluded_authors=exp["excluded_authors"],
+        )
+        files.write_csv(
+            out / f"trials_{method}_{seed}.csv",
+            ["method", "seed", "author", "sentence_count", "trial", "predicted", "correct"],
+            ([method, seed, r.author_id, r.sentence_count, r.trial, r.predicted_author,
+              int(r.correct)] for r in report.records),
+        )
+        _write_confusion(
+            out / f"confusion_{method}_{seed}.csv", report.confusion(), report.author_ids
+        )
+        curve = report.accuracy_by_count()
+        curves[method].append(curve)
+        shown = {s: round(a, 3) for s, a in curve.items()}
+        print(f"experiment: {method} seed {seed}: accuracy {shown}")
+
+    summary = _write_accuracy_summary(out / "summary.csv", curves, exp["sentence_counts"])
+    methods = {m: {"accuracy_by_count": acc} for m, acc in summary.items()}
+    files.write_json(
+        out / "summary.json",
+        {"seeds": cfg.seeds, "excluded_authors": exp["excluded_authors"], "methods": methods},
+    )
+    return EXIT_PARTIAL if skipped else EXIT_OK
 
 
 def cmd_report(cfg: RunConfig) -> int:
@@ -399,55 +418,33 @@ def cmd_report(cfg: RunConfig) -> int:
     out = _stage_dir(cfg, "report")
 
     perps = defaultdict(list)
-    with open(eval_csv, newline="", encoding="utf-8") as f:
-        for row in csv.DictReader(line for line in f if not line.startswith("#")):
-            perps[row["method"]].append(float(row["perplexity"]))
-    perp_rows = []
-    perp_json = {}
-    for method in sorted(perps):
-        mean, std = evaluation.mean_std_or_single(perps[method])
-        perp_rows.append([method, repr(mean), repr(std), evaluation.format_mean_std(mean, std)])
-        perp_json[method] = {"mean": mean, "std": std}
-    _write_csv(
-        out / "perplexity_summary.csv", ["method", "mean", "std", "display"], perp_rows
+    for row in files.read_csv(eval_csv):
+        perps[row["method"]].append(float(row["perplexity"]))
+    perp_json = _write_perplexity_summary(
+        out / "perplexity_summary.csv", {m: perps[m] for m in sorted(perps)}
     )
 
-    # (method, seed) -> accuracy curve; (method,) -> pooled confusion counts
-    curves = defaultdict(dict)
-    confusion = {}
-    author_set = set()
+    # (method, seed) -> {count: (hits, total)}; method -> pooled confusion counts
+    tallies = defaultdict(dict)
+    confusion = defaultdict(lambda: defaultdict(int))
     for path in trial_files:
-        with open(path, newline="", encoding="utf-8") as f:
-            for row in csv.DictReader(line for line in f if not line.startswith("#")):
-                author_set.add(row["author"])
-                key = (row["method"], int(row["seed"]))
-                s = int(row["sentence_count"])
-                hits, total = curves[key].get(s, (0, 0))
-                curves[key][s] = (hits + int(row["correct"]), total + 1)
-                confusion.setdefault(row["method"], defaultdict(int))[
-                    (row["author"], row["predicted"])
-                ] += 1
-    authors = sorted(author_set)
-    acc_rows = []
-    acc_json = defaultdict(dict)
-    methods = sorted({m for m, _ in curves})
-    for method in methods:
-        per_seed = [curve for (m, _), curve in sorted(curves.items()) if m == method]
-        counts = sorted({s for curve in per_seed for s in curve})
-        for s in counts:
-            mean, std = evaluation.mean_std_or_single(
-                [hits / total for curve in per_seed for hits, total in [curve[s]]]
-            )
-            acc_rows.append((method, s, mean, std))
-            acc_json[method][str(s)] = {"mean": mean, "std": std}
+        for row in files.read_csv(path):
+            key = (row["method"], int(row["seed"]))
+            s = int(row["sentence_count"])
+            hits, total = tallies[key].get(s, (0, 0))
+            tallies[key][s] = (hits + int(row["correct"]), total + 1)
+            confusion[row["method"]][(row["author"], row["predicted"])] += 1
+    curves = defaultdict(list)
+    for (method, _), tally in sorted(tallies.items()):
+        curves[method].append({s: hits / total for s, (hits, total) in tally.items()})
+    authors = sorted({true for counts in confusion.values() for true, _ in counts})
+    for method in curves:
         matrix = np.zeros((len(authors), len(authors)), dtype=np.int64)
         for (true, pred), n in confusion[method].items():
             matrix[authors.index(true), authors.index(pred)] += n
-        evaluation.write_confusion_csv(matrix, authors, out / f"confusion_{method}.csv")
-    evaluation.write_summary_csv(acc_rows, out / "accuracy_summary.csv")
-    evaluation.write_json_summary(
-        {"perplexity": perp_json, "accuracy": dict(acc_json)}, out / "summary.json"
-    )
+        _write_confusion(out / f"confusion_{method}.csv", matrix, authors)
+    acc_json = _write_accuracy_summary(out / "accuracy_summary.csv", curves)
+    files.write_json(out / "summary.json", {"perplexity": perp_json, "accuracy": acc_json})
     print(f"report: wrote {out}")
     return EXIT_OK
 

@@ -190,8 +190,8 @@ class RunConfig:
         ratios = self.split["ratios"]
         if len(ratios) != 3:
             raise ConfigError("split.ratios must have three entries")
-        if abs(sum(ratios) - 1.0) > 1e-9:
-            raise ConfigError("split.ratios must sum to 1")
+        if not all(r > 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+            raise ConfigError("split.ratios must be positive and sum to 1")
         if not self.seeds or min(self.seeds) < 0:
             raise ConfigError("split.seeds must be nonempty and all >= 0")
         exp = self.experiment

@@ -18,12 +18,8 @@ that of the pooled token stream, with no per-sentence partial sums.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
-from datetime import datetime, timezone
-from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
 import numpy as np
@@ -299,60 +295,3 @@ def mean_std_or_single(values: Sequence[float]) -> tuple[float, float]:
 def format_mean_std(mean: float, std: float) -> str:
     return f"{mean:.1f}±{std:.1f}"
 
-
-# ---------------------------------------------------------------------------
-# report files
-
-def timestamp_line() -> str:
-    """Comment line excluded from byte-for-byte output comparisons."""
-    return f"# generated {datetime.now(timezone.utc).isoformat()}"
-
-
-def write_trials_csv(report: ExperimentReport, path: str | Path, method: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write(timestamp_line() + "\n")
-        writer = csv.writer(f)
-        writer.writerow(
-            ["method", "seed", "author", "sentence_count", "trial", "predicted", "correct"]
-        )
-        for rec in report.records:
-            writer.writerow(
-                [
-                    method,
-                    report.seed,
-                    rec.author_id,
-                    rec.sentence_count,
-                    rec.trial,
-                    rec.predicted_author,
-                    int(rec.correct),
-                ]
-            )
-
-
-def write_summary_csv(
-    rows: Sequence[tuple[str, int, float, float]], path: str | Path
-) -> None:
-    """Rows of (method, sentence_count, mean_acc, std_acc)."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write(timestamp_line() + "\n")
-        writer = csv.writer(f)
-        writer.writerow(["method", "s", "mean_acc", "std_acc"])
-        for method, s, mean, std in rows:
-            writer.writerow([method, s, repr(float(mean)), repr(float(std))])
-
-
-def write_confusion_csv(
-    matrix: np.ndarray, author_ids: Sequence[str], path: str | Path
-) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write(timestamp_line() + "\n")
-        writer = csv.writer(f)
-        writer.writerow(["true\\predicted", *author_ids])
-        for author, row in zip(author_ids, matrix):
-            writer.writerow([author, *[int(x) for x in row]])
-
-
-def write_json_summary(obj, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )

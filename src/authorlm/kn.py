@@ -41,6 +41,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .files import write_file
 from .textproc import END_ID, START_ID
 
 _KN_MAGIC = "authorlm-kn 1"
@@ -399,7 +400,7 @@ def save_model(model: KnModel, path: str | Path) -> None:
         lines.append(f"\\{k}-grams:")
         lines += entries
     lines.append("\\end\\")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_file(path, "\n".join(lines) + "\n")
 
 
 def _bulk_ids(fields: np.ndarray, k: int, vocab_size: int) -> np.ndarray | None:

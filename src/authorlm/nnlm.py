@@ -35,6 +35,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .files import write_file
 from .prng import stream
 from .textproc import Samples
 
@@ -369,9 +370,8 @@ def save_model(model: NnlmModel, path: str | Path) -> None:
         "tensors": [[name, list(t.shape)] for name, t in model.params.tensors()],
         "dtype": "<f8",
     }
-    with open(path, "wb") as f:
-        f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        f.write(model.params.flat.astype("<f8", copy=False).tobytes())
+    header_line = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
+    write_file(path, header_line + model.params.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_model(path: str | Path) -> NnlmModel:

@@ -21,6 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import porter
+from .files import write_file
 from .prng import stream
 
 SENTENCE_START = "<s>"
@@ -235,17 +236,21 @@ def split(
     """Partition sentence indices into train/validation/test.
 
     Validation and test sizes are floored; the remainder goes to train.
-    The permutation is drawn from the seeded PCG64 stream, so one seed
-    always yields the same partition.
+    A split that would leave a part empty is refused with a ValueError
+    naming the part.  The permutation is drawn from the seeded PCG64
+    stream, so one seed always yields the same partition.
     """
     if n_sentences < 10:
         raise ValueError(f"need at least 10 sentences to split, got {n_sentences}")
     fracs = tuple(_as_ratio(r) for r in ratios)
-    if len(fracs) != 3 or sum(fracs) != 1:
-        raise ValueError(f"ratios must be three rationals summing to 1, got {ratios}")
+    if len(fracs) != 3 or sum(fracs) != 1 or min(fracs) < 0:
+        raise ValueError(f"ratios must be three non-negative rationals summing to 1, got {ratios}")
     n_valid = int(n_sentences * fracs[1])
     n_test = int(n_sentences * fracs[2])
     n_train = n_sentences - n_valid - n_test
+    for part, size, frac in zip(("train", "validation", "test"), (n_train, n_valid, n_test), fracs):
+        if size == 0:
+            raise ValueError(f"{n_sentences} sentences leave the {part} part empty (ratio {frac})")
     perm = stream(seed).permutation(n_sentences)
     return SplitAssignment(
         seed=seed,
@@ -330,7 +335,7 @@ def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
     lines = [f"# {_VOCAB_MAGIC}", f"# size {vocab.size}"]
     for i, (w, c) in enumerate(zip(vocab.words, vocab.counts)):
         lines.append(f"{w}\t{i}\t{c}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_file(path, "\n".join(lines) + "\n")
 
 
 def _read_lines(path: str | Path, magic: str) -> list[str]:
@@ -367,7 +372,7 @@ def save_processed(processed: ProcessedCorpus, path: str | Path) -> None:
     ]
     for sent in processed.sentences:
         lines.append(" ".join(str(i) for i in sent))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_file(path, "\n".join(lines) + "\n")
 
 
 def load_processed(path: str | Path, vocab: Vocabulary) -> ProcessedCorpus:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import authorlm
-from authorlm import cli
+from authorlm import cli, files
 
 
 def write_config(path, **overrides):
@@ -104,6 +104,10 @@ class TestConfigErrors:
             ('nnlm={"embed_dim": 3}', "nnlm"),
             # other out-of-range values
             ("split.seeds=[-1]", "split.seeds"),
+            ("split.ratios=[0.9, 0, 0.1]", "split.ratios"),
+            ("split.ratios=[0.9, 0.1, 0]", "split.ratios"),
+            ("split.ratios=[1.2, -0.1, -0.1]", "split.ratios"),
+            ('split.ratios=[0.8, 0.1, "NaN"]', "split.ratios"),
             ("synth.length_range=[4, 5, 6]", "synth.length_range"),
             ("synth.length_range=[5, 2]", "synth"),
             ("synth.lexicon_size=0", "synth"),
@@ -209,6 +213,80 @@ class TestPipeline:
             assert (models / f"author00_0.{ext}").is_file()
             assert (models / f"author01_0.{ext}").is_file()
             assert not (models / f"short_0.{ext}").exists()
+
+    def test_short_author_downstream_is_partial(self, workdir, capsys):
+        # the other authors are trained, scored, swept and reported
+        assert run("synth", "--config", "cfg.json") == cli.EXIT_OK
+        (workdir / "corpus" / "short.txt").write_text("a single sentence\n")
+        codes, errors = [], {}
+        for stage in ("preprocess", "train-nnlm", "train-ngram", "eval", "experiment", "report"):
+            capsys.readouterr()
+            codes.append(run(stage, "--config", "cfg.json"))
+            errors[stage] = capsys.readouterr().err.splitlines()
+        assert codes == [0, 2, 2, 2, 2, 0]
+        refusal = "need at least 10 sentences to split, got 1"
+        assert errors["eval"] == [f"eval: short seed 0: {refusal}"]
+        assert errors["experiment"] == [f"experiment: short: left out, {refusal}"]
+        assert errors["report"] == []
+        out = workdir / "outputs"
+        scored = [(r["author"], r["method"]) for r in files.read_csv(out / "eval" / "perplexity.csv")]
+        assert scored == [(a, m) for a in ("author00", "author01") for m in ("nnlm", "kn")]
+        for method in ("nnlm", "kn"):
+            trials = files.read_csv(out / "experiment" / f"trials_{method}_0.csv")
+            assert {r["author"] for r in trials} == {"author00", "author01"}
+            assert {r["predicted"] for r in trials} <= {"author00", "author01"}
+        summary = json.loads((out / "report" / "summary.json").read_text())
+        assert set(summary["perplexity"]) == set(summary["accuracy"]) == {"nnlm", "kn"}
+
+    def test_missing_model_skips_its_items(self, workdir, capsys):
+        for command in ("synth", "preprocess", "train-nnlm", "train-ngram"):
+            assert run(command, "--config", "cfg.json") == cli.EXIT_OK, command
+        models = workdir / "outputs" / "models"
+        (models / "author01_0.nnlm").unlink()
+        capsys.readouterr()
+        assert run("eval", "--config", "cfg.json") == cli.EXIT_PARTIAL
+        assert capsys.readouterr().err.splitlines() == [
+            f"eval: author01 seed 0 nnlm: missing {Path('outputs/models/author01_0.nnlm')}"
+        ]
+        assert run("experiment", "--config", "cfg.json") == cli.EXIT_PARTIAL
+        assert capsys.readouterr().err.splitlines() == [
+            "experiment: nnlm seed 0: skipped, no model for author01"
+        ]
+        out = workdir / "outputs" / "experiment"
+        assert not (out / "trials_nnlm_0.csv").exists()
+        assert {r["method"] for r in files.read_csv(out / "summary.csv")} == {"kn"}
+        assert run("report", "--config", "cfg.json") == cli.EXIT_OK
+        for path in models.glob("*"):
+            path.unlink()
+        for stage in ("eval", "experiment"):
+            capsys.readouterr()
+            assert run(stage, "--config", "cfg.json") == cli.EXIT_CONFIG, stage
+            assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_degenerate_split_is_partial_failure(self, workdir, capsys):
+        # 12 sentences at 5% validation leave the validation part empty
+        assert run("synth", "--config", "cfg.json") == cli.EXIT_OK
+        lines = (workdir / "corpus" / "author00.txt").read_text().splitlines()[:12]
+        (workdir / "corpus" / "short.txt").write_text("\n".join(lines) + "\n")
+        ratios = ["--set", "split.ratios=[0.9, 0.05, 0.05]"]
+        assert run("preprocess", "--config", "cfg.json", *ratios) == cli.EXIT_OK
+        refusal = "short seed 0: 12 sentences leave the validation part empty (ratio 1/20)"
+        for stage in ("train-nnlm", "train-ngram", "eval"):
+            capsys.readouterr()
+            assert run(stage, "--config", "cfg.json", *ratios) == cli.EXIT_PARTIAL, stage
+            assert capsys.readouterr().err.splitlines() == [f"{stage}: {refusal}"]
+
+    def test_vocabulary_too_small_for_nnlm_is_partial_failure(self, workdir, capsys):
+        # a threshold of 1 prunes every word, leaving only the reserved ids
+        prune = ["--set", "pipeline.prune_threshold=1.0"]
+        for command in ("synth", "preprocess"):
+            assert run(command, "--config", "cfg.json", *prune) == cli.EXIT_OK, command
+        capsys.readouterr()
+        assert run("train-nnlm", "--config", "cfg.json", *prune) == cli.EXIT_PARTIAL
+        assert capsys.readouterr().err.splitlines() == [
+            f"train-nnlm: author0{i} seed 0: vocab_size must cover the reserved ids plus one word"
+            for i in range(2)
+        ]
 
     def test_divergence_exit_code(self, workdir):
         assert run("synth", "--config", "cfg.json") == cli.EXIT_OK

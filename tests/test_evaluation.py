@@ -1,6 +1,7 @@
 """Perplexity, classification, sweeps, aggregation, and report files."""
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from kn_reference import ReferenceKn
 
+from authorlm import cli, files
 from authorlm import evaluation as ev
 from authorlm import kn, nnlm, synthetic
 from authorlm import textproc as tp
@@ -428,19 +430,35 @@ class TestAggregation:
 
 
 class TestReportFiles:
+    """The trials and confusion layouts, byte for byte, through the one CSV
+    writer: a timestamp line ending in LF, then csv.writer rows ending in
+    CRLF."""
+
+    STAMP = re.compile(rb"# generated \d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d+\+00:00")
+
+    def body(self, path):
+        stamp, body = path.read_bytes().split(b"\n", 1)
+        assert self.STAMP.fullmatch(stamp), stamp
+        return body
+
     def test_trials_csv_layout(self, tmp_path):
         authors, pools = TestSweep().make_setup()
         report = ev.accuracy_sweep(authors, pools, [1], trials=2, seed=1)
         path = tmp_path / "trials.csv"
-        ev.write_trials_csv(report, path, method="kn")
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("# generated ")
-        assert lines[1] == "method,seed,author,sentence_count,trial,predicted,correct"
-        assert len(lines) == 2 + len(report.records)
+        files.write_csv(
+            path,
+            ["method", "seed", "author", "sentence_count", "trial", "predicted", "correct"],
+            (["kn", report.seed, r.author_id, r.sentence_count, r.trial, r.predicted_author,
+              int(r.correct)] for r in report.records),
+        )
+        expected = b"method,seed,author,sentence_count,trial,predicted,correct\r\n" + b"".join(
+            f"kn,1,{r.author_id},1,{r.trial},{r.predicted_author},{int(r.correct)}\r\n".encode()
+            for r in report.records
+        )
+        assert self.body(path) == expected
+        assert len(report.records) == 2 * len(authors)
 
     def test_confusion_csv_grid(self, tmp_path):
-        matrix = np.array([[3, 1], [0, 4]])
         path = tmp_path / "confusion.csv"
-        ev.write_confusion_csv(matrix, ["a", "b"], path)
-        rows = [l for l in path.read_text().splitlines() if not l.startswith("#")]
-        assert rows == ["true\\predicted,a,b", "a,3,1", "b,0,4"]
+        cli._write_confusion(path, np.array([[3, 1], [0, 4]]), ["a", "b"])
+        assert self.body(path) == b"true\\predicted,a,b\r\na,3,1\r\nb,0,4\r\n"

@@ -148,6 +148,23 @@ class TestSplit:
         with pytest.raises(ValueError):
             tp.split(9, seed=0)
 
+    @pytest.mark.parametrize(
+        "n, ratios, part",
+        [
+            (20, (0.9, 0, 0.1), "validation"),
+            (20, (0.9, 0.1, 0), "test"),
+            (60, (0.98, 0.01, 0.01), "validation"),
+            (10, (0, 0.5, 0.5), "train"),
+        ],
+    )
+    def test_empty_part_is_named(self, n, ratios, part):
+        with pytest.raises(ValueError, match=f"^{n} sentences leave the {part} part empty"):
+            tp.split(n, seed=0, ratios=ratios)
+
+    def test_rejects_negative_ratio(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            tp.split(20, seed=0, ratios=(1.2, -0.1, -0.1))
+
     def test_float_ratios_accepted(self):
         a = tp.split(20, seed=0, ratios=(0.8, 0.1, 0.1))
         assert a.ratios == (Fraction(4, 5), Fraction(1, 10), Fraction(1, 10))
