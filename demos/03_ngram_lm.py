@@ -19,13 +19,15 @@ processed = tp.encode(sentences, vocab, order=2)
 a, b = vocab.index_of("a"), vocab.index_of("b")
 print("padded ids:", processed.sentences[0], "   words:", vocab.words)
 
-# --- counting: raw sliding windows plus continuation counts
+# --- counting: raw sliding windows plus continuation counts, kept as
+# lexicographic id rows; raw_counts/continuation_counts show them as dicts
 tables = kn.count(processed.sentences, order=2)
 print("\nbigram counts:", dict(tables.raw_counts(2)))
 print("continuation counts (distinct predecessors):",
       dict(tables.continuation_counts(1)))
 
-# --- discounts from the count-of-counts: n1/(n1 + 2 n2) per order
+# --- discounts from the count-of-counts: n1/(n1 + 2 n2) per order;
+# build_model always estimates them this way
 discounts = kn.estimate_discounts(tables)
 print("discounts (unigram, bigram):", discounts)
 
@@ -33,7 +35,7 @@ print("discounts (unigram, bigram):", discounts)
 #   P(b|a) = (count(a,b) - D2)/count(a,.) + backoff(a) * P(b)
 #          = (2 - 0.6)/2 + 0.3 * 0.2 = 0.76
 # where P(b) interpolates b's continuation count with the uniform 1/5.
-model = kn.build_model(tables, vocab.size, discounts)
+model = kn.build_model(tables, vocab.size)
 print(f"\nP(b|a) = {math.exp(model.log_prob([a], b)):.6f}   (hand value 0.76)")
 
 # Every context yields a proper distribution, even unseen ones.

@@ -6,9 +6,10 @@ the form ``<author>_<seed>.<ext>`` so runs are scriptable; every output is
 replaced atomically (``files.write_file``).
 
 The stages after preprocess start from one inventory per author: its
-inputs loaded once, each seed's split (or the error that refused it), and
-the (seed, method) models on disk.  They work on every item the inventory
-allows and print one stderr line for each item they skip.  Exit codes:
+inputs loaded once, each seed's split (or the error that refused it, such
+as missing preprocess outputs), and the (seed, method) models on disk.
+They work on every item the inventory allows and print one stderr line for
+each item they skip.  Exit codes:
 0 success, 1 configuration or usage error, a missing or corrupt input, or
 nothing to work on; 2 partial failure (some items skipped or failed, the
 rest done); 3 divergence.
@@ -82,30 +83,43 @@ class _Author:
     ``corpus`` is the encoded preprocess output, or the raw text for the
     attribution sweep; ``splits[seed]`` is that seed's split of it, or the
     ``ValueError`` that refused it; ``models`` holds the (seed, method)
-    pairs whose model file exists.
+    pairs whose model file exists.  An author whose preprocess outputs are
+    missing has no vocabulary or corpus, and every seed refuses it.
     """
 
     name: str
-    vocab: textproc.Vocabulary
-    corpus: textproc.ProcessedCorpus | textproc.RawCorpus
+    vocab: textproc.Vocabulary | None
+    corpus: textproc.ProcessedCorpus | textproc.RawCorpus | None
     splits: dict
     models: frozenset
 
 
 def _inventory(cfg: RunConfig, raw: bool = False) -> list[_Author]:
     """Every author's inventory; ``raw`` reads the author's text file
-    instead of the encoded corpus, which is then never opened."""
-    authors = []
+    instead of the encoded corpus, which is then never opened.  A
+    ConfigError when no author has preprocess outputs."""
+    authors, missing = [], []
     for path in _author_files(cfg):
         name = path.stem
         vocab_path = cfg.output_dir / "preprocess" / f"{name}.vocab.tsv"
-        _require(vocab_path, "authorlm preprocess")
+        corpus_path = cfg.output_dir / "preprocess" / f"{name}.corpus.txt"
+        models = frozenset(
+            (seed, method)
+            for seed in cfg.seeds
+            for method in METHODS
+            if _model_path(cfg, name, seed, method).exists()
+        )
+        needed = [vocab_path] if raw else [vocab_path, corpus_path]
+        absent = [p for p in needed if not p.exists()]
+        if absent:  # preprocess failed for this author
+            missing.append(absent[0])
+            refusal = ValueError(f"missing {absent[0]}")
+            authors.append(_Author(name, None, None, dict.fromkeys(cfg.seeds, refusal), models))
+            continue
         vocab = _load(textproc.load_vocabulary, vocab_path)
         if raw:
             corpus = _load(textproc.read_corpus_file, path)
         else:
-            corpus_path = cfg.output_dir / "preprocess" / f"{name}.corpus.txt"
-            _require(corpus_path, "authorlm preprocess")
             corpus = _load(textproc.load_processed, corpus_path, vocab)
         splits = {}
         for seed in cfg.seeds:
@@ -113,13 +127,9 @@ def _inventory(cfg: RunConfig, raw: bool = False) -> list[_Author]:
                 splits[seed] = textproc.split(len(corpus.sentences), seed, cfg.split["ratios"])
             except ValueError as exc:
                 splits[seed] = exc
-        models = frozenset(
-            (seed, method)
-            for seed in cfg.seeds
-            for method in METHODS
-            if _model_path(cfg, name, seed, method).exists()
-        )
         authors.append(_Author(name, vocab, corpus, splits, models))
+    if len(missing) == len(authors):
+        raise ConfigError(f"missing {missing[0]} (run `authorlm preprocess` first)")
     return authors
 
 
@@ -352,6 +362,9 @@ def cmd_experiment(cfg: RunConfig) -> int:
             missing = [a.name for a in authors if (seed, method) not in a.models]
             if missing:
                 unrunnable.append(f"{method} seed {seed}: skipped, no model for {', '.join(missing)}")
+                # an earlier run's results for this sweep must not reach report
+                for kind in ("trials", "confusion"):
+                    (cfg.output_dir / "experiment" / f"{kind}_{method}_{seed}.csv").unlink(missing_ok=True)
             else:
                 sweeps.append((method, seed))
     if not sweeps:
@@ -407,14 +420,23 @@ def cmd_experiment(cfg: RunConfig) -> int:
 
 
 def cmd_report(cfg: RunConfig) -> int:
-    """Aggregate eval and experiment outputs into one summary directory."""
+    """Aggregate eval and experiment outputs into one summary directory.
+
+    Reads the sweeps of every method and configured seed that experiment
+    wrote.  Excluded authors count in the pooled confusion but not in the
+    accuracy, as in experiment's own summary.
+    """
     eval_csv = cfg.output_dir / "eval" / "perplexity.csv"
     _require(eval_csv, "authorlm eval")
-    trial_files = sorted((cfg.output_dir / "experiment").glob("trials_*.csv"))
+    exp_dir = cfg.output_dir / "experiment"
+    trial_files = [
+        path
+        for method in METHODS
+        for seed in cfg.seeds
+        if (path := exp_dir / f"trials_{method}_{seed}.csv").exists()
+    ]
     if not trial_files:
-        raise ConfigError(
-            f"no experiment trial files under {cfg.output_dir / 'experiment'}"
-        )
+        raise ConfigError(f"no experiment trial files under {exp_dir}")
     out = _stage_dir(cfg, "report")
 
     perps = defaultdict(list)
@@ -427,18 +449,21 @@ def cmd_report(cfg: RunConfig) -> int:
     # (method, seed) -> {count: (hits, total)}; method -> pooled confusion counts
     tallies = defaultdict(dict)
     confusion = defaultdict(lambda: defaultdict(int))
+    excluded = set(cfg.experiment["excluded_authors"])
     for path in trial_files:
         for row in files.read_csv(path):
+            confusion[row["method"]][(row["author"], row["predicted"])] += 1
+            if row["author"] in excluded:
+                continue
             key = (row["method"], int(row["seed"]))
             s = int(row["sentence_count"])
             hits, total = tallies[key].get(s, (0, 0))
             tallies[key][s] = (hits + int(row["correct"]), total + 1)
-            confusion[row["method"]][(row["author"], row["predicted"])] += 1
     curves = defaultdict(list)
     for (method, _), tally in sorted(tallies.items()):
         curves[method].append({s: hits / total for s, (hits, total) in tally.items()})
     authors = sorted({true for counts in confusion.values() for true, _ in counts})
-    for method in curves:
+    for method in sorted(confusion):
         matrix = np.zeros((len(authors), len(authors)), dtype=np.int64)
         for (true, pred), n in confusion[method].items():
             matrix[authors.index(true), authors.index(pred)] += n

@@ -4,13 +4,21 @@ One absolute discount per order.  The top order discounts raw window
 counts; every lower order works on continuation counts (how many distinct
 words can precede a sequence), and the recursion bottoms out in the
 uniform distribution over the vocabulary, which keeps every probability
-strictly positive and every context's distribution summing to one.
+strictly positive and every context's distribution summing to one.  The
+discounts are always estimated from the counts (``estimate_discounts``).
+
+Counting takes each length's windows from the text pipeline's enumerator
+(``textproc.samples_from_sentences``) and collapses them with one lexsort
+into the distinct id rows, in lexicographic order, and their counts; a
+continuation table is the same collapse over the suffixes of the distinct
+rows one order up.
 
 In memory a model is a dense unigram log10 array plus, per order, sorted
 packed tables (``_Table``): the id tuple (w1, ..., wk) is stored as the
 base-V number w1*V**(k-1) + ... + wk next to its log10 probability or
 log10 back-off weight.  For tuples of one length, key order is
-lexicographic id order, the order the text format lists entries in.  Keys
+lexicographic id order, the order the text format lists entries in and
+the order count rows come in, so packing count rows needs no sort.  Keys
 are int64 when V**order < 2**63 and exact Python ints (object arrays)
 otherwise, so the choice depends only on the model's shape.  Every query
 (single probabilities, batches, whole distributions, and the lower-order
@@ -33,16 +41,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .files import write_file
-from .textproc import END_ID, START_ID
+from .textproc import END_ID, START_ID, samples_from_sentences
 
 _KN_MAGIC = "authorlm-kn 1"
 _NO_PROB = "na"  # entry kept only for its back-off weight
@@ -125,28 +131,44 @@ def _table(order: int, base: int, dtype, chunks: list) -> _Table:
     return _Table(order, base, keys, values)
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an (n, k>=1) id array in lexicographic order,
+    and how often each occurs."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    return rows[starts], np.diff(np.append(starts, len(rows)))
+
+
+def _as_dict(rows: np.ndarray, counts: np.ndarray) -> dict[Gram, int]:
+    return dict(zip(map(tuple, rows.tolist()), counts.tolist()))
+
+
 @dataclass(frozen=True)
 class CountTables:
     """Raw window counts for orders 1..N plus derived continuation counts.
 
-    ``raw[k]`` maps length-k id tuples to their occurrence count over all
-    sliding windows.  ``continuation[k]`` (k < N) maps a length-k tuple to
-    the number of distinct ids that appear immediately before it.
+    ``raw[k-1]`` is a (rows, counts) pair: the distinct length-k windows as
+    an (n, k) id array in lexicographic order, and each one's occurrence
+    count.  ``continuation[k-1]`` (k < N) has the same layout and counts,
+    per length-k sequence, the distinct ids that appear immediately before
+    it.
     """
 
     order: int
-    raw: tuple[Mapping[Gram, int], ...]
-    continuation: tuple[Mapping[Gram, int], ...]
+    raw: tuple[tuple[np.ndarray, np.ndarray], ...]
+    continuation: tuple[tuple[np.ndarray, np.ndarray], ...]
 
-    def raw_counts(self, k: int) -> Mapping[Gram, int]:
-        return self.raw[k - 1]
+    def raw_counts(self, k: int) -> dict[Gram, int]:
+        return _as_dict(*self.raw[k - 1])
 
-    def continuation_counts(self, k: int) -> Mapping[Gram, int]:
-        return self.continuation[k - 1]
+    def continuation_counts(self, k: int) -> dict[Gram, int]:
+        return _as_dict(*self.continuation[k - 1])
 
-    def numerator_table(self, k: int) -> Mapping[Gram, int]:
-        """Counts discounted at order k: raw at the top, continuation below."""
-        return self.raw_counts(k) if k == self.order else self.continuation_counts(k)
+    def discounted(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, counts) discounted at order k: raw at the top, continuation below."""
+        return self.raw[k - 1] if k == self.order else self.continuation[k - 1]
 
 
 def count(sentences: Iterable[Gram], order: int) -> CountTables:
@@ -154,31 +176,23 @@ def count(sentences: Iterable[Gram], order: int) -> CountTables:
 
     Sentences must carry order-1 start paddings and one end marker, the
     form the text pipeline produces; order-N windows then line up one to
-    one with next-word prediction events.
+    one with next-word prediction events.  The windows of each length come
+    from the pipeline's own enumerator, ``samples_from_sentences``.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    raw = [Counter() for _ in range(order)]
+    sentences = [tuple(sent) for sent in sentences]
     pad = (START_ID,) * (order - 1)
     for sent in sentences:
-        sent = tuple(sent)
-        if sent[: order - 1] != pad or sent[-1] != END_ID:
+        if sent[: order - 1] != pad or sent[-1:] != (END_ID,):
             raise ValueError("sentence is not padded for this order")
-        for k in range(1, order + 1):
-            table = raw[k - 1]
-            for i in range(len(sent) - k + 1):
-                table[sent[i : i + k]] += 1
-    continuation = []
-    for k in range(1, order):
-        preceders = defaultdict(set)
-        for gram in raw[k]:  # length k+1
-            preceders[gram[1:]].add(gram[0])
-        continuation.append({g: len(v) for g, v in preceders.items()})
-    return CountTables(
-        order=order,
-        raw=tuple(dict(t) for t in raw),
-        continuation=tuple(continuation),
-    )
+    raw = []
+    for k in range(1, order + 1):
+        windows = samples_from_sentences(sentences, k)
+        raw.append(_distinct_rows(np.column_stack([windows.contexts, windows.targets])))
+    # each distinct (k+1)-gram adds one preceding id to its length-k suffix
+    continuation = [_distinct_rows(raw[k][0][:, 1:]) for k in range(1, order)]
+    return CountTables(order=order, raw=tuple(raw), continuation=tuple(continuation))
 
 
 def estimate_discounts(tables: CountTables) -> tuple[float, ...]:
@@ -187,8 +201,8 @@ def estimate_discounts(tables: CountTables) -> tuple[float, ...]:
     count-of-counts are empty)."""
     discounts = []
     for k in range(1, tables.order + 1):
-        values = Counter(tables.numerator_table(k).values())
-        n1, n2 = values[1], values[2]
+        _, counts = tables.discounted(k)
+        n1, n2 = int((counts == 1).sum()), int((counts == 2).sum())
         if n1 + 2 * n2 == 0:
             d = 0.5
         else:
@@ -269,47 +283,30 @@ class KnModel:
         return np.array([10.0**x for x in log10_p.tolist()])
 
 
-def _count_arrays(table: Mapping[Gram, int], k: int) -> tuple[np.ndarray, np.ndarray]:
-    ids = np.fromiter(chain.from_iterable(table), dtype=np.int64, count=len(table) * k)
-    counts = np.fromiter(table.values(), dtype=np.int64, count=len(table))
-    return ids.reshape(len(table), k), counts
-
-
-def build_model(
-    tables: CountTables,
-    vocab_size: int,
-    discounts: Sequence[float] | None = None,
-) -> KnModel:
+def build_model(tables: CountTables, vocab_size: int) -> KnModel:
     """Turn count tables into the interpolated probability representation.
 
-    Working from the unigrams up, each order's seen sequences get
-    max(count - D, 0) / total plus the context's back-off weight times the
-    lower-order probability; the weight is D * distinct / total, which is
-    exactly the mass removed by discounting.  An order is computed in one
-    batch: its lower-order terms come from the walk over the finished
-    lower orders.
+    Discounts come from ``estimate_discounts``.  Working from the unigrams
+    up, each order's seen sequences get max(count - D, 0) / total plus the
+    context's back-off weight times the lower-order probability; the weight
+    is D * distinct / total, which is exactly the mass removed by
+    discounting.  An order is computed in one batch: its lower-order terms
+    come from the walk over the finished lower orders.
     """
     if vocab_size < 1:
         raise ValueError("vocab_size must be >= 1")
     order = tables.order
-    if discounts is None:
-        discounts = estimate_discounts(tables)
-    discounts = tuple(float(d) for d in discounts)
-    if len(discounts) != order:
-        raise ValueError(f"need {order} discounts, got {len(discounts)}")
-    if any(not 0 <= d < 1 for d in discounts):
-        raise ValueError("discounts must lie in [0, 1)")
+    discounts = estimate_discounts(tables)
 
     # unigram level: interpolate with the uniform base for every id
     uniform = 1.0 / vocab_size
     unigram = np.full(vocab_size, uniform)
-    table1 = tables.numerator_table(1)
-    total1 = sum(table1.values())
+    ids, counts = tables.discounted(1)
+    total1 = int(counts.sum())
     if total1 > 0:
         d1 = discounts[0]
-        lam1 = d1 * sum(1 for c in table1.values() if c > 0) / total1
+        lam1 = d1 * len(counts) / total1
         unigram = np.full(vocab_size, lam1 * uniform)
-        ids, counts = _count_arrays(table1, 1)
         unigram[ids[:, 0]] += np.maximum(counts - d1, 0.0) / total1
 
     model = KnModel(
@@ -322,10 +319,8 @@ def build_model(
     )
     dtype = _key_dtype(vocab_size, order)
     for k in range(2, order + 1):
-        grams, counts = _count_arrays(tables.numerator_table(k), k)
+        grams, counts = tables.discounted(k)
         keys = _pack(grams, vocab_size, dtype)
-        ranked = np.argsort(keys)
-        keys, grams, counts = keys[ranked], grams[ranked], counts[ranked]
         # sorted grams group by context: one run per context
         ctx = keys // vocab_size
         first = np.ones(len(keys), dtype=bool)

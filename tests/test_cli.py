@@ -238,8 +238,53 @@ class TestPipeline:
         summary = json.loads((out / "report" / "summary.json").read_text())
         assert set(summary["perplexity"]) == set(summary["accuracy"]) == {"nnlm", "kn"}
 
+    def test_failed_preprocess_author_downstream_is_partial(self, workdir, capsys):
+        # an author without preprocess outputs is refused, the others run
+        assert run("synth", "--config", "cfg.json") == cli.EXIT_OK
+        (workdir / "corpus" / "broken.txt").write_text("")
+        codes, errors = [], {}
+        for stage in ("preprocess", "train-nnlm", "train-ngram", "eval", "experiment", "report"):
+            capsys.readouterr()
+            codes.append(run(stage, "--config", "cfg.json"))
+            errors[stage] = capsys.readouterr().err.splitlines()
+        assert codes == [2, 2, 2, 2, 2, 0]
+        missing = f"missing {Path('outputs/preprocess/broken.vocab.tsv')}"
+        assert errors == {
+            "preprocess": ["preprocess: broken: corpus 'broken' has no sentences"],
+            "train-nnlm": [f"train-nnlm: broken seed 0: {missing}"],
+            "train-ngram": [f"train-ngram: broken seed 0: {missing}"],
+            "eval": [f"eval: broken seed 0: {missing}"],
+            "experiment": [f"experiment: broken: left out, {missing}"],
+            "report": [],
+        }
+        out = workdir / "outputs"
+        for author in ("author00", "author01"):
+            assert (out / "models" / f"{author}_0.nnlm").is_file()
+            assert (out / "models" / f"{author}_0.arpa").is_file()
+        scored = [(r["author"], r["method"]) for r in files.read_csv(out / "eval" / "perplexity.csv")]
+        assert scored == [(a, m) for a in ("author00", "author01") for m in ("nnlm", "kn")]
+        for method in ("nnlm", "kn"):
+            trials = files.read_csv(out / "experiment" / f"trials_{method}_0.csv")
+            assert {r["author"] for r in trials} == {"author00", "author01"}
+
+    def test_report_leaves_excluded_authors_out_of_accuracy(self, workdir):
+        # at concentration 1 the two authors' accuracies differ, so counting
+        # author00 would change the report's numbers
+        exclude = [
+            "--set", 'experiment.excluded_authors=["author00"]', "--set", "synth.concentration=1.0",
+        ]
+        for command in ("synth", "preprocess", "train-nnlm", "train-ngram", "eval", "experiment", "report"):
+            assert run(command, "--config", "cfg.json", *exclude) == cli.EXIT_OK, command
+        out = workdir / "outputs"
+        rows = lambda path: [(r["method"], r["s"], r["mean_acc"]) for r in files.read_csv(path)]
+        expected = rows(out / "experiment" / "summary.csv")
+        assert sorted(rows(out / "report" / "accuracy_summary.csv")) == sorted(expected)
+        # the pooled confusion still holds the excluded author's trials
+        confusion = files.read_csv(out / "report" / "confusion_kn.csv")
+        assert [r["true\\predicted"] for r in confusion] == ["author00", "author01"]
+
     def test_missing_model_skips_its_items(self, workdir, capsys):
-        for command in ("synth", "preprocess", "train-nnlm", "train-ngram"):
+        for command in ("synth", "preprocess", "train-nnlm", "train-ngram", "experiment"):
             assert run(command, "--config", "cfg.json") == cli.EXIT_OK, command
         models = workdir / "outputs" / "models"
         (models / "author01_0.nnlm").unlink()
@@ -253,12 +298,17 @@ class TestPipeline:
             "experiment: nnlm seed 0: skipped, no model for author01"
         ]
         out = workdir / "outputs" / "experiment"
+        # the first run's nnlm sweep is deleted, so report cannot read it
         assert not (out / "trials_nnlm_0.csv").exists()
+        assert not (out / "confusion_nnlm_0.csv").exists()
         assert {r["method"] for r in files.read_csv(out / "summary.csv")} == {"kn"}
         assert run("report", "--config", "cfg.json") == cli.EXIT_OK
+        report = workdir / "outputs" / "report"
+        assert {r["method"] for r in files.read_csv(report / "accuracy_summary.csv")} == {"kn"}
+        assert not (report / "confusion_nnlm.csv").exists()
         for path in models.glob("*"):
             path.unlink()
-        for stage in ("eval", "experiment"):
+        for stage in ("eval", "experiment", "report"):  # no sweep is left to report
             capsys.readouterr()
             assert run(stage, "--config", "cfg.json") == cli.EXIT_CONFIG, stage
             assert len(capsys.readouterr().err.splitlines()) == 1

@@ -42,19 +42,44 @@ class TestCount:
         b = vocab.index_of("b")
         assert tables.continuation_counts(1)[(b,)] == 1
 
-    def test_matches_bruteforce_recount(self):
+    @pytest.mark.parametrize(
+        "order, V",
+        [(1, 9), (2, 9), (3, 9), (4, 9), (5, 9), (5, 7000)],
+        ids=["order1", "order2", "order3", "order4", "order5", "order5-V7000"],
+    )
+    def test_matches_bruteforce_recount(self, order, V):
+        # V=7000 at order 5 needs object keys (7000**5 > 2**63)
         rng = np.random.default_rng(17)
+        pad = (tp.START_ID,) * (order - 1)
         sentences = [
-            [f"w{i}" for i in rng.integers(0, 6, size=rng.integers(1, 9))]
+            pad + tuple(rng.integers(3, V, size=rng.integers(1, 9)).tolist()) + (tp.END_ID,)
             for _ in range(30)
         ]
-        vocab, pc = make_corpus(sentences, 3)
-        tables = kn.count(pc.sentences, 3)
-        raw = brute_counts(pc.sentences, 3)
-        for k in range(1, 4):
-            assert dict(tables.raw_counts(k)) == dict(raw[k])
-        for k in (1, 2):
-            assert dict(tables.continuation_counts(k)) == brute_continuation(raw, k)
+        tables = kn.count(sentences, order)
+        raw = brute_counts(sentences, order)
+        for k in range(1, order + 1):
+            counts = tables.raw_counts(k)
+            assert counts == dict(raw[k])
+            assert list(counts) == sorted(raw[k])  # lexicographic rows
+        for k in range(1, order):
+            assert tables.continuation_counts(k) == brute_continuation(raw, k)
+        model = kn.build_model(tables, V)
+        for table in (*model.probs.values(), *model.bows.values()):
+            assert (table.keys[1:] > table.keys[:-1]).all()
+        if order > 1:
+            assert model.probs[order].keys.dtype == (object if V == 7000 else np.int64)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_empty_input(self, order):
+        tables = kn.count([], order)
+        for k in range(1, order + 1):
+            assert tables.raw[k - 1][0].shape == (0, k)
+            assert tables.raw_counts(k) == {}
+        for k in range(1, order):
+            assert tables.continuation_counts(k) == {}
+        assert kn.estimate_discounts(tables) == (0.5,) * order
+        model = kn.build_model(tables, vocab_size=9)
+        assert model.distribution([3] * (order - 1)).tolist() == pytest.approx([1 / 9] * 9)
 
     def test_count_consistency_boundary_adjusted(self):
         # a context's count equals its right-extensions plus the times it
@@ -84,23 +109,35 @@ class TestCount:
             kn.count([(3, 4, 1)], 3)  # needs two start ids
 
 
+def unigram_tables(counts):
+    """Order-1 count tables over ids 3, 4, ... with the given counts."""
+    rows = np.arange(3, 3 + len(counts), dtype=np.int64).reshape(-1, 1)
+    return kn.CountTables(order=1, raw=((rows, np.array(counts, dtype=np.int64)),), continuation=())
+
+
 class TestDiscounts:
     def test_equal_n1_n2_gives_third(self):
-        tables = kn.CountTables(order=1, raw=({(3,): 1, (4,): 2},), continuation=())
+        tables = unigram_tables([1, 2])
         assert kn.estimate_discounts(tables) == (pytest.approx(1 / 3),)
 
     def test_no_doubletons_clamps(self):
-        tables = kn.CountTables(order=1, raw=({(3,): 1, (4,): 1},), continuation=())
+        tables = unigram_tables([1, 1])
         assert kn.estimate_discounts(tables) == (0.95,)
 
     def test_fallback_when_no_small_counts(self):
-        tables = kn.CountTables(order=1, raw=({(3,): 5, (4,): 7},), continuation=())
+        tables = unigram_tables([5, 7])
         assert kn.estimate_discounts(tables) == (0.5,)
 
     def test_abab_hand_values(self):
         _, pc = abab()
         tables = kn.count(pc.sentences, 2)
         assert kn.estimate_discounts(tables) == (pytest.approx(0.5), pytest.approx(0.6))
+
+    def test_abab_saved_header(self, tmp_path):
+        # discounts are Python floats, so the header holds plain reprs
+        vocab, pc = abab()
+        kn.save_model(kn.train_model(pc.sentences, 2, vocab.size), tmp_path / "m.arpa")
+        assert (tmp_path / "m.arpa").read_text().splitlines()[3] == "# discounts 0.5 0.6"
 
 
 class TestProbabilities:
