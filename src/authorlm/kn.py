@@ -7,11 +7,11 @@ uniform distribution over the vocabulary, which keeps every probability
 strictly positive and every context's distribution summing to one.  The
 discounts are always estimated from the counts (``estimate_discounts``).
 
-Counting takes each length's windows from the text pipeline's enumerator
-(``textproc.samples_from_sentences``) and collapses them with one lexsort
-into the distinct id rows, in lexicographic order, and their counts; a
-continuation table is the same collapse over the suffixes of the distinct
-rows one order up.
+Counting flattens the sentences once, takes each length's windows from
+that one id array, and collapses them into the distinct id rows, in
+lexicographic order, and their counts: the rows are packed into 1-D keys
+(base max id + 1) and ranked with one sort.  A continuation table is the
+same collapse over the suffixes of the distinct rows one order up.
 
 In memory a model is a dense unigram log10 array plus, per order, sorted
 packed tables (``_Table``): the id tuple (w1, ..., wk) is stored as the
@@ -34,13 +34,16 @@ the last bit and saved model files must not change.  The unigram level has
 always used ``np.log10``.
 
 The text serialization holds exactly the stored tables, so a round-trip
-through a file reproduces query results bit for bit.
+through a file reproduces query results bit for bit.  ``save_model``
+builds each section as whole columns (probability, ids, back-off) and
+joins them once; it keeps one ``repr`` per float, the shortest string that
+reads back to the same double, so the bytes of a saved model do not
+depend on how it is written.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -48,7 +51,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .files import write_file
-from .textproc import END_ID, START_ID, samples_from_sentences
+from .textproc import flatten_padded, parse_ids
 
 _KN_MAGIC = "authorlm-kn 1"
 _NO_PROB = "na"  # entry kept only for its back-off weight
@@ -131,14 +134,25 @@ def _table(order: int, base: int, dtype, chunks: list) -> _Table:
     return _Table(order, base, keys, values)
 
 
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal values."""
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return np.flatnonzero(first)
+
+
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of an (n, k>=1) id array in lexicographic order,
-    and how often each occurs."""
-    rows = rows[np.lexsort(rows.T[::-1])]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    starts = np.flatnonzero(first)
-    return rows[starts], np.diff(np.append(starts, len(rows)))
+    and how often each occurs.
+
+    Rows read as base-(max id + 1) numbers sort like the rows themselves,
+    so one sort of the packed keys and one adjacent-key compare find the
+    runs, and each run's key unpacks back into its row.
+    """
+    base = int(rows.max(initial=0)) + 1
+    keys = np.sort(_pack(rows, base, _key_dtype(base, rows.shape[1])))
+    starts = _run_starts(keys)
+    return _unpack(keys[starts], rows.shape[1], base), np.diff(np.append(starts, len(keys)))
 
 
 def _as_dict(rows: np.ndarray, counts: np.ndarray) -> dict[Gram, int]:
@@ -176,20 +190,17 @@ def count(sentences: Iterable[Gram], order: int) -> CountTables:
 
     Sentences must carry order-1 start paddings and one end marker, the
     form the text pipeline produces; order-N windows then line up one to
-    one with next-word prediction events.  The windows of each length come
-    from the pipeline's own enumerator, ``samples_from_sentences``.
+    one with next-word prediction events, the samples
+    ``textproc.samples_from_sentences`` enumerates.  Every window of
+    every length that fits inside a sentence counts, paddings included.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    sentences = [tuple(sent) for sent in sentences]
-    pad = (START_ID,) * (order - 1)
-    for sent in sentences:
-        if sent[: order - 1] != pad or sent[-1:] != (END_ID,):
-            raise ValueError("sentence is not padded for this order")
+    lengths, ids = flatten_padded(sentences, order)
+    # ids from each position to the end of its sentence, that position included
+    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(ids))
     raw = []
     for k in range(1, order + 1):
-        windows = samples_from_sentences(sentences, k)
-        raw.append(_distinct_rows(np.column_stack([windows.contexts, windows.targets])))
+        starts = np.flatnonzero(room >= k)
+        raw.append(_distinct_rows(ids[starts[:, None] + np.arange(k)]))
     # each distinct (k+1)-gram adds one preceding id to its length-k suffix
     continuation = [_distinct_rows(raw[k][0][:, 1:]) for k in range(1, order)]
     return CountTables(order=order, raw=tuple(raw), continuation=tuple(continuation))
@@ -323,9 +334,7 @@ def build_model(tables: CountTables, vocab_size: int) -> KnModel:
         keys = _pack(grams, vocab_size, dtype)
         # sorted grams group by context: one run per context
         ctx = keys // vocab_size
-        first = np.ones(len(keys), dtype=bool)
-        first[1:] = ctx[1:] != ctx[:-1]
-        starts = np.flatnonzero(first)
+        starts = _run_starts(ctx)
         distinct = np.diff(np.append(starts, len(keys)))
         totals = np.add.reduceat(counts, starts)
         dk = discounts[k - 1]
@@ -362,10 +371,17 @@ def save_model(model: KnModel, path: str | Path) -> None:
     appears only on entries that are back-off contexts; entries kept only
     for their bow carry ``na`` in the probability field.  Floats use
     ``repr`` so parsing restores them exactly.
+
+    A section is built as columns over the sorted union of its probability
+    and back-off keys: the formatted floats land by ``searchsorted``
+    position, and each id column is gathered from a table of one string
+    per id, so a line is the sum of k + 2 string columns.
     """
     V = model.vocab_size
     dtype = _key_dtype(V, model.order)
     no_bows = _Table(model.order, V, np.empty(0, dtype=dtype), np.empty(0))
+    first_id = np.array([f"\t{i}" for i in range(V)], dtype=object)
+    next_id = np.array([f" {i}" for i in range(V)], dtype=object)
     sections = []
     for k in range(1, model.order + 1):
         if k == 1:
@@ -373,15 +389,17 @@ def save_model(model: KnModel, path: str | Path) -> None:
         else:
             probs = model.probs[k]
         bows = model.bows.get(k, no_bows)
-        keys = np.union1d(probs.keys, bows.keys)
-        log10_p = [_NO_PROB] * len(keys)
-        for i, x in zip(np.searchsorted(keys, probs.keys).tolist(), probs.values.tolist()):
-            log10_p[i] = repr(x)
-        bow = [""] * len(keys)
-        for i, x in zip(np.searchsorted(keys, bows.keys).tolist(), bows.values.tolist()):
-            bow[i] = "\t" + repr(x)
-        ids = [" ".join(map(str, gram)) for gram in _unpack(keys, k, V).tolist()]
-        sections.append([f"{p}\t{g}{b}" for p, g, b in zip(log10_p, ids, bow)])
+        keys = np.sort(np.concatenate([probs.keys, bows.keys]))
+        keys = keys[_run_starts(keys)]
+        ids = _unpack(keys, k, V)
+        entries = np.full(len(keys), _NO_PROB, dtype=object)
+        entries[np.searchsorted(keys, probs.keys)] = list(map(repr, probs.values.tolist()))
+        entries += first_id[ids[:, 0]]
+        for j in range(1, k):
+            entries += next_id[ids[:, j]]
+        bow = np.full(len(keys), "", dtype=object)
+        bow[np.searchsorted(keys, bows.keys)] = [f"\t{x!r}" for x in bows.values.tolist()]
+        sections.append((entries + bow).tolist())
 
     lines = [
         f"# {_KN_MAGIC}",
@@ -405,19 +423,10 @@ def _bulk_ids(fields: np.ndarray, k: int, vocab_size: int) -> np.ndarray | None:
     Each field is followed by the out-of-range marker V.  With n * (k + 1)
     numbers in all, a field with more or fewer than k of them moves some
     marker into an id column, where it fails the range test like any id of
-    V or above.  numpy reads a lone sign as 0 where int() fails, so any
-    sign sends the block to the per-line parser.
+    V or above.
     """
-    text = f" {vocab_size} ".join(fields) + f" {vocab_size}"
-    if "+" in text or "-" in text:
-        return None
-    try:
-        with warnings.catch_warnings():  # older numpy warns instead of raising
-            warnings.simplefilter("error", DeprecationWarning)
-            ids = np.fromstring(text, dtype=np.int64, sep=" ")
-    except (ValueError, DeprecationWarning):
-        return None
-    if len(ids) != len(fields) * (k + 1):
+    ids = parse_ids(f" {vocab_size} ".join(fields) + f" {vocab_size}")
+    if ids is None or len(ids) != len(fields) * (k + 1):
         return None
     ids = ids.reshape(len(fields), k + 1)[:, :k]
     return ids if ids.max() < vocab_size else None

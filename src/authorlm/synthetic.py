@@ -7,6 +7,7 @@ of any size can be regenerated from a seed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,8 @@ class MarkovAuthor:
             raise ValueError("lexicon is empty")
         if initial.shape != (k,) or transitions.shape != (k, k):
             raise ValueError("distribution shapes do not match the lexicon")
-        if np.any(initial < 0) or np.any(transitions < 0):
-            raise ValueError("negative probabilities in author tables")
+        if not (np.all(initial >= 0) and np.all(transitions >= 0)):
+            raise ValueError("negative or NaN probabilities in author tables")
         if abs(initial.sum() - 1.0) > _ROW_SUM_TOL:
             raise ValueError("initial distribution does not sum to 1")
         row_err = np.abs(transitions.sum(axis=1) - 1.0)
@@ -51,16 +52,28 @@ class MarkovAuthor:
 
 
 def sample_sentences(author: MarkovAuthor, rng: np.random.Generator, count: int) -> list[str]:
-    """Draw sentences by walking the author's chain."""
+    """Draw sentences by walking the author's chain.
+
+    Each sentence draws its length with ``rng.integers`` and then one
+    uniform double per word.  A word is where its double falls in the
+    cumulative distribution of the state it follows, normalized by the
+    last entry: exactly what ``rng.choice(k, p=row)`` computes, with the
+    same draws, but with every row's cdf made once.
+    """
     lo, hi = author.length_range
-    k = len(author.lexicon)
+    initial = np.cumsum(author.initial)
+    initial /= initial[-1]
+    rows = np.cumsum(author.transitions, axis=1)
+    rows /= rows[:, -1:]
+    initial, rows = initial.tolist(), rows.tolist()
     sentences = []
     for _ in range(count):
         length = int(rng.integers(lo, hi + 1))
-        state = int(rng.choice(k, p=author.initial))
+        draws = rng.random(length).tolist()
+        state = bisect_right(initial, draws[0])
         words = [author.lexicon[state]]
-        for _ in range(length - 1):
-            state = int(rng.choice(k, p=author.transitions[state]))
+        for u in draws[1:]:
+            state = bisect_right(rows[state], u)  # searchsorted(side="right")
             words.append(author.lexicon[state])
         sentences.append(" ".join(words))
     return sentences

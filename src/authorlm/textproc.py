@@ -5,6 +5,12 @@ frequency-pruned into a per-author vocabulary, encoded to integer ids with
 sentence-boundary padding, and split into train/validation/test parts.
 Everything downstream (both language model families) consumes the encoded
 form produced here.
+
+The encoded corpus file is read in one pass: the header lines one at a
+time, the sentence lines together by one numpy parse of their ids
+(``parse_ids``), one range test and one split at per-line markers.  A
+body that is not all well-formed, in-range ids is re-read line by line
+with ``int()`` per token, so every error names its file and line.
 """
 
 from __future__ import annotations
@@ -32,6 +38,8 @@ _RESERVED = (SENTENCE_START, SENTENCE_END, UNKNOWN)
 
 _VOCAB_MAGIC = "authorlm-vocab 1"
 _CORPUS_MAGIC = "authorlm-corpus 1"
+# the only bytes a text may hold for parse_ids to read it in bulk
+_ID_TEXT_BYTES = b"0123456789 \t\n"
 
 
 @dataclass(frozen=True)
@@ -172,12 +180,9 @@ class ProcessedCorpus:
     prune_threshold: float
 
     def __post_init__(self):
-        pad = (START_ID,) * (self.order - 1)
-        for s in self.sentences:
-            if s[: self.order - 1] != pad or s[-1] != END_ID:
-                raise ValueError("sentence not padded for the stated order")
-            if max(s) >= self.vocabulary.size:
-                raise ValueError("sentence id outside the vocabulary")
+        _, ids = flatten_padded(self.sentences, self.order)
+        if len(ids) and not (ids.min() >= 0 and ids.max() < self.vocabulary.size):
+            raise ValueError("sentence id outside the vocabulary")
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -186,6 +191,30 @@ class ProcessedCorpus:
         """Decoded sentence without the boundary padding."""
         s = self.sentences[index]
         return self.vocabulary.decode(s[self.order - 1 : -1])
+
+
+def _flatten(sentences: Iterable[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Each sentence's length, and all their ids concatenated (int64)."""
+    sentences = list(sentences)
+    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
+    ids = np.fromiter(chain.from_iterable(sentences), dtype=np.int64, count=int(lengths.sum()))
+    return lengths, ids
+
+
+def flatten_padded(sentences: Iterable[Sequence[int]], order: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_flatten``, refusing any sentence that is not order-1 start ids,
+    its content and one end id."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    lengths, ids = _flatten(sentences)
+    firsts = np.cumsum(lengths) - lengths
+    if (
+        (lengths < order).any()
+        or (ids[firsts + lengths - 1] != END_ID).any()
+        or any((ids[firsts + j] != START_ID).any() for j in range(order - 1))
+    ):
+        raise ValueError("sentence not padded for the stated order")
+    return lengths, ids
 
 
 def encode_sentence(tokens: Sequence[str], vocab: Vocabulary, order: int) -> tuple[int, ...]:
@@ -281,9 +310,8 @@ def samples_from_sentences(sentences: Iterable[Sequence[int]], order: int) -> Sa
     Every non-padding position becomes a target, the sentence end included,
     so a sentence of T content tokens yields T + 1 samples.
     """
-    sentences = list(sentences)
     width = order - 1
-    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
+    lengths, ids = _flatten(sentences)
     counts = np.maximum(lengths - width, 0)
     m = int(counts.sum())
     if m == 0:
@@ -291,7 +319,6 @@ def samples_from_sentences(sentences: Iterable[Sequence[int]], order: int) -> Sa
             contexts=np.empty((0, width), dtype=np.int64),
             targets=np.empty(0, dtype=np.int64),
         )
-    ids = np.fromiter(chain.from_iterable(sentences), dtype=np.int64, count=int(lengths.sum()))
     # window j, the r-th of its sentence, starts r ids after that sentence's
     # first id; in the concatenation that is j plus a per-sentence shift
     shift = (np.cumsum(lengths) - lengths) - (np.cumsum(counts) - counts)
@@ -375,31 +402,77 @@ def save_processed(processed: ProcessedCorpus, path: str | Path) -> None:
     write_file(path, "\n".join(lines) + "\n")
 
 
+def parse_ids(text: str) -> np.ndarray | None:
+    """The whitespace-separated integers of ``text`` as int64, in one numpy
+    parse, or None unless the text holds only ASCII digits, spaces, tabs
+    and newlines.  On such text numpy reads every token as ``int()`` does;
+    a sign, an underscore or a non-ASCII digit would not be read the same
+    way, and a number beyond int64 is read as the int64 maximum.
+    """
+    if not text.isascii() or text.encode().translate(None, _ID_TEXT_BYTES):
+        return None
+    if not text or text.isspace():  # numpy reads blanks alone as one 0
+        return np.empty(0, dtype=np.int64)
+    return np.fromstring(text, dtype=np.int64, sep=" ")
+
+
+def _bulk_sentences(body: list[str], vocab_size: int) -> list[tuple[int, ...]] | None:
+    """The id tuples of sentence lines, or None unless every id parses and
+    lies in [0, V).
+
+    Each line is followed by the marker V, which no valid id equals, so
+    the markers are exactly the ids >= V when there is one per line.
+    """
+    if not body:
+        return []
+    ids = parse_ids(f" {vocab_size}\n".join(body) + f" {vocab_size}")
+    if ids is None:
+        return None
+    ends = np.flatnonzero(ids >= vocab_size)
+    if len(ends) != len(body):
+        return None
+    flat = ids.tolist()
+    return [tuple(flat[a:b]) for a, b in zip([0, *(ends[:-1] + 1).tolist()], ends.tolist())]
+
+
+def _sentence_line(path, lineno: int, line: str, vocab_size: int) -> tuple[int, ...]:
+    try:
+        sentence = tuple(int(t) for t in line.split())
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: malformed sentence line") from exc
+    for i in sentence:
+        if not 0 <= i < vocab_size:
+            raise ValueError(f"{path}:{lineno}: id {i} outside the vocabulary of {vocab_size}")
+    return sentence
+
+
+_CORPUS_HEADERS = {"order": int, "stemming": lambda x: bool(int(x)), "prune_threshold": float}
+
+
 def load_processed(path: str | Path, vocab: Vocabulary) -> ProcessedCorpus:
-    order = stemming = prune_threshold = None
-    sentences = []
-    for lineno, line in enumerate(_read_lines(path, _CORPUS_MAGIC), 1):
-        if not line:
-            continue
+    """Read an encoded corpus file written by ``save_processed``.
+
+    The sentence lines are parsed in bulk; if that refuses them, they are
+    re-read line by line in file order, together with the headers, so the
+    first error in the file is the one raised.
+    """
+    lines = _read_lines(path, _CORPUS_MAGIC)
+    sentences = _bulk_sentences([ln for ln in lines if ln and ln[0] != "#"], vocab.size)
+    by_line = sentences is None
+    if by_line:
+        sentences = []
+    params = {}
+    for lineno, line in enumerate(lines, 1):
         if line.startswith("#"):
             fields = line[1:].split()
-            if fields[:1] == ["order"]:
-                order = int(fields[1])
-            elif fields[:1] == ["stemming"]:
-                stemming = bool(int(fields[1]))
-            elif fields[:1] == ["prune_threshold"]:
-                prune_threshold = float(fields[1])
-            continue
-        try:
-            sentences.append(tuple(int(t) for t in line.split()))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: malformed sentence line") from exc
-    if order is None or stemming is None or prune_threshold is None:
+            parse = _CORPUS_HEADERS.get(fields[0]) if fields else None
+            if parse is not None:
+                try:
+                    params[fields[0]] = parse(fields[1])
+                except (IndexError, ValueError):
+                    raise ValueError(f"{path}:{lineno}: bad header line {line!r}") from None
+        elif line and by_line:
+            sentences.append(_sentence_line(path, lineno, line, vocab.size))
+    if len(params) < len(_CORPUS_HEADERS):
         raise ValueError(f"{path}: missing pipeline-parameter header")
-    return ProcessedCorpus(
-        vocabulary=vocab,
-        sentences=tuple(sentences),
-        order=order,
-        stemming=stemming,
-        prune_threshold=prune_threshold,
-    )
+    return ProcessedCorpus(vocabulary=vocab, sentences=tuple(sentences), **params)

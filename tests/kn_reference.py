@@ -4,10 +4,20 @@ Deliberately naive and exact: counts come from nested loops, probabilities
 from the textbook interpolation recursion evaluated in Fraction arithmetic
 with no caching, tables, or log space.  Used as the oracle the library's
 float implementation must match.
+
+``save_model`` is the earlier model writer, kept verbatim: one ``repr``
+and one f-string per entry in Python loops.  ``authorlm.kn.save_model``
+must write the same bytes.
 """
 
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+
+from authorlm.files import write_file
+from authorlm.kn import _KN_MAGIC, _NO_PROB, KnModel, _key_dtype, _Table, _unpack
 
 
 def brute_counts(sentences, order):
@@ -77,3 +87,39 @@ class ReferenceKn:
         weight = d * len(following) / denom
         discounted = max(num - d, Fraction(0)) / denom
         return discounted + weight * self._lower(context, target)
+
+
+def save_model(model: KnModel, path: str | Path) -> None:
+    V = model.vocab_size
+    dtype = _key_dtype(V, model.order)
+    no_bows = _Table(model.order, V, np.empty(0, dtype=dtype), np.empty(0))
+    sections = []
+    for k in range(1, model.order + 1):
+        if k == 1:
+            probs = _Table(1, V, np.arange(V).astype(dtype), model.unigram_log10)
+        else:
+            probs = model.probs[k]
+        bows = model.bows.get(k, no_bows)
+        keys = np.union1d(probs.keys, bows.keys)
+        log10_p = [_NO_PROB] * len(keys)
+        for i, x in zip(np.searchsorted(keys, probs.keys).tolist(), probs.values.tolist()):
+            log10_p[i] = repr(x)
+        bow = [""] * len(keys)
+        for i, x in zip(np.searchsorted(keys, bows.keys).tolist(), bows.values.tolist()):
+            bow[i] = "\t" + repr(x)
+        ids = [" ".join(map(str, gram)) for gram in _unpack(keys, k, V).tolist()]
+        sections.append([f"{p}\t{g}{b}" for p, g, b in zip(log10_p, ids, bow)])
+
+    lines = [
+        f"# {_KN_MAGIC}",
+        f"# order {model.order}",
+        f"# vocab {model.vocab_size}",
+        "# discounts " + " ".join(repr(d) for d in model.discounts),
+        "\\data\\",
+    ]
+    lines += [f"ngram {k}={len(entries)}" for k, entries in enumerate(sections, 1)]
+    for k, entries in enumerate(sections, 1):
+        lines.append(f"\\{k}-grams:")
+        lines += entries
+    lines.append("\\end\\")
+    write_file(path, "\n".join(lines) + "\n")

@@ -45,6 +45,17 @@ def run(*argv):
     return cli.main(list(argv))
 
 
+def run_module(*argv):
+    """``python -m authorlm.cli`` in a subprocess, with this package on the path."""
+    src = str(Path(authorlm.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run(
+        [sys.executable, "-m", "authorlm.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 class TestConfigErrors:
     def test_missing_config_file(self, workdir):
         assert run("preprocess", "--config", "nope.json") == cli.EXIT_CONFIG
@@ -132,13 +143,7 @@ class TestConfigErrors:
         assert len(err) == 1 and "error:" in err[0], err
 
     def test_module_run_writes_one_stderr_line(self, workdir):
-        src = str(Path(authorlm.__file__).resolve().parents[1])
-        path = [src, os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "authorlm.cli", "preprocess", "--config", "cfg.json"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_module("preprocess", "--config", "cfg.json")
         assert proc.returncode == cli.EXIT_CONFIG
         assert proc.stderr.splitlines() == [
             "authorlm preprocess: corpus directory not found: corpus"
@@ -406,6 +411,33 @@ class TestCorruptInputs:
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1
         assert "models/author01_0.arpa:" in err
+
+    @pytest.fixture
+    def corpus_file(self, workdir):
+        for command in ("synth", "preprocess"):
+            assert run(command, "--config", "cfg.json") == cli.EXIT_OK, command
+        return workdir / "outputs" / "preprocess" / "author00.corpus.txt"
+
+    def test_negative_id_is_config_error(self, corpus_file, capsys):
+        lines = corpus_file.read_text().splitlines()
+        ids = lines[4].split()
+        lines[4] = " ".join(ids[:-1] + ["-1", ids[-1]])
+        corpus_file.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("train-ngram", "--config", "cfg.json") == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert "author00.corpus.txt:5: id -1 outside the vocabulary" in err
+        assert not list((corpus_file.parents[1] / "models").glob("*.arpa"))
+
+    def test_header_without_value_is_config_error(self, corpus_file):
+        text = corpus_file.read_text()
+        corpus_file.write_text(text.replace("# order 4\n", "# order\n"))
+        proc = run_module("train-ngram", "--config", "cfg.json")
+        assert proc.returncode == cli.EXIT_CONFIG
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert "author00.corpus.txt:2: bad header line '# order'" in proc.stderr
 
     def test_bad_vocabulary_header_is_config_error(self, trained, capsys):
         path = trained / "preprocess" / "author00.vocab.tsv"

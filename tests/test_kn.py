@@ -7,9 +7,11 @@ is also frozen by hand: with discounts 0.6 (bigrams, from count-of-counts
 P(b|a) = (2-0.6)/2 + 0.3 * [(1-0.5)/4 + 0.375/5] = 0.7 + 0.3*0.2 = 0.76.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
+import kn_reference
 import numpy as np
 import pytest
 from kn_reference import ReferenceKn, brute_continuation, brute_counts
@@ -26,6 +28,15 @@ def make_corpus(token_sentences, order):
 
 def abab(order=2):
     return make_corpus([["a", "b", "a", "b"]], order)
+
+
+def random_id_sentences(order, V, seed, n=30):
+    rng = np.random.default_rng(seed)
+    pad = (tp.START_ID,) * (order - 1)
+    return [
+        pad + tuple(rng.integers(3, V, size=rng.integers(1, 9)).tolist()) + (tp.END_ID,)
+        for _ in range(n)
+    ]
 
 
 class TestCount:
@@ -49,12 +60,7 @@ class TestCount:
     )
     def test_matches_bruteforce_recount(self, order, V):
         # V=7000 at order 5 needs object keys (7000**5 > 2**63)
-        rng = np.random.default_rng(17)
-        pad = (tp.START_ID,) * (order - 1)
-        sentences = [
-            pad + tuple(rng.integers(3, V, size=rng.integers(1, 9)).tolist()) + (tp.END_ID,)
-            for _ in range(30)
-        ]
+        sentences = random_id_sentences(order, V, seed=17)
         tables = kn.count(sentences, order)
         raw = brute_counts(sentences, order)
         for k in range(1, order + 1):
@@ -325,6 +331,46 @@ class TestSerialization:
         )
         with pytest.raises(kn.KnParseError, match="misses id 1"):
             kn.load_model(path)
+
+
+class TestSaveModelBytes:
+    """``save_model`` writes the bytes of the earlier per-entry writer,
+    ``kn_reference.save_model``."""
+
+    def assert_same_bytes(self, tmp_path, model):
+        kn.save_model(model, tmp_path / "new.arpa")
+        kn_reference.save_model(model, tmp_path / "ref.arpa")
+        assert (tmp_path / "new.arpa").read_bytes() == (tmp_path / "ref.arpa").read_bytes()
+        return (tmp_path / "new.arpa").read_text()
+
+    @pytest.mark.parametrize(
+        "order, V",
+        [(1, 9), (2, 9), (3, 9), (4, 9), (5, 9), (5, 7000)],
+        ids=["order1", "order2", "order3", "order4", "order5", "order5-V7000"],
+    )
+    def test_random_models(self, tmp_path, order, V):
+        model = kn.train_model(random_id_sentences(order, V, seed=order), order, V)
+        if order > 1:
+            assert model.probs[order].keys.dtype == (object if V == 7000 else np.int64)
+        self.assert_same_bytes(tmp_path, model)
+
+    def test_na_entries(self, tmp_path):
+        vocab, pc = make_corpus([["x", "y"], ["x", "z"]], 3)
+        model = kn.train_model(pc.sentences, 3, vocab.size)
+        text = self.assert_same_bytes(tmp_path, model)
+        assert f"\nna\t{tp.START_ID} {tp.START_ID}\t" in text
+
+    def test_empty_tables(self, tmp_path):
+        text = self.assert_same_bytes(tmp_path, kn.train_model([], 3, 5))
+        assert "ngram 2=0\nngram 3=0\n\\1-grams:\n" in text
+        assert text.endswith("\\2-grams:\n\\3-grams:\n\\end\\\n")
+
+    def test_empty_bow_tables(self, tmp_path):
+        model = kn.train_model(random_id_sentences(3, 9, seed=5), 3, 9)
+        empty = {k: kn._Table(k, 9, table.keys[:0], table.values[:0]) for k, table in model.bows.items()}
+        model = dataclasses.replace(model, bows=empty)
+        text = self.assert_same_bytes(tmp_path, model)
+        assert all(len(line.split("\t")) == 2 for line in text.splitlines() if "\t" in line)
 
 
 def saved_lines(tmp_path, sentences, order):

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import synthetic_reference
 
 from authorlm import synthetic as syn
+from authorlm.prng import stream
 
 
 def single_state_author():
@@ -42,6 +44,15 @@ class TestValidation:
                 lexicon=("a", "b"),
                 initial=np.array([1.5, -0.5]),
                 transitions=np.eye(2),
+            )
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="NaN"):
+            syn.MarkovAuthor(
+                author_id="x",
+                lexicon=("a", "b"),
+                initial=np.array([0.5, 0.5]),
+                transitions=np.array([[np.nan, 1.0], [0.5, 0.5]]),
             )
 
     def test_tolerates_tiny_row_error(self):
@@ -108,3 +119,43 @@ class TestGeneration:
             assert chi2 < dof + 5.0 * np.sqrt(2.0 * dof), f"row {row}: chi2={chi2:.1f}"
             checked += 1
         assert checked >= 4
+
+
+class TestSamplerReference:
+    """``sample_sentences`` draws what the earlier one-``rng.choice``-per-word
+    sampler (``synthetic_reference``) draws, and leaves the generator in the
+    same state."""
+
+    @pytest.mark.parametrize(
+        "lexicon_size, concentration, length_range",
+        [
+            (50, 0.1, (4, 11)),
+            (3, 0.5, (1, 1)),
+            (12, 0.02, (1, 6)),
+            (30, 1.0, (2, 20)),
+            (200, 0.05, (5, 9)),
+        ],
+    )
+    def test_same_sentences_and_state(self, lexicon_size, concentration, length_range):
+        lexicon = syn.default_lexicon(lexicon_size)
+        for i in range(8):
+            author = syn.random_markov_author(
+                f"a{i}", lexicon, seed=100 + i, concentration=concentration,
+                length_range=length_range,
+            )
+            new, old = stream(7, i), stream(7, i)
+            assert syn.sample_sentences(author, new, 150) == (
+                synthetic_reference.sample_sentences(author, old, 150)
+            )
+            assert new.random() == old.random()
+
+    def test_zero_probability_words_never_drawn(self):
+        author = syn.MarkovAuthor(
+            author_id="x",
+            lexicon=("a", "b", "c"),
+            initial=np.array([0.0, 1.0, 0.0]),
+            transitions=np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]),
+            length_range=(3, 3),
+        )
+        rng = stream(1)
+        assert syn.sample_sentences(author, rng, 5) == ["b c c"] * 5

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import textproc_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -298,6 +299,97 @@ class TestSerialization:
         path.write_text(first + "".join(lines[1:]))
         with pytest.raises(ValueError, match="c.txt: expected header"):
             tp.load_processed(path, vocab)
+
+
+CORPUS_HEADER = "# authorlm-corpus 1\n# order 3\n# stemming 1\n# prune_threshold 1e-05\n"
+
+
+def load_both(path, vocab):
+    """The outcome of the loader and of the earlier per-line one: a corpus,
+    or the message of the ValueError each raised."""
+    outcomes = []
+    for load in (tp.load_processed, textproc_reference.load_processed):
+        try:
+            outcomes.append(load(path, vocab))
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+class TestCorpusLoader:
+    """``load_processed`` against the earlier per-line parser."""
+
+    vocab = tp.build_vocabulary([["a", "b", "c", "d", "e"]])  # V = 8
+
+    @given(
+        order=st.integers(min_value=1, max_value=4),
+        lines=st.lists(
+            st.tuples(
+                st.lists(st.integers(min_value=0, max_value=7), max_size=8),
+                st.sampled_from([" ", "  ", "\t", " \t "]),  # separator
+                st.sampled_from(["", " ", "\t"]),  # leading and trailing blanks
+                st.integers(min_value=0, max_value=2),  # blank lines after it
+            ),
+            max_size=12,
+        ),
+        late_header=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_line_parse(self, tmp_path_factory, order, lines, late_header):
+        path = tmp_path_factory.mktemp("corpus") / "c.txt"
+        text = f"# authorlm-corpus 1\n# order {order}\n# stemming 0\n"
+        for i, (content, sep, edge, blanks) in enumerate(lines):
+            ids = [tp.START_ID] * (order - 1) + content + [tp.END_ID]
+            text += edge + sep.join(map(str, ids)) + edge + "\n" + "\n" * blanks
+            if late_header and i == len(lines) // 2:
+                text += "# prune_threshold 0.25\n"
+        if not late_header or not lines:
+            text += "# prune_threshold 0.25\n"
+        path.write_text(text)
+        new, old = load_both(path, self.vocab)
+        assert new == old
+        assert len(new.sentences) == len(lines)
+
+    @pytest.mark.parametrize(
+        "line, outcome",
+        [
+            ("0 0 4 x 1", "c.txt:7: malformed sentence line"),
+            ("0 0 +3 1", (0, 0, 3, 1)),
+            ("0 0 - 1", "c.txt:7: malformed sentence line"),
+            ("   ", "sentence not padded for the stated order"),
+        ],
+        ids=["letter", "plus-sign", "lone-minus", "only-spaces"],
+    )
+    def test_malformed_body_as_before(self, tmp_path, line, outcome):
+        path = tmp_path / "c.txt"
+        path.write_text(CORPUS_HEADER + "0 0 3 1\n\n" + line + "\n0 0 5 4 1\n")
+        new, old = load_both(path, self.vocab)
+        assert new == old
+        if isinstance(outcome, str):
+            assert new.endswith(outcome)
+        else:
+            assert new.sentences[1] == outcome
+
+    @pytest.mark.parametrize("ids", ["0 0 -1 5 1", "0 0 8 1"], ids=["negative", "V"])
+    def test_rejects_id_outside_vocabulary(self, tmp_path, ids):
+        path = tmp_path / "c.txt"
+        path.write_text(CORPUS_HEADER + "0 0 3 1\n" + ids + "\n")
+        with pytest.raises(ValueError, match=r"c\.txt:6: id -?\d+ outside the vocabulary of 8"):
+            tp.load_processed(path, self.vocab)
+
+    def test_corpus_rejects_negative_id(self):
+        with pytest.raises(ValueError, match="outside the vocabulary"):
+            tp.ProcessedCorpus(self.vocab, ((0, 0, -1, 1),), 3, True, 0.0)
+
+    @pytest.mark.parametrize("key", ["order", "stemming", "prune_threshold"])
+    @pytest.mark.parametrize("value", ["", " ", " x"], ids=["bare", "blank", "word"])
+    def test_header_without_value(self, tmp_path, key, value):
+        path = tmp_path / "c.txt"
+        text = CORPUS_HEADER.replace(f"# {key} ", f"# {key}{value}\n# was ")
+        path.write_text(text + "0 0 3 1\n")
+        lineno = text.splitlines().index(f"# {key}{value}") + 1
+        with pytest.raises(ValueError, match=rf"c\.txt:{lineno}: bad header line '# {key}{value}'"):
+            tp.load_processed(path, self.vocab)
 
 
 class TestRawCorpus:
