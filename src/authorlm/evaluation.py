@@ -7,13 +7,15 @@ author's model, each with its own vocabulary, and predicts the author
 whose model assigns the lowest perplexity; ties break toward the lowest
 author index so repeated runs agree.
 
-Sweeps score once and sum per trial: every sentence of a test pool is
-encoded and scored under each candidate exactly once, one batch per
-(candidate, pool), and the per-token log probabilities are kept.  A trial
-gathers its drawn sentences' tokens in draw order and sums that stream with
-the same chunked sum as ``perplexity``, so its accumulated perplexity is
-that of the pooled token stream, with no per-sentence partial sums.
-``classify`` is the one-pool, one-trial case of the same code.
+Sweeps score once and sum per trial: each test pool's padded windows are
+built once, in local token indices, and one gather through a lookup array
+encodes them under each candidate's vocabulary; every pool sentence is then
+scored under each candidate exactly once, one query per (candidate, pool),
+into one (candidates, tokens) matrix.  A trial gathers its drawn
+sentences' columns in draw order and sums each row as ``perplexity`` sums
+a token stream, so its accumulated perplexity is that of the pooled token
+stream, with no per-sentence partial sums.  ``classify`` is the one-pool,
+one-trial case of the same code.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Mapping, Protocol, Sequence
 import numpy as np
 
 from .prng import stream
-from .textproc import Samples, Vocabulary, encode_sentence, samples_from_sentences
+from .textproc import END_ID, START_ID, Samples, Vocabulary, samples_from_sentences
 
 _CHUNK = 8192
 
@@ -108,26 +110,59 @@ class ClassificationResult:
 
 
 @dataclass(frozen=True)
+class _PoolEncoding:
+    """A pool's padded windows in local token indices, built once per pool.
+
+    Index 0 is the start padding, 1 the sentence end and ``2 + j`` the
+    pool's j-th distinct token, so one gather through a candidate's lookup
+    array (``samples``) gives that candidate's encoded windows.
+    """
+
+    windows: Samples
+    distinct: tuple[str, ...]
+
+    def samples(self, vocab: Vocabulary) -> Samples:
+        lookup = np.array([START_ID, END_ID, *map(vocab.index_of, self.distinct)], dtype=np.int64)
+        return Samples(lookup[self.windows.contexts], lookup[self.windows.targets])
+
+
+def _encode_pool(pool: Sequence[Sequence[str]], order: int) -> _PoolEncoding:
+    """The pool's padded sentences' windows, in local token indices."""
+    if order < 2:
+        raise ValueError("order must be >= 2")
+    codes: dict[str, int] = {}
+    pad = (START_ID,) * (order - 1)
+    local = [
+        pad + tuple(codes.setdefault(word, len(codes) + 2) for word in sent) + (END_ID,)
+        for sent in pool
+    ]
+    return _PoolEncoding(samples_from_sentences(local, order), tuple(codes))
+
+
+@dataclass(frozen=True)
 class _PoolTable:
     """Every candidate's per-token log probabilities over one test pool.
 
-    ``log_probs[c]`` is candidate c's token stream over the whole pool;
-    sentence k owns the positions ``positions[k]`` of every stream (a
-    sentence yields the same number of tokens under any vocabulary).
+    Row c of the C-contiguous (candidates, tokens) matrix ``log_probs`` is
+    candidate c's token stream over the whole pool; sentence k owns the
+    columns ``positions[k]`` (a sentence yields the same number of tokens
+    under any vocabulary).
     """
 
-    log_probs: list[np.ndarray]
+    log_probs: np.ndarray
     positions: list[np.ndarray]
 
 
 def _score_pool(authors: Sequence[AuthorModel], pool: Sequence[Sequence[str]]) -> _PoolTable:
-    """Encode a pool under each candidate's vocabulary and score it once."""
-    log_probs = []
-    for author in authors:
+    """Encode a pool once per model order and score it under each candidate."""
+    encodings: dict[int, _PoolEncoding] = {}
+    ends = np.cumsum([len(sent) + 1 for sent in pool], dtype=np.int64)
+    log_probs = np.empty((len(authors), int(ends[-1]) if len(ends) else 0))
+    for row, author in zip(log_probs, authors):
         order = author.model.order
-        encoded = [encode_sentence(sent, author.vocabulary, order) for sent in pool]
-        log_probs.append(_log_probs(author.model, samples_from_sentences(encoded, order)))
-    ends = np.cumsum([len(sent) + 1 for sent in pool])
+        if order not in encodings:
+            encodings[order] = _encode_pool(pool, order)
+        row[...] = _log_probs(author.model, encodings[order].samples(author.vocabulary))
     return _PoolTable(
         log_probs=log_probs,
         positions=[np.arange(end - len(sent) - 1, end) for sent, end in zip(pool, ends)],
@@ -142,7 +177,15 @@ def _decide(table: _PoolTable, chosen: Sequence[int]) -> tuple[int, list[float]]
     best so far, so exact ties go to the lowest candidate index.
     """
     stream_positions = np.concatenate([table.positions[k] for k in chosen])
-    perps = [_report(lp[stream_positions]).perplexity for lp in table.log_probs]
+    n = len(stream_positions)
+    streams = np.take(table.log_probs, stream_positions, axis=1)
+    # each row of a C-contiguous gather sums bit for bit as its own 1-D
+    # stream does in _report; a strided gather's row sums need not
+    assert streams.flags.c_contiguous
+    if n <= _CHUNK:
+        perps = [math.exp(-total / n) for total in streams.sum(axis=1).tolist()]
+    else:
+        perps = [_report(lp).perplexity for lp in streams]
     best = 0
     for i, value in enumerate(perps):
         if value < perps[best]:

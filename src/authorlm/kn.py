@@ -433,10 +433,10 @@ def _bulk_ids(fields: np.ndarray, k: int, vocab_size: int) -> np.ndarray | None:
 
 
 def _bulk_floats(fields: np.ndarray) -> np.ndarray | None:
-    """float() of every field, or None if one fails."""
+    """float() of every field of an object array, or None if one fails."""
     try:
-        return np.fromiter(map(float, fields), dtype=np.float64, count=len(fields))
-    except ValueError:
+        return fields.astype(np.float64)
+    except (ValueError, TypeError):
         return None
 
 

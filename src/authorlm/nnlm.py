@@ -23,6 +23,10 @@ because every float operation and its order are kept:
   row order;
 - every matrix product keeps its operands (the same arrays, transposes
   and memory layouts), so BLAS picks the same kernels.
+
+Scoring (``NnlmModel.log_probs`` and ``distribution``) runs the forward
+pass in fixed blocks of ``_SCORE_ROWS`` rows, padding the last block, so a
+position's log probability does not depend on what else is in its query.
 """
 
 from __future__ import annotations
@@ -183,6 +187,28 @@ def _activations(params: NnlmParams, contexts: np.ndarray):
     return embedded, hidden, logits
 
 
+# Rows per scoring block.  Scoring runs every matrix product on exactly
+# this many rows, so a position gets the same bits whatever else shares its
+# call: the value is a multiple of the OpenBLAS dgemm micro-tile height (4
+# on Haswell, 16 on SkylakeX), so every row runs the main kernel, never an
+# edge kernel or gemv.  At V = 53 a block's (rows, V) float64 temporaries
+# are 53 KB, under glibc's 128 KB mmap threshold, so they are reused from
+# the heap instead of being mapped and page-faulted in on every call.
+_SCORE_ROWS = 128
+_BLOCK_ROWS = np.arange(_SCORE_ROWS)
+
+
+def _scored_blocks(params: NnlmParams, contexts: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """(first row, log-softmax rows) per block of ``_SCORE_ROWS`` contexts;
+    the last block is padded with id-0 rows, whose scores are ignored."""
+    n = len(contexts)
+    padded = np.zeros((-(-n // _SCORE_ROWS) * _SCORE_ROWS, contexts.shape[1]), dtype=np.int64)
+    padded[:n] = contexts
+    for start in range(0, n, _SCORE_ROWS):
+        _, _, log_probs = _activations(params, padded[start : start + _SCORE_ROWS])
+        yield start, log_probs
+
+
 def forward(params: NnlmParams, batch: Samples) -> ForwardTrace:
     """Forward pass over a batch; loss is the mean negative log probability
     assigned to the targets."""
@@ -279,8 +305,12 @@ class NnlmModel:
         contexts = np.asarray(contexts, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.int64)
         _check_ids(contexts, targets, self.vocab_size)
-        _, _, log_probs = _activations(self.params, contexts)
-        return log_probs[np.arange(len(targets)), targets]
+        n = len(targets)
+        out = np.empty(n)
+        for start, log_probs in _scored_blocks(self.params, contexts):
+            stop = min(start + _SCORE_ROWS, n)
+            out[start:stop] = log_probs[_BLOCK_ROWS[: stop - start], targets[start:stop]]
+        return out
 
     def log_prob(self, context: Sequence[int], target: int) -> float:
         return float(self.log_probs(np.asarray([context]), np.asarray([target]))[0])
@@ -289,7 +319,7 @@ class NnlmModel:
         """Full next-word distribution for one context (probabilities)."""
         contexts = np.asarray([context], dtype=np.int64)
         _check_ids(contexts, np.zeros(1, dtype=np.int64), self.vocab_size)
-        _, _, log_probs = _activations(self.params, contexts)
+        [(_, log_probs)] = _scored_blocks(self.params, contexts)
         return np.exp(log_probs[0])
 
 

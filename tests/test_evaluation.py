@@ -135,11 +135,11 @@ def kn_candidates():
     ]
 
 
-def nnlm_candidates():
+def nnlm_candidates(embed_dim=4, hidden_dim=5):
     authors = []
     for i, (name, vocab, _, _) in enumerate(confusable_corpora()):
         cfg = nnlm.NnlmConfig(
-            vocab_size=vocab.size, order=3, embed_dim=4, hidden_dim=5,
+            vocab_size=vocab.size, order=3, embed_dim=embed_dim, hidden_dim=hidden_dim,
             init_seed=i, init_scale=0.8,
         )
         authors.append(ev.AuthorModel(name, nnlm.NnlmModel(cfg, nnlm.init_params(cfg)), vocab))
@@ -291,7 +291,9 @@ class TestSweep:
     def test_matches_per_trial_reference(self):
         pools = confusable_pools()
         counts = [1, 2, 5, 10]
-        for authors in (kn_candidates(), nnlm_candidates()):
+        # D=6/H=10 runs OpenBLAS edge kernels on row counts that are not
+        # a multiple of its micro-tile
+        for authors in (kn_candidates(), nnlm_candidates(), nnlm_candidates(6, 10)):
             report = ev.accuracy_sweep(authors, pools, counts, trials=8, seed=4)
             assert report.records == reference_sweep(authors, pools, counts, 8, seed=4)
             predicted = {r.predicted_author for r in report.records}
@@ -324,6 +326,47 @@ class TestSweep:
                 )
             assert author.model.scored == expected
             assert author.model.calls == len(pools)  # one batch per pool
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5])
+    def test_pool_encoding_matches_encode_sentence(self, order):
+        vocab = tp.build_vocabulary([["a", "b", "c"], ["b", "c"]])
+        pools = [
+            [["a", "b"], ["zz", "a", "zz"], [], ["c", "c", "c", "b", "a"]],
+            [[], []],
+            [["q"], ["<unk>", "<s>", "b"], ["r", "q", "a"]],
+        ]
+        for pool in pools:
+            got = ev._encode_pool(pool, order).samples(vocab)
+            want = tp.samples_from_sentences(
+                [tp.encode_sentence(s, vocab, order) for s in pool], order
+            )
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert np.array_equal(g, w)
+
+    def test_pool_encoding_refuses_order_below_two(self):
+        vocab = tp.build_vocabulary([["a"]])
+        with pytest.raises(ValueError) as refused:
+            tp.encode_sentence(["a"], vocab, 1)
+        with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+            ev._encode_pool([["a"]], 1)
+
+    def test_decide_sums_each_stream_as_report_does(self):
+        # row sums of the gathered streams equal _report's, past _CHUNK too
+        rng = np.random.default_rng(5)
+        lengths = rng.integers(0, 40, size=400)
+        lengths[7] = ev._CHUNK + 3
+        ends = np.cumsum(lengths + 1)
+        table = ev._PoolTable(
+            log_probs=np.log(rng.random((4, int(ends[-1])))),
+            positions=[np.arange(end - n - 1, end) for n, end in zip(lengths, ends)],
+        )
+        for chosen in ([0], [3, 1, 2], rng.choice(400, size=20, replace=False), [7, 0], range(400)):
+            stream_positions = np.concatenate([table.positions[k] for k in chosen])
+            want = [ev._report(row[stream_positions]).perplexity for row in table.log_probs]
+            best, perps = ev._decide(table, chosen)
+            assert perps == want
+            assert best == want.index(min(want))
 
     def test_insufficient_pool_names_author(self):
         authors, pools = self.make_setup()

@@ -460,6 +460,45 @@ class TestMalformedEntries:
         assert len(loaded.probs[3]) == len(model.probs[3])
 
 
+class TestBulkFloats:
+    """The block reader's float column takes and refuses exactly what
+    ``float()`` does, with the same bits."""
+
+    EDGE = [
+        "nan", "-nan", "NaN", "inf", "-Infinity", "1_0", "1__0", "_1", " 1.5", "1.5\t",
+        "0x10", "na", "1e", "1e5", "5e-324", "2e-324", "1e309", "-0.0", "+1", "1.",
+        ".5", "", "\uff11", "1,5",
+    ]
+
+    @staticmethod
+    def as_float(text):
+        try:
+            return float(text)
+        except ValueError:
+            return None
+
+    @pytest.mark.parametrize("text", EDGE)
+    def test_edge_strings_parse_like_float(self, text):
+        got = kn._bulk_floats(np.array([text], dtype=object))
+        want = self.as_float(text)
+        if want is None:
+            assert got is None
+        else:
+            assert got.dtype == np.float64 and got.tobytes() == np.float64(want).tobytes()
+
+    def test_one_bad_field_refuses_the_block(self):
+        assert kn._bulk_floats(np.array(["-0.5", "-0.5x", "-1"], dtype=object)) is None
+
+    def test_reprs_round_trip_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        values = np.concatenate([
+            -rng.exponential(3.0, size=2000),
+            rng.standard_normal(2000) * 10.0 ** rng.integers(-300, 300, size=2000),
+        ])
+        fields = np.array([repr(float(v)) for v in values], dtype=object)
+        assert kn._bulk_floats(fields).tobytes() == values.tobytes()
+
+
 def read_entries(path):
     """(probs, bows) dicts of a saved model, keyed by id tuple."""
     probs, bows = {}, {}

@@ -435,6 +435,36 @@ class TestQuery:
         with pytest.raises(ValueError):
             model.log_prob([0, 1, 2], model.vocab_size)
 
+    def test_checks_ids_once_per_call(self, monkeypatch):
+        checked = []
+        check = nnlm._check_ids
+        monkeypatch.setattr(nnlm, "_check_ids", lambda *args: checked.append(check(*args)))
+        model = self.make_model()
+        model.log_probs(*random_batch(model.config, np.random.default_rng(2), size=300))
+        model.distribution([0, 1, 2])
+        assert len(checked) == 2
+
+    @pytest.mark.parametrize(
+        "vocab_size, embed_dim, hidden_dim", [(12, 6, 10), (53, 16, 48)],
+        ids=["edge-kernel", "readme"],
+    )
+    def test_sub_batches_score_like_the_full_batch(self, vocab_size, embed_dim, hidden_dim):
+        # a position's bits do not depend on what else shares its call
+        cfg = nnlm.NnlmConfig(
+            vocab_size=vocab_size, order=4, embed_dim=embed_dim, hidden_dim=hidden_dim,
+            init_seed=3, init_scale=0.5,
+        )
+        model = nnlm.NnlmModel(config=cfg, params=nnlm.init_params(cfg))
+        batch = random_samples(vocab_size, 4, 3000, seed=8)
+        full = model.log_probs(batch.contexts, batch.targets)
+        rng = np.random.default_rng(9)
+        sizes = [1, 2, 127, 128, 129, 255, 257, 2999, *rng.integers(1, 3000, size=40)]
+        for size in sizes:
+            rows = rng.choice(3000, size=size, replace=False)
+            got = model.log_probs(batch.contexts[rows], batch.targets[rows])
+            assert got.tobytes() == full[rows].tobytes(), size
+        assert model.log_prob(batch.contexts[5], batch.targets[5]) == full[5]
+
 
 class TestSerialization:
     def test_bit_exact_roundtrip(self, tmp_path):
