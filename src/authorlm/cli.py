@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, files, kn, nnlm, porter, synthetic, textproc
+from . import evaluation, files, kn, nnlm, synthetic, textproc
 from .config import ConfigError, RunConfig
 from .prng import derive_seed
 
@@ -222,7 +222,7 @@ def cmd_preprocess(cfg: RunConfig) -> int:
         try:
             raw = textproc.read_corpus_file(path)
             raw_tokens = textproc.preprocess_sentences(raw.sentences, stemming=False)
-            tokens = [[porter.stem(t) for t in s] for s in raw_tokens] if stemming else raw_tokens
+            tokens = textproc.stem_sentences(raw_tokens) if stemming else raw_tokens
             vocab = textproc.build_vocabulary(tokens, threshold)
             processed = textproc.encode(tokens, vocab, order, stemming, threshold)
             textproc.save_vocabulary(vocab, out / f"{author}.vocab.tsv")

@@ -9,9 +9,16 @@ reference implementation's published vocabulary/output mapping.
 
 Input is expected to be a lowercase ASCII word; anything containing a
 character outside ``a-z`` is returned unchanged.
+
+Each distinct word is stemmed once per process, so stemming cost grows
+with the vocabulary, not with the token count: ``stem`` is a pure function
+of its string, and ``functools.cache`` keeps one entry per distinct word
+it has seen (``stem.__wrapped__`` is the uncached algorithm).
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 __all__ = ["stem"]
 
@@ -154,6 +161,7 @@ def _step5(w: str) -> str:
     return w
 
 
+@cache
 def stem(word: str) -> str:
     """Return the Porter stem of a lowercase word.
 

@@ -83,19 +83,19 @@ def tokenize(line: str) -> list[str]:
     return out
 
 
+def stem_sentences(token_sentences: Iterable[Sequence[str]]) -> list[list[str]]:
+    """The Porter stem of every token, one list per sentence."""
+    return [[porter.stem(t) for t in toks] for toks in token_sentences]
+
+
 def preprocess_sentences(lines: Iterable[str], stemming: bool = True) -> list[list[str]]:
     """Tokenize (and optionally stem) raw sentence lines.
 
     Keeps one output list per input line, even when no tokens survive, so
     sentence indices stay aligned with the raw corpus.
     """
-    sentences = []
-    for line in lines:
-        toks = tokenize(line)
-        if stemming:
-            toks = [porter.stem(t) for t in toks]
-        sentences.append(toks)
-    return sentences
+    sentences = [tokenize(line) for line in lines]
+    return stem_sentences(sentences) if stemming else sentences
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import textproc_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from authorlm import porter
 from authorlm import textproc as tp
 
 
@@ -28,6 +29,40 @@ class TestTokenize:
 
     def test_digits_kept(self):
         assert tp.tokenize("in 1980 w007") == ["in", "1980", "w007"]
+
+
+class TestStemming:
+    AUTHORS = (
+        ["The ponies were running, the ponies ran.", "Running happily: happy ponies!"],
+        ["Ponies running relational w007 don't", "relational RUNNING at 1980 relational"],
+    )
+
+    @pytest.fixture
+    def algorithm_runs(self, monkeypatch):
+        """Count the runs of the Porter algorithm itself (its first step)
+        from an empty stem cache; the cache is emptied again afterwards so
+        no other test sees results computed here."""
+        runs = []
+        step1a = porter._step1a
+
+        def counted(word):
+            runs.append(word)
+            return step1a(word)
+
+        monkeypatch.setattr(porter, "_step1a", counted)
+        porter.stem.cache_clear()
+        yield runs
+        porter.stem.cache_clear()
+
+    def test_each_distinct_word_stemmed_once_per_process(self, algorithm_runs):
+        stemmed = [tp.preprocess_sentences(lines) for lines in self.AUTHORS]
+        tokens = [tp.preprocess_sentences(lines, stemming=False) for lines in self.AUTHORS]
+        words = {t for author in tokens for s in author for t in s}
+        stemmable = {w for w in words if len(w) >= 3 and all("a" <= c <= "z" for c in w)}
+        assert sorted(algorithm_runs) == sorted(stemmable)
+        assert stemmed == [
+            [[porter.stem.__wrapped__(t) for t in s] for s in author] for author in tokens
+        ]
 
 
 class TestVocabulary:
