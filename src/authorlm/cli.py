@@ -23,8 +23,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import evaluation, files, kn, nnlm, synthetic, textproc
 from .config import ConfigError, RunConfig
 from .prng import derive_seed
@@ -53,11 +51,6 @@ def _stage_dir(cfg: RunConfig, stage: str) -> Path:
 def _model_path(cfg: RunConfig, author: str, seed: int, method: str) -> Path:
     ext = "nnlm" if method == "nnlm" else "arpa"
     return cfg.output_dir / "models" / f"{author}_{seed}.{ext}"
-
-
-def _require(path: Path, hint: str) -> None:
-    if not path.exists():
-        raise ConfigError(f"missing {path} (run `{hint}` first)")
 
 
 def _load(loader, path: Path, *args):
@@ -175,7 +168,7 @@ def _write_accuracy_summary(path: Path, curves: dict, counts=None) -> dict:
     return dict(summary)
 
 
-def _write_confusion(path: Path, matrix: np.ndarray, author_ids) -> None:
+def _write_confusion(path: Path, matrix, author_ids) -> None:
     rows = ([author, *map(int, row)] for author, row in zip(author_ids, matrix))
     files.write_csv(path, ["true\\predicted", *author_ids], rows)
 
@@ -419,23 +412,33 @@ def cmd_experiment(cfg: RunConfig) -> int:
     return EXIT_PARTIAL if skipped else EXIT_OK
 
 
+def _read_trials(path: Path) -> list[evaluation.TrialRecord]:
+    """The rows of one ``trials_<method>_<seed>.csv`` as records."""
+    return [
+        evaluation.TrialRecord(r["author"], int(r["sentence_count"]), int(r["trial"]), r["predicted"])
+        for r in files.read_csv(path)
+    ]
+
+
 def cmd_report(cfg: RunConfig) -> int:
     """Aggregate eval and experiment outputs into one summary directory.
 
-    Reads the sweeps of every method and configured seed that experiment
-    wrote.  Excluded authors count in the pooled confusion but not in the
-    accuracy, as in experiment's own summary.
+    Reads back the sweeps experiment wrote for every method and configured
+    seed and aggregates them only through ``evaluation.ExperimentReport``:
+    each sweep's accuracy curve, seeds in ``split.seeds`` order as in
+    experiment, and one confusion pooled over a method's sweeps, which
+    counts the excluded authors that the accuracy leaves out.
     """
     eval_csv = cfg.output_dir / "eval" / "perplexity.csv"
-    _require(eval_csv, "authorlm eval")
+    if not eval_csv.exists():
+        raise ConfigError(f"missing {eval_csv} (run `authorlm eval` first)")
     exp_dir = cfg.output_dir / "experiment"
-    trial_files = [
-        path
-        for method in METHODS
-        for seed in cfg.seeds
-        if (path := exp_dir / f"trials_{method}_{seed}.csv").exists()
-    ]
-    if not trial_files:
+    sweeps = defaultdict(list)  # method -> one record list per seed
+    for method in sorted(METHODS):
+        for seed in cfg.seeds:
+            if (path := exp_dir / f"trials_{method}_{seed}.csv").exists():
+                sweeps[method].append(_load(_read_trials, path))
+    if not sweeps:
         raise ConfigError(f"no experiment trial files under {exp_dir}")
     out = _stage_dir(cfg, "report")
 
@@ -446,28 +449,19 @@ def cmd_report(cfg: RunConfig) -> int:
         out / "perplexity_summary.csv", {m: perps[m] for m in sorted(perps)}
     )
 
-    # (method, seed) -> {count: (hits, total)}; method -> pooled confusion counts
-    tallies = defaultdict(dict)
-    confusion = defaultdict(lambda: defaultdict(int))
-    excluded = set(cfg.experiment["excluded_authors"])
-    for path in trial_files:
-        for row in files.read_csv(path):
-            confusion[row["method"]][(row["author"], row["predicted"])] += 1
-            if row["author"] in excluded:
-                continue
-            key = (row["method"], int(row["seed"]))
-            s = int(row["sentence_count"])
-            hits, total = tallies[key].get(s, (0, 0))
-            tallies[key][s] = (hits + int(row["correct"]), total + 1)
-    curves = defaultdict(list)
-    for (method, _), tally in sorted(tallies.items()):
-        curves[method].append({s: hits / total for s, (hits, total) in tally.items()})
-    authors = sorted({true for counts in confusion.values() for true, _ in counts})
-    for method in sorted(confusion):
-        matrix = np.zeros((len(authors), len(authors)), dtype=np.int64)
-        for (true, pred), n in confusion[method].items():
-            matrix[authors.index(true), authors.index(pred)] += n
-        _write_confusion(out / f"confusion_{method}.csv", matrix, authors)
+    authors = tuple(sorted({r.author_id for seeds in sweeps.values() for rs in seeds for r in rs}))
+    excluded = tuple(cfg.experiment["excluded_authors"])
+    curves = {}
+    for method, per_seed in sweeps.items():
+        pooled = tuple(r for recs in per_seed for r in recs)
+        counts = tuple(sorted({r.sentence_count for r in pooled}))
+        curves[method] = [
+            evaluation.ExperimentReport(authors, counts, excluded, tuple(recs)).accuracy_by_count()
+            for recs in per_seed
+        ]
+        if pooled:
+            confusion = evaluation.ExperimentReport(authors, counts, excluded, pooled).confusion()
+            _write_confusion(out / f"confusion_{method}.csv", confusion, authors)
     acc_json = _write_accuracy_summary(out / "accuracy_summary.csv", curves)
     files.write_json(out / "summary.json", {"perplexity": perp_json, "accuracy": acc_json})
     print(f"report: wrote {out}")

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Any
 
 from .nnlm import MIN_VOCAB_SIZE, NnlmConfig
+from .textproc import split_ratios
 
 
 class ConfigError(ValueError):
@@ -187,11 +188,12 @@ class RunConfig:
             raise ConfigError("pipeline.order must be >= 2")
         if not 0.0 <= p["prune_threshold"] <= 1.0:
             raise ConfigError("pipeline.prune_threshold must be in [0, 1]")
-        ratios = self.split["ratios"]
-        if len(ratios) != 3:
-            raise ConfigError("split.ratios must have three entries")
-        if not all(r > 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-            raise ConfigError("split.ratios must be positive and sum to 1")
+        try:  # the rule every split applies, so no split refuses a valid config
+            ratios = split_ratios(self.split["ratios"])
+        except (ValueError, OverflowError) as exc:  # NaN and infinities have no ratio
+            raise ConfigError(f"split.ratios: {exc}") from None
+        if min(ratios) == 0:
+            raise ConfigError("split.ratios must all be positive")
         if not self.seeds or min(self.seeds) < 0:
             raise ConfigError("split.seeds must be nonempty and all >= 0")
         exp = self.experiment

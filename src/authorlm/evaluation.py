@@ -232,22 +232,20 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """All trial outcomes of one sweep (one model family, one split seed)."""
+    """Trial outcomes and the one place they are aggregated: one sweep's, as
+    ``accuracy_sweep`` returns them, or records ``report`` reads back."""
 
     author_ids: tuple[str, ...]
     sentence_counts: tuple[int, ...]
-    trials: int
-    seed: int
     excluded_authors: tuple[str, ...]
     records: tuple[TrialRecord, ...]
 
     def accuracy_by_count(self) -> dict[int, float]:
         """Mean accuracy per sentence count over the non-excluded authors."""
-        keep = {a for a in self.author_ids if a not in self.excluded_authors}
         hits = {s: 0 for s in self.sentence_counts}
         totals = {s: 0 for s in self.sentence_counts}
         for rec in self.records:
-            if rec.author_id in keep:
+            if rec.author_id not in self.excluded_authors:
                 totals[rec.sentence_count] += 1
                 hits[rec.sentence_count] += rec.correct
         return {
@@ -313,8 +311,6 @@ def accuracy_sweep(
     return ExperimentReport(
         author_ids=tuple(a.author_id for a in authors),
         sentence_counts=sentence_counts,
-        trials=trials,
-        seed=seed,
         excluded_authors=tuple(excluded_authors),
         records=tuple(records),
     )

@@ -426,4 +426,9 @@ def load_model(path: str | Path) -> NnlmModel:
         if got != len(buf):
             short = TENSOR_NAMES[int(np.searchsorted(ends, got, side="right"))]
             raise ValueError(f"{path}: truncated tensor {short!r}")
-    return NnlmModel(config=config, params=NnlmParams(np.frombuffer(buf, dtype="<f8"), shapes))
+        if f.read(1):
+            raise ValueError(f"{path}: unexpected bytes after tensor {TENSOR_NAMES[-1]!r}")
+    flat = np.frombuffer(buf, dtype="<f8")
+    if not np.isfinite(flat).all():  # it would turn scores into NaN or infinities
+        raise ValueError(f"{path}: non-finite parameter value")
+    return NnlmModel(config=config, params=NnlmParams(flat, shapes))

@@ -253,10 +253,13 @@ class SplitAssignment:
     test: tuple[int, ...]
 
 
-def _as_ratio(r) -> Fraction:
-    if isinstance(r, Fraction):
-        return r
-    return Fraction(r).limit_denominator(10**6)
+def split_ratios(ratios: Sequence) -> tuple[Fraction, Fraction, Fraction]:
+    """``ratios`` as exact rationals (each the nearest fraction with a denominator
+    of at most 10**6); a ValueError unless three, none negative, summing to 1."""
+    fracs = tuple(Fraction(r).limit_denominator(10**6) for r in ratios)
+    if len(fracs) != 3 or sum(fracs) != 1 or min(fracs) < 0:
+        raise ValueError(f"ratios must be three non-negative rationals summing to 1, got {ratios}")
+    return fracs
 
 
 def split(
@@ -271,9 +274,7 @@ def split(
     """
     if n_sentences < 10:
         raise ValueError(f"need at least 10 sentences to split, got {n_sentences}")
-    fracs = tuple(_as_ratio(r) for r in ratios)
-    if len(fracs) != 3 or sum(fracs) != 1 or min(fracs) < 0:
-        raise ValueError(f"ratios must be three non-negative rationals summing to 1, got {ratios}")
+    fracs = split_ratios(ratios)
     n_valid = int(n_sentences * fracs[1])
     n_test = int(n_sentences * fracs[2])
     n_train = n_sentences - n_valid - n_test

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import authorlm
-from authorlm import cli, files
+from authorlm import cli, evaluation, files, kn, nnlm, textproc
 
 
 def write_config(path, **overrides):
@@ -119,6 +119,8 @@ class TestConfigErrors:
             ("split.ratios=[0.9, 0.1, 0]", "split.ratios"),
             ("split.ratios=[1.2, -0.1, -0.1]", "split.ratios"),
             ('split.ratios=[0.8, 0.1, "NaN"]', "split.ratios"),
+            # sums to 1 within 1e-9 as floats, but not as the rationals a split uses
+            ("split.ratios=[0.6, 0.3000001, 0.0999999]", "split.ratios"),
             ("synth.length_range=[4, 5, 6]", "synth.length_range"),
             ("synth.length_range=[5, 2]", "synth"),
             ("synth.lexicon_size=0", "synth"),
@@ -384,6 +386,57 @@ class TestPipeline:
         assert not (workdir / "corpus").exists()
 
 
+class TestAcrossStages:
+    """One pipeline run with three authors, seeds out of order, sentence
+    counts out of order and an excluded author, checked across stages."""
+
+    SEEDS = [2, 0, 1]
+
+    @pytest.fixture(scope="class")
+    def outputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("stages")
+        cfg = write_config(
+            root / "cfg.json", corpus_dir=str(root / "corpus"), output_dir=str(root / "outputs"),
+            synth={
+                "authors": 3, "lexicon_size": 12, "sentences": 80, "seed": 3,
+                "length_range": [3, 7], "concentration": 1.0,
+            },
+            split={"ratios": [0.8, 0.1, 0.1], "seeds": self.SEEDS},
+            experiment={"sentence_counts": [2, 1, 3], "trials": 5, "excluded_authors": ["author01"]},
+        )
+        for command in ("synth", "preprocess", "train-nnlm", "train-ngram", "eval", "experiment", "report"):
+            assert run(command, "--config", str(cfg)) == cli.EXIT_OK, command
+        return root
+
+    def test_report_accuracy_equals_experiment_summary(self, outputs):
+        # the same rows byte for byte, std_acc included; report sorts methods
+        lines = lambda path: sorted(
+            line for line in path.read_text().splitlines() if not line.startswith("#")
+        )
+        report = lines(outputs / "outputs" / "report" / "accuracy_summary.csv")
+        assert report == lines(outputs / "outputs" / "experiment" / "summary.csv")
+        assert len(report) == 1 + 2 * 3
+
+    def test_eval_scores_the_stream_experiment_scores(self, outputs):
+        # eval's perplexity is the whole-pool perplexity of the author's own
+        # row in experiment's pool table, bit for bit
+        out = outputs / "outputs"
+        scored = files.read_csv(out / "eval" / "perplexity.csv")
+        assert len(scored) == 3 * len(self.SEEDS) * 2
+        for row in scored:
+            author, seed, method = row["author"], int(row["seed"]), row["method"]
+            vocab = textproc.load_vocabulary(out / "preprocess" / f"{author}.vocab.tsv")
+            if method == "nnlm":
+                model = nnlm.load_model(out / "models" / f"{author}_{seed}.nnlm")
+            else:
+                model = kn.load_model(out / "models" / f"{author}_{seed}.arpa")
+            lines = textproc.read_corpus_file(outputs / "corpus" / f"{author}.txt").sentences
+            test = textproc.split(len(lines), seed, [0.8, 0.1, 0.1]).test
+            pool = textproc.preprocess_sentences([lines[i] for i in test], stemming=True)
+            table = evaluation._score_pool([evaluation.AuthorModel(author, model, vocab)], pool)
+            assert row["perplexity"] == repr(evaluation._report(table.log_probs[0]).perplexity)
+
+
 class TestCorruptInputs:
     @pytest.fixture
     def trained(self, workdir):
@@ -401,6 +454,25 @@ class TestCorruptInputs:
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1
         assert "models/author00_0.nnlm: truncated tensor" in err
+
+    @pytest.mark.parametrize("stage", ["eval", "experiment"])
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda data: data + b"\x00\x01\x02", "unexpected bytes after tensor 'b_out'"),
+            (lambda data: data[:-8] + np.array([np.inf], dtype="<f8").tobytes(),
+             "non-finite parameter value"),
+        ],
+        ids=["trailing-bytes", "inf-b_out"],
+    )
+    def test_bad_nnlm_payload_is_config_error(self, trained, stage, corrupt, message, capsys):
+        path = trained / "models" / "author00_0.nnlm"
+        path.write_bytes(corrupt(path.read_bytes()))
+        capsys.readouterr()
+        assert run(stage, "--config", "cfg.json") == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert f"models/author00_0.nnlm: {message}" in err
 
     @pytest.mark.parametrize("stage", ["eval", "experiment"])
     def test_garbled_kn_is_config_error(self, trained, stage, capsys):

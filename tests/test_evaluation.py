@@ -491,7 +491,7 @@ class TestReportFiles:
         files.write_csv(
             path,
             ["method", "seed", "author", "sentence_count", "trial", "predicted", "correct"],
-            (["kn", report.seed, r.author_id, r.sentence_count, r.trial, r.predicted_author,
+            (["kn", 1, r.author_id, r.sentence_count, r.trial, r.predicted_author,
               int(r.correct)] for r in report.records),
         )
         expected = b"method,seed,author,sentence_count,trial,predicted,correct\r\n" + b"".join(

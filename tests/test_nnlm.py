@@ -640,3 +640,26 @@ class TestFlatParameters:
         path.write_bytes(header + b"\n" + payload[:keep])
         with pytest.raises(ValueError, match=f"truncated tensor '{name}'"):
             nnlm.load_model(path)
+
+    def test_rejects_trailing_bytes(self, tmp_path):
+        cfg = tiny_config()
+        path = tmp_path / "m.nnlm"
+        nnlm.save_model(nnlm.NnlmModel(config=cfg, params=nnlm.init_params(cfg)), path)
+        path.write_bytes(path.read_bytes() + b"\x00\x01\x02")
+        with pytest.raises(ValueError, match="unexpected bytes after tensor 'b_out'"):
+            nnlm.load_model(path)
+
+    @pytest.mark.parametrize(
+        "index, value",
+        [(0, np.inf), (21, np.nan), (70, -np.inf), (-1, np.inf)],
+        ids=["embed", "w_hid", "b_hid", "b_out"],
+    )
+    def test_rejects_non_finite_parameters(self, tmp_path, index, value):
+        # tiny_config's tensors: embed 21 values, w_hid 45, b_hid 5, w_out 35, b_out 7
+        cfg = tiny_config()
+        params = nnlm.init_params(cfg)
+        params.flat[index] = value
+        path = tmp_path / "m.nnlm"
+        nnlm.save_model(nnlm.NnlmModel(config=cfg, params=params), path)
+        with pytest.raises(ValueError, match="non-finite parameter value"):
+            nnlm.load_model(path)
