@@ -6,6 +6,14 @@ text, then compares models by held-out perplexity and by attributing
 pooled test sentences to the minimum-perplexity author.
 """
 
+import os
+
+# One BLAS thread per process.  Training runs one worker process per usable
+# CPU, and a multi-threaded BLAS can round a product differently from one
+# thread, which would make the model bytes depend on the core count.  This
+# takes effect only if numpy has not been imported before this package.
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+
 from . import config, evaluation, kn, nnlm, porter, prng, synthetic, textproc
 from .evaluation import (
     AuthorModel,

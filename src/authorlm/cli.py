@@ -9,16 +9,19 @@ The stages after preprocess start from one inventory per author: its
 inputs loaded once, each seed's split (or the error that refused it, such
 as missing preprocess outputs), and the (seed, method) models on disk.
 They work on every item the inventory allows and print one stderr line for
-each item they skip.  Exit codes:
-0 success, 1 configuration or usage error, a missing or corrupt input, or
-nothing to work on; 2 partial failure (some items skipped or failed, the
-rest done); 3 divergence.
+each item they skip; the training stages run their items in forked worker
+processes, one per usable CPU (``_run_items``).  Exit codes:
+0 success, 1 configuration or usage error, a missing or corrupt input, a
+dead worker process, or nothing to work on; 2 partial failure (some items
+skipped or failed, the rest done); 3 divergence.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import warnings
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
@@ -126,20 +129,82 @@ def _inventory(cfg: RunConfig, raw: bool = False) -> list[_Author]:
     return authors
 
 
+_job = None  # (items, run) of the stage, set in each forked worker
+
+
+def _start_worker(items, run, stage_pid: int) -> None:
+    import ctypes
+    import signal
+
+    global _job
+    _job = items, run
+    # An idle worker waits on its task queue forever once the stage process
+    # is gone, so on Linux the kernel kills it when the stage process dies.
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except AttributeError:  # no prctl on this platform
+        pass
+    else:
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+    if os.getppid() != stage_pid:  # it died before that took effect
+        os._exit(1)
+
+
+def _run_item(index: int):
+    """One item in a worker: its ``run`` result and the distinct warnings
+    it raised, which the parent shows in item order."""
+    items, run = _job
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        exc = run(*items[index])
+    return exc, list(dict.fromkeys((str(w.message), w.category, w.filename, w.lineno) for w in caught))
+
+
 def _run_items(stage: str, cfg: RunConfig, authors: list[_Author], run) -> list[Exception]:
     """Call ``run(author_index, author, seed, split)`` for every (author,
-    seed) whose split exists.  Prints one line per item, a failed or
-    refused one with its error on stderr, and returns those errors."""
-    errors = []
-    for ai, author in enumerate(authors):
-        for seed in cfg.seeds:
-            split = author.splits[seed]
-            exc = split if isinstance(split, ValueError) else run(ai, author, seed, split)
+    seed) whose split exists; ``run`` returns None or the item's exception.
+    The items run in forked worker processes, one per usable CPU, which
+    inherit ``run`` and the items and get only an item's index.  Prints one
+    line per item in (author, seed) order, a failed or refused one with its
+    error on stderr, and returns those errors.  A worker that dies (killed,
+    out of memory) ends the stage with a ConfigError."""
+    # imported here, so that the other stages do not pay for the import
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    items = [(ai, a, seed, a.splits[seed]) for ai, a in enumerate(authors) for seed in cfg.seeds]
+    runnable = [i for i, item in enumerate(items) if not isinstance(item[3], ValueError)]
+    workers = max(1, min(len(runnable), len(os.sched_getaffinity(0))))
+    sys.stdout.flush()  # a forked child must not write the parent's buffered lines again
+    sys.stderr.flush()
+    errors, shown = [], {}
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_worker, initargs=(items, run, os.getpid()),
+    )
+    try:
+        futures = {i: pool.submit(_run_item, i) for i in runnable}
+        for i, (_, author, seed, split) in enumerate(items):
+            if i in futures:
+                try:
+                    exc, caught = futures[i].result()
+                except BrokenProcessPool:
+                    raise ConfigError(
+                        f"a worker process died before {author.name} seed {seed} finished"
+                    ) from None
+                for text, category, filename, lineno in caught:
+                    warnings.warn_explicit(text, category, filename, lineno, registry=shown)
+            else:
+                exc = split
             if exc is None:
                 print(f"{stage}: {author.name} seed {seed}: done")
             else:
                 errors.append(exc)
                 print(f"{stage}: {author.name} seed {seed}: {exc}", file=sys.stderr)
+    finally:  # on an early exit, items not yet started are dropped
+        pool.shutdown(cancel_futures=True)
     return errors
 
 
@@ -412,12 +477,30 @@ def cmd_experiment(cfg: RunConfig) -> int:
     return EXIT_PARTIAL if skipped else EXIT_OK
 
 
+def _read_rows(path: Path, columns: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """The ``columns`` of every row of a ``write_csv`` file; a ValueError
+    for a missing column or a short row."""
+    rows = []
+    for n, row in enumerate(files.read_csv(path), 1):
+        values = tuple(row.get(c) for c in columns)
+        if None in values:
+            raise ValueError(f"{path}: data row {n} lacks column {columns[values.index(None)]!r}")
+        rows.append(values)
+    return rows
+
+
 def _read_trials(path: Path) -> list[evaluation.TrialRecord]:
     """The rows of one ``trials_<method>_<seed>.csv`` as records."""
     return [
-        evaluation.TrialRecord(r["author"], int(r["sentence_count"]), int(r["trial"]), r["predicted"])
-        for r in files.read_csv(path)
+        evaluation.TrialRecord(author, int(count), int(trial), predicted)
+        for author, count, trial, predicted in _read_rows(
+            path, ("author", "sentence_count", "trial", "predicted")
+        )
     ]
+
+
+def _read_perplexities(path: Path) -> list[tuple[str, float]]:
+    return [(method, float(p)) for method, p in _read_rows(path, ("method", "perplexity"))]
 
 
 def cmd_report(cfg: RunConfig) -> int:
@@ -443,8 +526,8 @@ def cmd_report(cfg: RunConfig) -> int:
     out = _stage_dir(cfg, "report")
 
     perps = defaultdict(list)
-    for row in files.read_csv(eval_csv):
-        perps[row["method"]].append(float(row["perplexity"]))
+    for method, perplexity in _load(_read_perplexities, eval_csv):
+        perps[method].append(perplexity)
     perp_json = _write_perplexity_summary(
         out / "perplexity_summary.csv", {m: perps[m] for m in sorted(perps)}
     )

@@ -561,6 +561,8 @@ class _Reader:
                 lp = float(fields[0])
             except ValueError:
                 raise self.error(lineno, f"bad probability {fields[0]!r}")
+            if not -math.inf < lp <= 0.0:  # NaN fails too
+                raise self.error(lineno, f"log10 probability {fields[0]!r} must be finite and <= 0")
             self.probs[section].append((ids, np.array([lp])))
         elif section == 1:
             raise self.error(lineno, "unigram entries need a probability")
@@ -571,6 +573,8 @@ class _Reader:
                 bow = float(fields[2])
             except ValueError:
                 raise self.error(lineno, f"bad back-off weight {fields[2]!r}")
+            if not math.isfinite(bow):
+                raise self.error(lineno, f"back-off weight {fields[2]!r} must be finite")
             self.bows[section].append((ids, np.array([bow])))
         self.section_rows += 1
 
@@ -595,7 +599,7 @@ class _Reader:
         if k == 1 and not has_p.all():
             return False
         probs = _bulk_floats(log10_p[has_p])
-        if probs is None:
+        if probs is None or not ((-np.inf < probs) & (probs <= 0.0)).all():
             return False
 
         has_bow = widths == 3
@@ -604,7 +608,7 @@ class _Reader:
             if k >= self.order:
                 return False
             bows = _bulk_floats(fields[starts[has_bow] + 2])
-            if bows is None:
+            if bows is None or not np.isfinite(bows).all():
                 return False
 
         self.probs[k].append((ids[has_p], probs))
@@ -646,7 +650,9 @@ def load_model(path: str | Path) -> KnModel:
     announces are parsed as one block: one split of the block's text, one
     numpy parse of all ids, and ``float`` mapped over each float column.
     A block that is not all well-formed entries is re-read line by line,
-    so errors name the same line and message either way.
+    so errors name the same line and message either way.  Every log10
+    probability must be finite and at most 0, and every back-off weight
+    finite: no trained model holds other values.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     reader = _Reader(path)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -54,6 +54,10 @@ class TrainingDiverged(RuntimeError):
     def __init__(self, epoch: int, where: str):
         super().__init__(f"non-finite {where} loss at epoch {epoch}")
         self.epoch = epoch
+        self.where = where
+
+    def __reduce__(self):  # so that it crosses a process boundary
+        return type(self), (self.epoch, self.where)
 
 
 @dataclass(frozen=True)
@@ -404,6 +408,21 @@ def save_model(model: NnlmModel, path: str | Path) -> None:
     write_file(path, header_line + model.params.flat.astype("<f8", copy=False).tobytes())
 
 
+def _header_config(path, config) -> NnlmConfig:
+    """The NnlmConfig a model header holds: exactly one value per field, an
+    int (not a bool) for an int field and an int or float for a float one."""
+    kinds = {f.name: f.type for f in fields(NnlmConfig)}  # "int" or "float"
+    if not isinstance(config, dict) or config.keys() != kinds.keys():
+        raise ValueError(f"{path}: the header config must have exactly the keys {sorted(kinds)}")
+    for name, kind in kinds.items():
+        if type(config[name]) not in ((int, float) if kind == "float" else (int,)):
+            raise ValueError(f"{path}: the header config has a bad {name} {config[name]!r}")
+    try:
+        return NnlmConfig(**config)
+    except ValueError as exc:
+        raise ValueError(f"{path}: the header config is invalid: {exc}") from None
+
+
 def load_model(path: str | Path) -> NnlmModel:
     with open(path, "rb") as f:
         header_line = f.readline()
@@ -411,11 +430,13 @@ def load_model(path: str | Path) -> NnlmModel:
             header = json.loads(header_line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not a model file") from exc
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: not a model file")
         if header.get("format") != _MODEL_MAGIC:
             raise ValueError(f"{path}: unexpected format {header.get('format')!r}")
         if header.get("version") != _MODEL_VERSION:
             raise ValueError(f"{path}: unsupported version {header.get('version')!r}")
-        config = NnlmConfig(**header["config"])
+        config = _header_config(path, header.get("config"))
         shapes = tensor_shapes(config)
         layout = [[name, list(shape)] for name, shape in zip(TENSOR_NAMES, shapes)]
         if header.get("tensors") != layout:

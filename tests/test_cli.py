@@ -1,9 +1,12 @@
 """End-to-end command tests: exit codes, outputs, overrides, determinism."""
 
+import contextlib
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -45,14 +48,19 @@ def run(*argv):
     return cli.main(list(argv))
 
 
-def run_module(*argv):
-    """``python -m authorlm.cli`` in a subprocess, with this package on the path."""
+def module_env(unset=()):
+    """This environment with this package on the path, without ``unset``."""
     src = str(Path(authorlm.__file__).resolve().parents[1])
     path = [src, os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    env = {k: v for k, v in os.environ.items() if k not in unset}
+    return {**env, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
+def run_module(*argv, unset=(), **kwargs):
+    """``python -m authorlm.cli`` in a subprocess, with this package on the path."""
     return subprocess.run(
         [sys.executable, "-m", "authorlm.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=module_env(unset), timeout=120, **kwargs,
     )
 
 
@@ -345,14 +353,19 @@ class TestPipeline:
             for i in range(2)
         ]
 
-    def test_divergence_exit_code(self, workdir):
+    def test_divergence_exit_code(self, workdir, capsys):
         assert run("synth", "--config", "cfg.json") == cli.EXIT_OK
         assert run("preprocess", "--config", "cfg.json") == cli.EXIT_OK
+        capsys.readouterr()
         with np.errstate(over="ignore", invalid="ignore"):
             code = run(
                 "train-nnlm", "--config", "cfg.json", "--set", "nnlm.init_scale=8e307"
             )
         assert code == cli.EXIT_DIVERGED
+        # the exception crossed back from its worker process
+        assert capsys.readouterr().err.splitlines() == [
+            f"train-nnlm: author0{i} seed 0: non-finite training loss at epoch 1" for i in range(2)
+        ]
 
     def test_sentence_count_above_test_pool_is_config_error(self, workdir, capsys, monkeypatch):
         # 60 sentences per author leave 6 test sentences, fewer than 20
@@ -384,6 +397,121 @@ class TestPipeline:
         assert run("synth", "--config", "cfg.json", "--corpus-dir", "elsewhere") == cli.EXIT_OK
         assert (workdir / "elsewhere" / "author00.txt").is_file()
         assert not (workdir / "corpus").exists()
+
+
+class TestWorkers:
+    """Training items run in forked worker processes, one per usable CPU."""
+
+    BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def test_models_do_not_depend_on_core_count(self, workdir):
+        # at V near 2,000, two BLAS threads round some products differently
+        # from one; the package pins one, so the CPU count cannot matter
+        cpus = os.sched_getaffinity(0)
+        if len(cpus) < 2:
+            pytest.skip("needs two usable CPUs")
+        write_config(
+            workdir / "cfg.json",
+            synth={
+                "authors": 2, "lexicon_size": 2000, "sentences": 1000, "seed": 5,
+                "length_range": [4, 11], "concentration": 0.5,
+            },
+            nnlm={"embed_dim": 16, "hidden_dim": 48, "batch_size": 100, "max_epochs": 1, "patience": 1},
+        )
+        for command in ("synth", "preprocess"):
+            assert run(command, "--config", "cfg.json") == cli.EXIT_OK, command
+        models = workdir / "outputs" / "models"
+        runs = []
+        for allowed in ({min(cpus)}, cpus):
+            proc = run_module(
+                "train-nnlm", "--config", "cfg.json", unset=self.BLAS_VARS,
+                preexec_fn=lambda: os.sched_setaffinity(0, allowed),
+            )
+            assert proc.returncode == cli.EXIT_OK, proc.stderr
+            runs.append((proc.stdout, {p.name: p.read_bytes() for p in sorted(models.glob("*.nnlm"))}))
+        assert len(runs[0][1]) == 2
+        assert runs[0] == runs[1]
+
+    def test_item_lines_once_and_in_order_when_piped(self, workdir):
+        # block-buffered stdout: a forked worker must not repeat the parent's lines
+        assert run("synth", "--config", "cfg.json") == cli.EXIT_OK
+        (workdir / "corpus" / "short.txt").write_text("a single sentence\n")
+        seeds = ["--set", "split.seeds=[2, 0, 1]"]
+        assert run("preprocess", "--config", "cfg.json", *seeds) == cli.EXIT_OK
+        proc = run_module("train-ngram", "--config", "cfg.json", *seeds, unset=("PYTHONUNBUFFERED",))
+        assert proc.returncode == cli.EXIT_PARTIAL
+        assert proc.stdout.splitlines() == [
+            f"train-ngram: {author} seed {seed}: done"
+            for author in ("author00", "author01") for seed in (2, 0, 1)
+        ]
+        assert proc.stderr.splitlines() == [
+            f"train-ngram: short seed {seed}: need at least 10 sentences to split, got 1"
+            for seed in (2, 0, 1)
+        ]
+
+    @staticmethod
+    def patched_train_ngram(body):
+        """A ``python -c`` script that runs ``train-ngram`` (its arguments
+        follow) as ``python -m authorlm.cli`` does, with ``kn.train_model``
+        replaced by a function with the given body."""
+        return "\n".join([
+            "import os, runpy, sys, time",
+            "from authorlm import kn",
+            "def train_model(*args):",
+            *(f"    {line}" for line in body),
+            "kn.train_model = train_model",
+            "sys.argv = ['authorlm', 'train-ngram', *sys.argv[1:]]",
+            "runpy.run_module('authorlm.cli', run_name='__main__', alter_sys=True)",
+        ])
+
+    def test_dead_worker_ends_the_stage(self, workdir):
+        # the first item to start kills its worker; the others would sleep
+        # for minutes, so the stage must end them: a worker left running
+        # keeps the output pipes open and the run times out
+        seeds = ["--set", "split.seeds=[0, 1, 2]"]
+        for command in ("synth", "preprocess"):
+            assert run(command, "--config", "cfg.json", *seeds) == cli.EXIT_OK, command
+        script = self.patched_train_ngram([
+            "try:",
+            f"    os.close(os.open({str(workdir / 'first')!r}, os.O_CREAT | os.O_EXCL))",
+            "except FileExistsError:",
+            "    time.sleep(300)",
+            "os._exit(9)",
+        ])
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "--config", "cfg.json", *seeds],
+            capture_output=True, text=True, env=module_env(), timeout=60,
+        )
+        assert proc.returncode == cli.EXIT_CONFIG
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "authorlm train-ngram: a worker process died before author00 seed 0 finished"
+        ]
+        assert not list((workdir / "outputs" / "models").glob("*.arpa"))
+
+    def test_killed_stage_takes_its_workers(self, workdir):
+        # every item sleeps; once the stage process is killed, its workers
+        # must go too, or they keep the output pipes open
+        for command in ("synth", "preprocess"):
+            assert run(command, "--config", "cfg.json") == cli.EXIT_OK, command
+        started = workdir / "started"
+        script = self.patched_train_ngram([f"open({str(started)!r}, 'a').close()", "time.sleep(300)"])
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, "--config", "cfg.json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=module_env(),
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not started.exists() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert started.exists()
+            proc.kill()
+            proc.communicate(timeout=30)
+        finally:  # whatever happened, leave no process of this test behind
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
 
 
 class TestAcrossStages:
@@ -483,6 +611,76 @@ class TestCorruptInputs:
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1
         assert "models/author01_0.arpa:" in err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda h: [h], "not a model file"),
+            (lambda h: {k: v for k, v in h.items() if k != "config"}, "must have exactly the keys"),
+            (lambda h: {**h, "config": {**h["config"], "bogus": 1}}, "must have exactly the keys"),
+            (lambda h: {**h, "config": {k: v for k, v in h["config"].items() if k != "patience"}},
+             "must have exactly the keys"),
+            (lambda h: {**h, "config": {**h["config"], "embed_dim": True}}, "bad embed_dim True"),
+            (lambda h: {**h, "config": {**h["config"], "order": "4"}}, "bad order '4'"),
+            (lambda h: {**h, "config": {**h["config"], "momentum": 1.5}}, "momentum must be in [0, 1)"),
+        ],
+        ids=["not-object", "no-config", "unknown-key", "missing-key", "bool", "string", "range"],
+    )
+    def test_bad_nnlm_header_is_config_error(self, trained, edit, message, capsys):
+        path = trained / "models" / "author00_0.nnlm"
+        header, body = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(json.dumps(edit(json.loads(header))).encode() + b"\n" + body)
+        for stage in ("eval", "experiment"):
+            capsys.readouterr()
+            assert run(stage, "--config", "cfg.json") == cli.EXIT_CONFIG, stage
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and "models/author00_0.nnlm: " in err[0] and message in err[0], err
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            (0, "nan", "log10 probability 'nan' must be finite and <= 0"),
+            (0, "inf", "log10 probability 'inf' must be finite and <= 0"),
+            (0, "5.0", "log10 probability '5.0' must be finite and <= 0"),
+            (2, "inf", "back-off weight 'inf' must be finite"),
+        ],
+        ids=["nan", "inf", "positive", "inf-back-off"],
+    )
+    def test_impossible_kn_value_is_config_error(self, trained, field, value, message, capsys):
+        path = trained / "models" / "author01_0.arpa"
+        lines = path.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.count("\t") == 2)
+        fields = lines[i].split("\t")
+        fields[field] = value
+        lines[i] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("eval", "--config", "cfg.json") == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"authorlm eval: {Path('outputs/models/author01_0.arpa')}:{i + 1}: {message}"
+        ]
+
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            ("experiment/trials_kn_0.csv", lambda t: t.replace("sentence_count", "count"),
+             "data row 1 lacks column 'sentence_count'"),
+            ("experiment/trials_kn_0.csv", lambda t: t.rstrip("\n").rsplit(",", 4)[0] + "\n",
+             "lacks column 'sentence_count'"),
+            ("eval/perplexity.csv", lambda t: t.replace(",perplexity", ",pp"),
+             "data row 1 lacks column 'perplexity'"),
+        ],
+        ids=["trials-column", "trials-short-row", "eval-column"],
+    )
+    def test_bad_csv_under_report_is_config_error(self, trained, name, edit, message, capsys):
+        for command in ("eval", "experiment"):
+            assert run(command, "--config", "cfg.json") == cli.EXIT_OK, command
+        path = trained / name
+        path.write_text(edit(path.read_text()))
+        capsys.readouterr()
+        assert run("report", "--config", "cfg.json") == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"{Path('outputs') / name}: " in err[0] and message in err[0], err
 
     @pytest.fixture
     def corpus_file(self, workdir):

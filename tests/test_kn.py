@@ -423,9 +423,17 @@ class TestMalformedEntries:
             (1, None, lambda l: set_field(l, 0, "na"), "unigram entries need a probability"),
             (3, None, lambda l: l + "\t-0.25", "top-order entries cannot carry a bow"),
             (2, 3, lambda l: set_field(l, 2, "bow"), "bad back-off weight 'bow'"),
+            # values no trained model holds
+            (3, None, lambda l: set_field(l, 0, "nan"), "log10 probability 'nan' must be finite and <= 0"),
+            (1, None, lambda l: set_field(l, 0, "inf"), "log10 probability 'inf' must be finite and <= 0"),
+            (2, None, lambda l: set_field(l, 0, "-inf"), "log10 probability '-inf' must be finite and <= 0"),
+            (2, None, lambda l: set_field(l, 0, "5.0"), "log10 probability '5.0' must be finite and <= 0"),
+            (2, 3, lambda l: set_field(l, 2, "inf"), "back-off weight 'inf' must be finite"),
+            (1, 3, lambda l: set_field(l, 2, "nan"), "back-off weight 'nan' must be finite"),
         ],
         ids=["id-list", "id-count", "id-range", "probability", "na-unigram",
-             "top-order-bow", "back-off"],
+             "top-order-bow", "back-off", "nan-probability", "inf-probability",
+             "minus-inf-probability", "positive-probability", "inf-back-off", "nan-back-off"],
     )
     def test_error_names_line_and_message(self, tmp_path, section, fields, edit, message):
         _, path, lines = saved_lines(tmp_path, TRIGRAM_CORPUS, 3)

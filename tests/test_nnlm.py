@@ -7,6 +7,7 @@ nnlm_reference.
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -334,6 +335,13 @@ class TestTrain:
             with pytest.raises(nnlm.TrainingDiverged, match="epoch 1") as exc_info:
                 nnlm.train(cfg, samples, samples)
         assert exc_info.value.epoch == 1
+
+    def test_divergence_survives_pickling(self):
+        # training items run in worker processes, which send it back pickled
+        exc = pickle.loads(pickle.dumps(nnlm.TrainingDiverged(3, "validation")))
+        assert type(exc) is nnlm.TrainingDiverged
+        assert str(exc) == "non-finite validation loss at epoch 3"
+        assert (exc.epoch, exc.where) == (3, "validation")
 
     def test_deterministic_training(self):
         samples = memorization_samples()
