@@ -11,7 +11,7 @@ as missing preprocess outputs), and the (seed, method) models on disk.
 They work on every item the inventory allows and print one stderr line for
 each item they skip; the training stages run their items in forked worker
 processes, one per usable CPU (``_run_items``).  Exit codes:
-0 success, 1 configuration or usage error, a missing or corrupt input, a
+0 success, 1 configuration or usage error, a missing, corrupt or stale input, a
 dead worker process, or nothing to work on; 2 partial failure (some items
 skipped or failed, the rest done); 3 divergence.
 """
@@ -67,11 +67,6 @@ def _load(loader, path: Path, *args):
         ) from exc
 
 
-def _load_model(cfg: RunConfig, author: str, seed: int, method: str):
-    path = _model_path(cfg, author, seed, method)
-    return _load(nnlm.load_model if method == "nnlm" else kn.load_model, path)
-
-
 @dataclass(frozen=True)
 class _Author:
     """One author's inputs to a stage, loaded once.
@@ -88,6 +83,21 @@ class _Author:
     corpus: textproc.ProcessedCorpus | textproc.RawCorpus | None
     splits: dict
     models: frozenset
+
+
+def _load_model(cfg: RunConfig, author: _Author, seed: int, method: str):
+    """The (seed, method) model of an author; a ConfigError naming the file
+    when its vocabulary size, or the order of an encoded corpus (raw text
+    has none), differs from the author's preprocess outputs."""
+    path = _model_path(cfg, author.name, seed, method)
+    model = _load(nnlm.load_model if method == "nnlm" else kn.load_model, path)
+    shape = (author.vocab.size, getattr(author.corpus, "order", model.order))
+    if (model.vocab_size, model.order) != shape:
+        raise ConfigError(
+            f"{path}: model vocabulary size {model.vocab_size} and order {model.order}, "
+            f"preprocess outputs {shape[0]} and {shape[1]} (retrain after preprocess)"
+        )
+    return model
 
 
 def _inventory(cfg: RunConfig, raw: bool = False) -> list[_Author]:
@@ -374,11 +384,15 @@ def cmd_eval(cfg: RunConfig) -> int:
     rows = []
     per_method = {method: [] for method in METHODS}
     for author, seed, split, method in items:
-        model = _load_model(cfg, author.name, seed, method)
-        report = evaluation.perplexity(model, [author.corpus.sentences[i] for i in split.test])
-        rows.append([author.name, seed, method, repr(report.perplexity)])
-        per_method[method].append(report.perplexity)
-        print(f"eval: {author.name} seed {seed} {method}: PP={report.perplexity:.2f}")
+        model = _load_model(cfg, author, seed, method)
+        test = [author.corpus.sentences[i] for i in split.test]
+        try:
+            perplexity = evaluation.perplexity(model, test).perplexity
+        except ValueError as exc:
+            raise ConfigError(f"{_model_path(cfg, author.name, seed, method)}: {exc}") from None
+        rows.append([author.name, seed, method, repr(perplexity)])
+        per_method[method].append(perplexity)
+        print(f"eval: {author.name} seed {seed} {method}: PP={perplexity:.2f}")
     files.write_csv(out / "perplexity.csv", ["author", "seed", "method", "perplexity"], rows)
     summary = _write_perplexity_summary(
         out / "perplexity_summary.csv", {m: v for m, v in per_method.items() if v}
@@ -447,13 +461,17 @@ def cmd_experiment(cfg: RunConfig) -> int:
     curves = defaultdict(list)
     for method, seed in sweeps:
         candidates = [
-            evaluation.AuthorModel(a.name, _load_model(cfg, a.name, seed, method), a.vocab)
+            evaluation.AuthorModel(a.name, _load_model(cfg, a, seed, method), a.vocab)
             for a in authors
         ]
-        report = evaluation.accuracy_sweep(
-            candidates, pools[seed], exp["sentence_counts"], exp["trials"],
-            seed=seed, excluded_authors=exp["excluded_authors"],
-        )
+        try:
+            report = evaluation.accuracy_sweep(
+                candidates, pools[seed], exp["sentence_counts"], exp["trials"],
+                seed=seed, excluded_authors=exp["excluded_authors"],
+            )
+        except evaluation.NonFiniteScore as exc:
+            path = _model_path(cfg, authors[exc.candidate].name, seed, method)
+            raise ConfigError(f"{path}: {exc}") from None
         files.write_csv(
             out / f"trials_{method}_{seed}.csv",
             ["method", "seed", "author", "sentence_count", "trial", "predicted", "correct"],

@@ -16,6 +16,10 @@ sentences' columns in draw order and sums each row as ``perplexity`` sums
 a token stream, so its accumulated perplexity is that of the pooled token
 stream, with no per-sentence partial sums.  ``classify`` is the one-pool,
 one-trial case of the same code.
+
+A score that is not a finite number is an error, never a result: a
+non-finite per-token log probability or perplexity raises a ValueError
+(``NonFiniteScore`` with the candidate's index when candidates compete).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 from .prng import stream
 from .textproc import END_ID, START_ID, Samples, Vocabulary, samples_from_sentences
 
-_CHUNK = 8192
+_CHUNK = 8192  # tokens summed per group in a stream; the grouping sets the perplexity bits
 
 
 class LanguageModel(Protocol):
@@ -46,6 +50,23 @@ class LanguageModel(Protocol):
     def log_probs(self, contexts: np.ndarray, targets: np.ndarray) -> np.ndarray: ...
 
 
+class NonFiniteScore(ValueError):
+    """A candidate's model gave a non-finite log probability or perplexity;
+    ``candidate`` is its index among the candidates scored."""
+
+    def __init__(self, candidate: int, what: str):
+        super().__init__(f"model gives a non-finite {what}")
+        self.candidate = candidate
+
+
+def _perplexity(total_log_prob: float, token_count: int) -> float:
+    """exp of the mean negative log probability; inf beyond the float range."""
+    try:
+        return math.exp(-total_log_prob / token_count)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class PerplexityReport:
     token_count: int
@@ -53,26 +74,29 @@ class PerplexityReport:
 
     @property
     def perplexity(self) -> float:
-        return math.exp(-self.total_log_prob / self.token_count)
+        """The perplexity; a ValueError when it is not finite."""
+        value = _perplexity(self.total_log_prob, self.token_count)
+        if not math.isfinite(value):
+            raise ValueError("model gives a non-finite perplexity")
+        return value
 
 
 def _log_probs(model: LanguageModel, samples: Samples) -> np.ndarray:
-    """Per-sample log probabilities, queried in chunks of ``_CHUNK`` rows."""
-    chunks = [
-        model.log_probs(
-            samples.contexts[start : start + _CHUNK],
-            samples.targets[start : start + _CHUNK],
-        )
-        for start in range(0, len(samples), _CHUNK)
-    ]
-    return np.concatenate(chunks) if chunks else np.empty(0)
+    """The model's log probabilities of the samples in one query.  numpy's
+    overflow and invalid-value warnings are off: a non-finite result is
+    refused by the caller, with the model named."""
+    with np.errstate(all="ignore"):
+        return model.log_probs(samples.contexts, samples.targets)
 
 
 def _report(log_probs: np.ndarray) -> PerplexityReport:
-    """Perplexity of a token stream, summed chunk by chunk in log space."""
+    """Perplexity of a token stream, summed chunk by chunk in log space; a
+    ValueError when a token's log probability is not finite."""
     n = len(log_probs)
     if n == 0:
         raise ValueError("no predictable tokens")
+    if not np.isfinite(log_probs).all():
+        raise ValueError("model gives a non-finite log probability")
     total = 0.0
     for start in range(0, n, _CHUNK):
         total += float(log_probs[start : start + _CHUNK].sum())
@@ -80,7 +104,8 @@ def _report(log_probs: np.ndarray) -> PerplexityReport:
 
 
 def perplexity_from_samples(model: LanguageModel, samples: Samples) -> PerplexityReport:
-    """Perplexity over prediction samples, summed in log space."""
+    """Perplexity over prediction samples, queried at once and summed in
+    log space."""
     return _report(_log_probs(model, samples))
 
 
@@ -154,15 +179,18 @@ class _PoolTable:
 
 
 def _score_pool(authors: Sequence[AuthorModel], pool: Sequence[Sequence[str]]) -> _PoolTable:
-    """Encode a pool once per model order and score it under each candidate."""
+    """Encode a pool once per model order and score it under each candidate
+    in one query; a ``NonFiniteScore`` when a log probability is not finite."""
     encodings: dict[int, _PoolEncoding] = {}
     ends = np.cumsum([len(sent) + 1 for sent in pool], dtype=np.int64)
     log_probs = np.empty((len(authors), int(ends[-1]) if len(ends) else 0))
-    for row, author in zip(log_probs, authors):
+    for c, (row, author) in enumerate(zip(log_probs, authors)):
         order = author.model.order
         if order not in encodings:
             encodings[order] = _encode_pool(pool, order)
         row[...] = _log_probs(author.model, encodings[order].samples(author.vocabulary))
+        if not np.isfinite(row).all():
+            raise NonFiniteScore(c, "log probability")
     return _PoolTable(
         log_probs=log_probs,
         positions=[np.arange(end - len(sent) - 1, end) for sent, end in zip(pool, ends)],
@@ -173,8 +201,9 @@ def _decide(table: _PoolTable, chosen: Sequence[int]) -> tuple[int, list[float]]
     """Index of the minimum-perplexity candidate, and every perplexity.
 
     Each candidate's perplexity is that of the chosen sentences' token
-    stream in draw order.  Only a strictly lower perplexity replaces the
-    best so far, so exact ties go to the lowest candidate index.
+    stream in draw order; a ``NonFiniteScore`` when one is not finite.  Only
+    a strictly lower perplexity replaces the best so far, so exact ties go
+    to the lowest candidate index.
     """
     stream_positions = np.concatenate([table.positions[k] for k in chosen])
     n = len(stream_positions)
@@ -183,11 +212,14 @@ def _decide(table: _PoolTable, chosen: Sequence[int]) -> tuple[int, list[float]]
     # stream does in _report; a strided gather's row sums need not
     assert streams.flags.c_contiguous
     if n <= _CHUNK:
-        perps = [math.exp(-total / n) for total in streams.sum(axis=1).tolist()]
+        totals = streams.sum(axis=1).tolist()
     else:
-        perps = [_report(lp).perplexity for lp in streams]
+        totals = [_report(lp).total_log_prob for lp in streams]
+    perps = [_perplexity(total, n) for total in totals]
     best = 0
     for i, value in enumerate(perps):
+        if not math.isfinite(value):
+            raise NonFiniteScore(i, "perplexity")
         if value < perps[best]:
             best = i
     return best, perps

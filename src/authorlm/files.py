@@ -52,4 +52,7 @@ def read_csv(path: str | Path) -> list[dict[str, str]]:
 
 
 def write_json(path: str | Path, obj) -> None:
-    write_file(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Sorted, indented JSON; a non-finite float is written as ``null``,
+    since RFC 8259 JSON has no NaN or infinity."""
+    plain = json.loads(json.dumps(obj), parse_constant=lambda _: None)
+    write_file(path, json.dumps(plain, indent=2, sort_keys=True, allow_nan=False) + "\n")

@@ -38,7 +38,10 @@ through a file reproduces query results bit for bit.  ``save_model``
 builds each section as whole columns (probability, ids, back-off) and
 joins them once; it keeps one ``repr`` per float, the shortest string that
 reads back to the same double, so the bytes of a saved model do not
-depend on how it is written.
+depend on how it is written.  ``load_model`` reads that one layout and no
+other: fixed header and section lines, exactly the announced number of
+entries per section, strictly rising id tuples, so each section's packed
+keys are used as parsed.
 """
 
 from __future__ import annotations
@@ -117,21 +120,6 @@ class _Table:
         np.minimum(pos, len(self.keys) - 1, out=pos)
         hit = self.keys[pos] == query
         return hit, self.values[pos[hit]]
-
-
-def _table(order: int, base: int, dtype, chunks: list) -> _Table:
-    """Table from (ids, values) chunks in file order; a repeated id tuple
-    keeps its last value."""
-    if not chunks:
-        return _Table(order, base, np.empty(0, dtype=dtype), np.empty(0))
-    keys = _pack(np.concatenate([ids for ids, _ in chunks]), base, dtype)
-    values = np.concatenate([v for _, v in chunks])
-    if not (keys[1:] > keys[:-1]).all():
-        ranked = np.argsort(keys, kind="stable")
-        keys, values = keys[ranked], values[ranked]
-        last = np.append(keys[1:] != keys[:-1], True)
-        keys, values = keys[last], values[last]
-    return _Table(order, base, keys, values)
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
@@ -417,8 +405,8 @@ def save_model(model: KnModel, path: str | Path) -> None:
 
 
 def _bulk_ids(fields: np.ndarray, k: int, vocab_size: int) -> np.ndarray | None:
-    """(n, k) ids from n id-list fields in one numpy parse, or None unless
-    every field holds exactly k in-range ids that int() reads the same way.
+    """(n, k) ids from n id-list fields in one ``parse_ids`` call, or None
+    unless every field holds exactly k ids below V.
 
     Each field is followed by the out-of-range marker V.  With n * (k + 1)
     numbers in all, a field with more or fewer than k of them moves some
@@ -440,232 +428,168 @@ def _bulk_floats(fields: np.ndarray) -> np.ndarray | None:
         return None
 
 
-class _Reader:
-    """State machine over the lines of a model file.
+def _parse_entries(
+    lines: list[str], k: int, order: int, vocab_size: int
+) -> tuple[_Table, _Table] | None:
+    """The probability and back-off tables of section k's entry lines in one
+    bulk parse, or None unless every line is a well-formed entry and the
+    packed keys rise strictly.
 
-    ``line`` handles any single line and owns every error message.
-    ``block`` takes a run of lines that should all be entries of the current
-    section and parses them in bulk; it changes nothing unless every line
-    is a well-formed entry, so the caller can re-scan a refused block with
-    ``line`` to get the same error and line number as a line-by-line read.
+    One split of the block's text gives the fields, one ``parse_ids`` call
+    all ids, and ``float`` mapped over each float column the values.
     """
+    dtype = _key_dtype(vocab_size, order)
+    if not lines:
+        empty = _Table(k, vocab_size, np.empty(0, dtype=dtype), np.empty(0))
+        return empty, empty
+    text = "\n".join(lines)
+    fields = np.array(text.replace("\n", "\t").split("\t"), dtype=object)
+    # the tab and newline bytes, in order, give each line's field count
+    raw = np.frombuffer(text.encode() + b"\n", dtype=np.uint8)
+    line_ends = np.flatnonzero(raw[(raw == 9) | (raw == 10)] == 10)
+    widths = np.diff(np.append(-1, line_ends))
+    starts = line_ends - widths + 1  # index of each line's first field
+    if not ((widths == 2) | (widths == 3)).all():
+        return None
+    ids = _bulk_ids(fields[starts + 1], k, vocab_size)
+    if ids is None:
+        return None
+    keys = _pack(ids, vocab_size, dtype)
+    if not (keys[1:] > keys[:-1]).all():
+        return None
+    log10_p = fields[starts]
+    has_p = log10_p != _NO_PROB
+    if k == 1 and not has_p.all():
+        return None
+    probs = _bulk_floats(log10_p[has_p])
+    if probs is None or not ((-np.inf < probs) & (probs <= 0.0)).all():
+        return None
+    has_bow = widths == 3
+    if k == order and has_bow.any():
+        return None
+    bows = _bulk_floats(fields[starts[has_bow] + 2])
+    if bows is None or not np.isfinite(bows).all():
+        return None
+    return _Table(k, vocab_size, keys[has_p], probs), _Table(k, vocab_size, keys[has_bow], bows)
 
-    def __init__(self, path):
-        self.path = path
-        self.order = self.vocab_size = None
-        self.discounts: tuple[float, ...] = ()
-        self.expected: dict[int, int] = {}
-        self.seen_magic = self.seen_end = False
-        self.section = None
-        self.section_rows = 0
-        # per section, (ids, values) chunks in file order; None before \data\
-        self.probs: dict[int, list] | None = None
-        self.bows: dict[int, list] | None = None
 
-    def error(self, lineno: int, message: str) -> KnParseError:
-        return KnParseError(self.path, lineno, message)
+def _entry_error(lines: list[str], k: int, order: int, vocab_size: int, count: int):
+    """Offset and message of the first line that ``_parse_entries`` refuses
+    in the block of section k that its header said holds ``count`` lines.
 
-    def pending(self) -> int:
-        """Entries the current section still expects (0 outside a section)."""
-        if self.section is None or self.probs is None:
-            return 0
-        return max(self.expected.get(self.section, 0) - self.section_rows, 0)
-
-    def close_section(self, lineno: int) -> None:
-        if self.section is not None and self.section_rows != self.expected.get(self.section, 0):
-            raise self.error(
-                lineno,
-                f"section {self.section} has {self.section_rows} entries, header said "
-                f"{self.expected.get(self.section, 0)}",
-            )
-
-    def header(self, lineno: int, line: str) -> None:
-        fields = line[1:].split()
-        if not self.seen_magic:
-            if line[1:].strip() != _KN_MAGIC:
-                raise self.error(lineno, f"expected header {_KN_MAGIC!r}")
-            self.seen_magic = True
-            return
-        name = {"order": "order", "vocab": "vocab_size"}.get(fields[0]) if fields else None
-        try:
-            if fields[:1] == ["discounts"]:
-                self.discounts = tuple(float(x) for x in fields[1:])
-            value = int(fields[1]) if name else None
-        except (ValueError, IndexError):
-            raise self.error(lineno, f"bad header line {line!r}")
-        if name is None:
-            return
-        if self.probs is not None and value != getattr(self, name):
-            # the tables were laid out for the values seen at \data\
-            raise self.error(lineno, "order/vocab headers must precede \\data\\")
-        setattr(self, name, value)
-
-    def line(self, lineno: int, line: str) -> None:
-        if not line.strip():
-            return
-        if line.startswith("#"):
-            self.header(lineno, line)
-            return
-        if not self.seen_magic:
-            raise self.error(lineno, "missing format header")
-        if line == "\\data\\":
-            if self.order is None or self.vocab_size is None:
-                raise self.error(lineno, "order/vocab headers must precede \\data\\")
-            self.probs = {k: [] for k in range(1, self.order + 1)}
-            self.bows = {k: [] for k in range(1, self.order)}
-            return
-        if line.startswith("ngram "):
-            try:
-                k, n = line[len("ngram ") :].split("=")
-                self.expected[int(k)] = int(n)
-            except ValueError:
-                raise self.error(lineno, f"bad ngram count line {line!r}")
-            return
-        if line.startswith("\\") and line.endswith("-grams:"):
-            try:
-                k = int(line[1:].split("-")[0])
-            except ValueError:
-                k = 0
-            if self.order is None or not 1 <= k <= self.order:
-                raise self.error(lineno, f"unexpected section {line!r}")
-            self.close_section(lineno)
-            self.section, self.section_rows = k, 0
-            return
-        if line == "\\end\\":
-            self.close_section(lineno)
-            self.seen_end = True
-            self.section = None
-            return
-        if self.section is None:
-            raise self.error(lineno, f"unexpected line {line!r}")
-        self.entry(lineno, line)
-
-    def entry(self, lineno: int, line: str) -> None:
-        section = self.section
+    The checks are those of the bulk parse, one line at a time, and build
+    no values.  A block that runs into the next section or the end of the
+    file has fewer entries than its header said.
+    """
+    previous = None
+    for j, line in enumerate(lines):
+        if line.startswith("\\"):
+            return j, f"section {k} has {j} entries, header said {count}"
         fields = line.split("\t")
         if len(fields) not in (2, 3):
-            raise self.error(lineno, "expected 2 or 3 tab-separated fields")
-        try:
-            gram = tuple(int(t) for t in fields[1].split())
-        except ValueError:
-            raise self.error(lineno, f"bad id list {fields[1]!r}")
-        if len(gram) != section:
-            raise self.error(lineno, f"id list length != section order {section}")
-        if self.probs is None:
-            raise self.error(lineno, "entries must follow \\data\\")
-        if any(not 0 <= g < self.vocab_size for g in gram):
-            raise self.error(lineno, "word id out of range")
-        ids = np.array([gram], dtype=np.int64)
+            return j, "expected 2 or 3 tab-separated fields"
+        ids = parse_ids(fields[1])
+        if ids is None:
+            return j, f"bad id list {fields[1]!r}"
+        if len(ids) != k:
+            return j, f"id list length != section order {k}"
+        if ids.max() >= vocab_size:
+            return j, "word id out of range"
+        gram = tuple(ids.tolist())
+        if previous is not None and gram <= previous:
+            return j, "id list does not rise above the previous entry's"
+        previous = gram
         if fields[0] != _NO_PROB:
             try:
                 lp = float(fields[0])
             except ValueError:
-                raise self.error(lineno, f"bad probability {fields[0]!r}")
+                return j, f"bad probability {fields[0]!r}"
             if not -math.inf < lp <= 0.0:  # NaN fails too
-                raise self.error(lineno, f"log10 probability {fields[0]!r} must be finite and <= 0")
-            self.probs[section].append((ids, np.array([lp])))
-        elif section == 1:
-            raise self.error(lineno, "unigram entries need a probability")
+                return j, f"log10 probability {fields[0]!r} must be finite and <= 0"
+        elif k == 1:
+            return j, "unigram entries need a probability"
         if len(fields) == 3:
-            if section >= self.order:
-                raise self.error(lineno, "top-order entries cannot carry a bow")
+            if k == order:
+                return j, "top-order entries cannot carry a bow"
             try:
                 bow = float(fields[2])
             except ValueError:
-                raise self.error(lineno, f"bad back-off weight {fields[2]!r}")
+                return j, f"bad back-off weight {fields[2]!r}"
             if not math.isfinite(bow):
-                raise self.error(lineno, f"back-off weight {fields[2]!r} must be finite")
-            self.bows[section].append((ids, np.array([bow])))
-        self.section_rows += 1
+                return j, f"back-off weight {fields[2]!r} must be finite"
+    return len(lines), f"section {k} has {len(lines)} entries, header said {count}"
 
-    def block(self, lines: list[str]) -> bool:
-        """Bulk-parse ``lines`` as entries of the current section."""
-        k = self.section
-        text = "\n".join(lines)
-        fields = np.array(text.replace("\n", "\t").split("\t"), dtype=object)
-        # the tab and newline bytes, in order, give each line's field count
-        raw = np.frombuffer(text.encode() + b"\n", dtype=np.uint8)
-        line_ends = np.flatnonzero(raw[(raw == 9) | (raw == 10)] == 10)
-        widths = np.diff(np.append(-1, line_ends))
-        starts = line_ends - widths + 1  # index of each line's first field
-        if not ((widths == 2) | (widths == 3)).all():
-            return False
-        ids = _bulk_ids(fields[starts + 1], k, self.vocab_size)
-        if ids is None:
-            return False
 
-        log10_p = fields[starts]
-        has_p = log10_p != _NO_PROB
-        if k == 1 and not has_p.all():
-            return False
-        probs = _bulk_floats(log10_p[has_p])
-        if probs is None or not ((-np.inf < probs) & (probs <= 0.0)).all():
-            return False
-
-        has_bow = widths == 3
-        bows = None
-        if has_bow.any():
-            if k >= self.order:
-                return False
-            bows = _bulk_floats(fields[starts[has_bow] + 2])
-            if bows is None or not np.isfinite(bows).all():
-                return False
-
-        self.probs[k].append((ids[has_p], probs))
-        if bows is not None:
-            self.bows[k].append((ids[has_bow], bows))
-        self.section_rows += len(lines)
-        return True
-
-    def model(self, lineno: int) -> KnModel:
-        if not self.seen_end:
-            raise self.error(lineno or 1, "file ends before \\end\\")
-        if self.probs is None:
-            raise self.error(lineno or 1, "missing \\data\\ section")
-        order, V = self.order, self.vocab_size
-        dtype = _key_dtype(V, order)
-        unigrams = _table(1, V, dtype, self.probs[1])
-        unigram_log10 = np.full(V, np.nan)
-        unigram_log10[unigrams.keys.astype(np.int64)] = unigrams.values
-        if np.isnan(unigram_log10).any():
-            missing = int(np.isnan(unigram_log10).argmax())
-            raise self.error(lineno, f"unigram section misses id {missing}")
-        discounts = self.discounts
-        if len(discounts) != order:
-            discounts = tuple(0.0 for _ in range(order))
-        return KnModel(
-            order=order,
-            vocab_size=V,
-            discounts=discounts,
-            unigram_log10=unigram_log10,
-            probs={k: _table(k, V, dtype, self.probs[k]) for k in range(2, order + 1)},
-            bows={k: _table(k, V, dtype, self.bows[k]) for k in range(1, order)},
-        )
+def _header_int(line: str, prefix: str, least: int) -> int | None:
+    """n when the line is exactly ``prefix`` + str(n) for an n >= ``least``."""
+    digits = line.removeprefix(prefix) if line.startswith(prefix) else ""
+    ok = digits.isascii() and digits.isdigit() and digits == str(int(digits))
+    return int(digits) if ok and int(digits) >= least else None
 
 
 def load_model(path: str | Path) -> KnModel:
-    """Parse a model file written by save_model.
-
-    Structural lines go one at a time.  The entry lines a section header
-    announces are parsed as one block: one split of the block's text, one
-    numpy parse of all ids, and ``float`` mapped over each float column.
-    A block that is not all well-formed entries is re-read line by line,
-    so errors name the same line and message either way.  Every log10
-    probability must be finite and at most 0, and every back-off weight
-    finite: no trained model holds other values.
+    """Parse a model file in the one layout ``save_model`` writes: the
+    format header; ``# order N``, ``# vocab V``, ``# discounts`` and N
+    values; ``\\data\\`` and ``ngram k=n`` for k = 1..N; per order k,
+    ``\\k-grams:`` and exactly n entries, their id tuples rising strictly;
+    ``\\end\\`` last.  Errors name the file and the first line that differs.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    reader = _Reader(path)
-    i = 0
-    while i < len(lines):
-        pending = reader.pending()
-        if pending:
-            block = lines[i : i + pending]
-            if not reader.block(block):
-                for lineno, line in enumerate(block, i + 1):
-                    reader.line(lineno, line)
-            i += len(block)
-        else:
-            reader.line(i + 1, lines[i])
-            i += 1
-    return reader.model(len(lines))
+    lines = Path(path).read_bytes().decode("utf-8").split("\n")
+    if not lines[-1]:
+        lines.pop()  # the newline that ends the last line
+
+    def line(i: int) -> str:
+        if i >= len(lines):
+            raise KnParseError(path, max(len(lines), 1), "file ends before \\end\\")
+        return lines[i]
+
+    def expect(i: int, want: str, value):
+        """``value`` unless it is None, which refuses line i."""
+        if value is None:
+            raise KnParseError(path, i + 1, f"expected {want}, got {line(i)!r}")
+        return value
+
+    def exactly(i: int, want: str) -> None:
+        expect(i, repr(want), line(i) == want or None)
+
+    exactly(0, f"# {_KN_MAGIC}")
+    order = expect(1, "'# order <N>'", _header_int(line(1), "# order ", 1))
+    V = expect(2, "'# vocab <V>'", _header_int(line(2), "# vocab ", 1))
+    fields = line(3).split(" ")
+    try:
+        discounts = tuple(map(float, fields[2:])) if fields[:2] == ["#", "discounts"] else ()
+    except ValueError:
+        discounts = ()
+    expect(3, f"'# discounts' and {order} values", discounts if len(discounts) == order else None)
+    exactly(4, "\\data\\")
+    counts = [
+        expect(4 + k, f"'ngram {k}=<count>'", _header_int(line(4 + k), f"ngram {k}=", 0))
+        for k in range(1, order + 1)
+    ]
+    i = 5 + order
+    sections = []
+    for k, count in enumerate(counts, 1):
+        exactly(i, f"\\{k}-grams:")
+        block = lines[i + 1 : i + 1 + count]
+        parsed = _parse_entries(block, k, order, V) if len(block) == count else None
+        if parsed is None:
+            j, message = _entry_error(block, k, order, V, count)
+            raise KnParseError(path, min(i + 1 + j, len(lines) - 1) + 1, message)
+        sections.append(parsed)
+        i += 1 + count
+    exactly(i, "\\end\\")
+    if i + 1 < len(lines):
+        raise KnParseError(path, i + 2, f"unexpected line after \\end\\: {lines[i + 1]!r}")
+
+    unigrams = sections[0][0]
+    if len(unigrams) < V:  # the ids rise, so V of them can only be 0..V-1
+        missing = next((j for j, u in enumerate(unigrams.keys.tolist()) if u != j), len(unigrams))
+        raise KnParseError(path, 6 + order, f"unigram section misses id {missing}")
+    return KnModel(
+        order=order,
+        vocab_size=V,
+        discounts=discounts,
+        unigram_log10=unigrams.values,
+        probs={k: sections[k - 1][0] for k in range(2, order + 1)},
+        bows={k: sections[k - 1][1] for k in range(1, order)},
+    )

@@ -375,8 +375,11 @@ def _read_lines(path: str | Path, magic: str) -> list[str]:
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
+    """Read a table written by ``save_vocabulary``; its ``# size`` header
+    on line 2 must match the number of rows."""
+    lines = _read_lines(path, _VOCAB_MAGIC)
     words, counts = [], []
-    for lineno, line in enumerate(_read_lines(path, _VOCAB_MAGIC), 1):
+    for lineno, line in enumerate(lines, 1):
         if not line or line.startswith("#"):
             continue
         fields = line.split("\t")
@@ -387,6 +390,8 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
             raise ValueError(f"{path}:{lineno}: ids must be dense and in order")
         words.append(word)
         counts.append(int(count))
+    if lines[1:2] != [f"# size {len(words)}"]:
+        raise ValueError(f"{path}:2: expected '# size {len(words)}' for {len(words)} rows")
     return Vocabulary(words=tuple(words), counts=tuple(counts))
 
 

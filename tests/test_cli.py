@@ -3,10 +3,13 @@
 import contextlib
 import json
 import os
+import random
+import shutil
 import signal
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -715,3 +718,125 @@ class TestCorruptInputs:
         capsys.readouterr()
         assert run("experiment", "--config", "cfg.json") == cli.EXIT_CONFIG
         assert "expected header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["eval", "experiment"])
+    def test_overflowing_nnlm_score_is_config_error(self, trained, stage, capsys):
+        # finite weights that the loader accepts, whose perplexity overflows
+        path = trained / "models" / "author00_0.nnlm"
+        data = path.read_bytes()
+        path.write_bytes(data[:-8] + np.array([1e300], dtype="<f8").tobytes())
+        capsys.readouterr()
+        assert run(stage, "--config", "cfg.json") == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"authorlm {stage}: {Path('outputs/models/author00_0.nnlm')}: "
+            "model gives a non-finite perplexity"
+        ]
+
+    def test_swapped_kn_entries_are_config_error(self, trained, capsys):
+        path = trained / "models" / "author01_0.arpa"
+        lines = path.read_text().splitlines()
+        i = lines.index("\\2-grams:") + 1
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("eval", "--config", "cfg.json") == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"authorlm eval: {Path('outputs/models/author01_0.arpa')}:{i + 2}: "
+            "id list does not rise above the previous entry's"
+        ]
+
+    def test_vocabulary_rows_must_match_size_header(self, trained, capsys):
+        path = trained / "preprocess" / "author00.vocab.tsv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-2]) + "\n")
+        capsys.readouterr()
+        assert run("experiment", "--config", "cfg.json") == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"authorlm experiment: {Path('outputs/preprocess/author00.vocab.tsv')}:2: "
+            f"expected '# size {len(lines) - 4}' for {len(lines) - 4} rows"
+        ]
+
+    @pytest.mark.parametrize(
+        "setting, stages, shape",
+        [
+            ("pipeline.prune_threshold=0.05", ("eval", "experiment"), "11 and 4"),
+            ("pipeline.order=3", ("eval",), "15 and 3"),
+        ],
+        ids=["pruned-vocabulary", "order"],
+    )
+    def test_stale_model_is_config_error(self, trained, setting, stages, shape, capsys):
+        assert run("preprocess", "--config", "cfg.json", "--set", setting) == cli.EXIT_OK
+        for stage in stages:
+            capsys.readouterr()
+            assert run(stage, "--config", "cfg.json", "--set", setting) == cli.EXIT_CONFIG
+            err = capsys.readouterr().err.splitlines()
+            assert err == [
+                f"authorlm {stage}: {Path('outputs/models/author00_0.nnlm')}: model vocabulary "
+                f"size 15 and order 4, preprocess outputs {shape} (retrain after preprocess)"
+            ]
+
+
+def _corrupt(kind: str, data: bytes, rng) -> bytes:
+    """``data`` with one corruption of the given kind, placed by ``rng``."""
+    if kind == "truncate":
+        return data[: rng.randrange(len(data))]
+    if kind == "byte-flip":
+        i = rng.randrange(len(data))
+        return data[:i] + bytes([data[i] ^ rng.randrange(1, 256)]) + data[i + 1 :]
+    if kind == "byte-insert":
+        i = rng.randrange(len(data) + 1)
+        return data[:i] + bytes([rng.randrange(256)]) + data[i:]
+    if kind == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    lines = data.split(b"\n")
+    i = rng.randrange(len(lines) - 1)
+    if kind == "duplicate-line":
+        return b"\n".join(lines[: i + 1] + lines[i:])
+    assert kind == "swap-lines"
+    lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    return b"\n".join(lines)
+
+
+class TestCorruptionReplay:
+    """Seeded corruptions of every file the scoring and training stages
+    read: each run ends with a documented exit code and no traceback, and
+    a run that succeeds writes only finite perplexities."""
+
+    KINDS = ["truncate", "byte-flip", "byte-insert", "duplicate-line", "swap-lines", "crlf"]
+    TARGETS = {
+        "arpa": "models/{}_0.arpa",
+        "nnlm": "models/{}_0.nnlm",
+        "vocab": "preprocess/{}.vocab.tsv",
+        "corpus": "preprocess/{}.corpus.txt",
+    }
+
+    @pytest.fixture(scope="class")
+    def template(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("replay")
+        cfg = write_config(root / "cfg.json")
+        dirs = ["--corpus-dir", str(root / "corpus"), "--output-dir", str(root / "outputs")]
+        for command in ("synth", "preprocess", "train-nnlm", "train-ngram"):
+            assert run(command, "--config", str(cfg), *dirs) == cli.EXIT_OK, command
+        return root
+
+    @pytest.mark.parametrize("target", list(TARGETS))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_replay(self, template, tmp_path, kind, target, capsys):
+        rng = random.Random(f"{kind} {target}")
+        relative = self.TARGETS[target].format(rng.choice(["author00", "author01"]))
+        for stage in ("eval", "experiment", "train-ngram"):
+            out = tmp_path / stage
+            shutil.copytree(template / "outputs", out)
+            path = out / relative
+            path.write_bytes(_corrupt(kind, path.read_bytes(), rng))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = run(stage, "--config", str(template / "cfg.json"),
+                           "--corpus-dir", str(template / "corpus"), "--output-dir", str(out))
+            err = capsys.readouterr().err
+            assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_PARTIAL), (stage, code, err)
+            if code == cli.EXIT_CONFIG:  # one line, and no numpy warning before it
+                assert len(err.splitlines()) == 1 and not caught, (stage, err, caught)
+            if code == cli.EXIT_OK and stage == "eval":
+                rows = files.read_csv(out / "eval" / "perplexity.csv")
+                assert all(np.isfinite(float(r["perplexity"])) for r in rows), rows

@@ -391,6 +391,69 @@ class TestSweep:
         assert report.confusion().sum() == len(report.records)
 
 
+@dataclass(frozen=True)
+class ConstantModel:
+    """Gives every token the same log probability."""
+
+    order: int
+    vocab_size: int
+    value: float
+
+    def log_prob(self, context, target):
+        return self.value
+
+    def log_probs(self, contexts, targets):
+        return np.full(len(targets), self.value)
+
+
+class TestNonFiniteScores:
+    """A score that is not a finite number is an error, never a result."""
+
+    SENTENCES = [[3, 4, 1], [4, 1]]
+
+    @pytest.mark.parametrize(
+        "value, what",
+        [(-math.inf, "log probability"), (math.nan, "log probability"),
+         (-1e300, "perplexity")],
+        ids=["minus-inf", "nan", "overflowing"],
+    )
+    def test_perplexity(self, value, what):
+        model = ConstantModel(order=2, vocab_size=5, value=value)
+        with pytest.raises(ValueError, match=f"model gives a non-finite {what}"):
+            ev.perplexity(model, [(0, *s) for s in self.SENTENCES]).perplexity
+
+    @pytest.mark.parametrize(
+        "value, what",
+        [(-math.inf, "log probability"), (-1e300, "perplexity")],
+        ids=["minus-inf", "overflowing"],
+    )
+    def test_classify_names_the_candidate(self, value, what):
+        vocab, _ = encode_corpus([["x", "y"]])
+        authors = [
+            ev.AuthorModel(name, ConstantModel(order=2, vocab_size=vocab.size, value=v), vocab)
+            for name, v in (("fine", -1.0), ("broken", value))
+        ]
+        with pytest.raises(ev.NonFiniteScore, match=f"^model gives a non-finite {what}$") as err:
+            ev.classify(authors, [["x", "y"], ["y"]])
+        assert err.value.candidate == 1
+
+    def test_finite_perplexities_near_the_float_limit_are_kept(self):
+        vocab, _ = encode_corpus([["x", "y"]])
+        authors = [
+            ev.AuthorModel(name, ConstantModel(order=2, vocab_size=vocab.size, value=v), vocab)
+            for name, v in (("a", -709.0), ("b", -709.5), ("c", -708.0))
+        ]
+        result = ev.classify(authors, [["x", "y"]])
+        assert result.predicted_author == "c"
+        assert math.isinf(sum(result.perplexities.values()))
+
+    def test_one_query_past_the_summation_chunk(self):
+        model = CountingModel(order=2, vocab_size=5)
+        sentences = [(0, 3, 1)] * (ev._CHUNK + 10)
+        report = ev.perplexity(model, sentences)
+        assert model.calls == 1 and report.token_count == 2 * len(sentences)
+
+
 class TestConfusion:
     def test_perfect_classifier_diagonal(self):
         authors, pools = TestSweep().make_setup()

@@ -2,6 +2,8 @@
 that nothing else in the package opens a file for writing."""
 
 import ast
+import json
+import math
 import os
 from pathlib import Path
 
@@ -59,6 +61,13 @@ class TestCsv:
         path = tmp_path / "s.json"
         files.write_json(path, {"b": 1, "a": [1.0]})
         assert path.read_text() == '{\n  "a": [\n    1.0\n  ],\n  "b": 1\n}\n'
+
+    def test_json_writes_non_finite_floats_as_null(self, tmp_path):
+        path = tmp_path / "s.json"
+        files.write_json(path, {"m": {"1": {"mean": float("nan"), "std": 0.0}}, "x": [-math.inf]})
+        assert json.loads(path.read_text(), parse_constant=pytest.fail) == {
+            "m": {"1": {"mean": None, "std": 0.0}}, "x": [None],
+        }
 
 
 def _write_calls(tree: ast.Module):

@@ -326,7 +326,7 @@ class TestSerialization:
     def test_missing_unigram_entry(self, tmp_path):
         path = tmp_path / "hand.arpa"
         path.write_text(
-            "# authorlm-kn 1\n# order 1\n# vocab 3\n"
+            "# authorlm-kn 1\n# order 1\n# vocab 3\n# discounts 0.5\n"
             "\\data\\\nngram 1=2\n\\1-grams:\n-0.5\t0\n-0.5\t2\n\\end\\\n"
         )
         with pytest.raises(kn.KnParseError, match="misses id 1"):
@@ -455,17 +455,73 @@ class TestMalformedEntries:
             kn.load_model(path)
         assert str(err.value) == f"{path}:{i + 1}: id list length != section order 3"
 
-    def test_duplicate_entry_keeps_last_value(self, tmp_path):
+    def test_duplicate_entry_names_its_line(self, tmp_path):
         model, path, lines = saved_lines(tmp_path, TRIGRAM_CORPUS, 3)
         i = middle_of_section(lines, 3)
-        lines.insert(i + 2, set_field(lines[i], 0, "-0.125"))
+        lines.insert(i + 1, set_field(lines[i], 0, "-0.125"))
         count = f"ngram 3={len(model.probs[3])}"
         lines[lines.index(count)] = f"ngram 3={len(model.probs[3]) + 1}"
         path.write_text("\n".join(lines) + "\n")
-        loaded = kn.load_model(path)
-        *ctx, w = (int(t) for t in lines[i].split("\t")[1].split())
-        assert loaded.log10_prob(ctx, w) == -0.125
-        assert len(loaded.probs[3]) == len(model.probs[3])
+        with pytest.raises(kn.KnParseError) as err:
+            kn.load_model(path)
+        assert str(err.value) == f"{path}:{i + 2}: id list does not rise above the previous entry's"
+
+
+class TestExactLayout:
+    """A file that differs from the layout ``save_model`` writes is refused
+    with the file and the first line that differs."""
+
+    def refused(self, path, lines):
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(kn.KnParseError) as err:
+            kn.load_model(path)
+        return str(err.value)
+
+    def test_swapped_entries(self, tmp_path):
+        _, path, lines = saved_lines(tmp_path, TRIGRAM_CORPUS, 3)
+        i = middle_of_section(lines, 2)
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+        assert self.refused(path, lines) == (
+            f"{path}:{i + 2}: id list does not rise above the previous entry's"
+        )
+
+    def test_too_few_discounts(self, tmp_path):
+        _, path, lines = saved_lines(tmp_path, TRIGRAM_CORPUS, 3)
+        assert lines[3].startswith("# discounts ")
+        lines[3] = "# discounts 0.5"
+        assert self.refused(path, lines) == (
+            f"{path}:4: expected '# discounts' and 3 values, got '# discounts 0.5'"
+        )
+
+    def test_section_after_end(self, tmp_path):
+        _, path, lines = saved_lines(tmp_path, TRIGRAM_CORPUS, 3)
+        lines.append("\\1-grams:")
+        assert self.refused(path, lines) == (
+            f"{path}:{len(lines)}: unexpected line after \\end\\: '\\\\1-grams:'"
+        )
+
+    def test_count_line_moved_to_its_section(self, tmp_path):
+        _, path, lines = saved_lines(tmp_path, TRIGRAM_CORPUS, 3)
+        count = lines.pop(7)
+        assert count.startswith("ngram 3=")
+        lines.insert(lines.index("\\3-grams:"), count)
+        assert self.refused(path, lines) == (
+            f"{path}:8: expected 'ngram 3=<count>', got '\\\\1-grams:'"
+        )
+
+    def test_signed_id(self, tmp_path):
+        _, path, lines = saved_lines(tmp_path, TRIGRAM_CORPUS, 3)
+        i = lines.index("\\1-grams:") + 1
+        assert lines[i].split("\t")[1] == "0"
+        lines[i] = set_field(lines[i], 1, "+0")
+        assert self.refused(path, lines) == f"{path}:{i + 1}: bad id list '+0'"
+
+    def test_crlf(self, tmp_path):
+        _, path, lines = saved_lines(tmp_path, TRIGRAM_CORPUS, 3)
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        with pytest.raises(kn.KnParseError) as err:
+            kn.load_model(path)
+        assert str(err.value).startswith(f"{path}:1: expected '# authorlm-kn 1'")
 
 
 class TestBulkFloats:

@@ -315,6 +315,20 @@ class TestSerialization:
         with pytest.raises(ValueError, match=":3:"):
             tp.load_vocabulary(path)
 
+    @pytest.mark.parametrize(
+        "edit", [lambda lines: lines[:-1], lambda lines: lines[:1] + lines[2:]],
+        ids=["row-deleted", "header-missing"],
+    )
+    def test_vocab_rows_must_match_size_header(self, tmp_path, edit):
+        vocab = tp.build_vocabulary([["alpha", "beta", "alpha", "x"]], 0.0)
+        path = tmp_path / "v.tsv"
+        tp.save_vocabulary(vocab, path)
+        lines = edit(path.read_text().splitlines())
+        path.write_text("\n".join(lines) + "\n")
+        rows = sum(not line.startswith("#") for line in lines)
+        with pytest.raises(ValueError, match=f"v.tsv:2: expected '# size {rows}' for {rows} rows"):
+            tp.load_vocabulary(path)
+
     @pytest.mark.parametrize("first", ["", "# authorlm-vocab 2\n", "# size 4\n"])
     def test_vocab_wrong_or_missing_magic(self, tmp_path, first):
         vocab = tp.build_vocabulary([["a"]])
