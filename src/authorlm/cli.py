@@ -71,27 +71,31 @@ def _load(loader, path: Path, *args):
 class _Author:
     """One author's inputs to a stage, loaded once.
 
-    ``corpus`` is the encoded preprocess output, or the raw text for the
-    attribution sweep; ``splits[seed]`` is that seed's split of it, or the
-    ``ValueError`` that refused it; ``models`` holds the (seed, method)
-    pairs whose model file exists.  An author whose preprocess outputs are
-    missing has no vocabulary or corpus, and every seed refuses it.
+    ``corpus`` is the encoded preprocess output, the one source of the
+    pipeline settings (order, stemming) and of the sentence count after
+    preprocess; ``text`` is the author's raw text, read only for the
+    attribution sweep.  ``splits[seed]`` is that seed's split of the
+    sentences, or the ``ValueError`` that refused it; ``models`` holds the
+    (seed, method) pairs whose model file exists.  An author whose
+    preprocess outputs are missing has no vocabulary or corpus, and every
+    seed refuses it.
     """
 
     name: str
     vocab: textproc.Vocabulary | None
-    corpus: textproc.ProcessedCorpus | textproc.RawCorpus | None
+    corpus: textproc.ProcessedCorpus | None
+    text: textproc.RawCorpus | None
     splits: dict
     models: frozenset
 
 
 def _load_model(cfg: RunConfig, author: _Author, seed: int, method: str):
     """The (seed, method) model of an author; a ConfigError naming the file
-    when its vocabulary size, or the order of an encoded corpus (raw text
-    has none), differs from the author's preprocess outputs."""
+    when its vocabulary size or order differs from the author's preprocess
+    outputs."""
     path = _model_path(cfg, author.name, seed, method)
     model = _load(nnlm.load_model if method == "nnlm" else kn.load_model, path)
-    shape = (author.vocab.size, getattr(author.corpus, "order", model.order))
+    shape = (author.vocab.size, author.corpus.order)
     if (model.vocab_size, model.order) != shape:
         raise ConfigError(
             f"{path}: model vocabulary size {model.vocab_size} and order {model.order}, "
@@ -101,9 +105,9 @@ def _load_model(cfg: RunConfig, author: _Author, seed: int, method: str):
 
 
 def _inventory(cfg: RunConfig, raw: bool = False) -> list[_Author]:
-    """Every author's inventory; ``raw`` reads the author's text file
-    instead of the encoded corpus, which is then never opened.  A
-    ConfigError when no author has preprocess outputs."""
+    """Every author's inventory; ``raw`` also reads the author's text file,
+    a ConfigError naming it when its sentence count differs from the
+    encoded corpus.  A ConfigError when no author has preprocess outputs."""
     authors, missing = [], []
     for path in _author_files(cfg):
         name = path.stem
@@ -115,25 +119,27 @@ def _inventory(cfg: RunConfig, raw: bool = False) -> list[_Author]:
             for method in METHODS
             if _model_path(cfg, name, seed, method).exists()
         )
-        needed = [vocab_path] if raw else [vocab_path, corpus_path]
-        absent = [p for p in needed if not p.exists()]
+        absent = [p for p in (vocab_path, corpus_path) if not p.exists()]
         if absent:  # preprocess failed for this author
             missing.append(absent[0])
-            refusal = ValueError(f"missing {absent[0]}")
-            authors.append(_Author(name, None, None, dict.fromkeys(cfg.seeds, refusal), models))
+            refused = dict.fromkeys(cfg.seeds, ValueError(f"missing {absent[0]}"))
+            authors.append(_Author(name, None, None, None, refused, models))
             continue
         vocab = _load(textproc.load_vocabulary, vocab_path)
-        if raw:
-            corpus = _load(textproc.read_corpus_file, path)
-        else:
-            corpus = _load(textproc.load_processed, corpus_path, vocab)
+        corpus = _load(textproc.load_processed, corpus_path, vocab)
+        text = _load(textproc.read_corpus_file, path) if raw else None
+        if text is not None and len(text.sentences) != len(corpus):
+            raise ConfigError(
+                f"{path}: {len(text.sentences)} sentences, preprocess outputs "
+                f"{len(corpus)} (rerun preprocess after changing the text)"
+            )
         splits = {}
         for seed in cfg.seeds:
             try:
                 splits[seed] = textproc.split(len(corpus.sentences), seed, cfg.split["ratios"])
             except ValueError as exc:
                 splits[seed] = exc
-        authors.append(_Author(name, vocab, corpus, splits, models))
+        authors.append(_Author(name, vocab, corpus, text, splits, models))
     if len(missing) == len(authors):
         raise ConfigError(f"missing {missing[0]} (run `authorlm preprocess` first)")
     return authors
@@ -184,6 +190,13 @@ def _run_items(stage: str, cfg: RunConfig, authors: list[_Author], run) -> list[
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
+    # The pool sends a worker its function by module and name.  Run by
+    # runpy or cProfile, this code is not the ``__main__`` module that the
+    # workers look the name up in, so it sends the package module's.
+    this = sys.modules[__name__]
+    if getattr(this, "_run_item", None) is not _run_item:
+        from . import cli as this
+
     items = [(ai, a, seed, a.splits[seed]) for ai, a in enumerate(authors) for seed in cfg.seeds]
     runnable = [i for i, item in enumerate(items) if not isinstance(item[3], ValueError)]
     workers = max(1, min(len(runnable), len(os.sched_getaffinity(0))))
@@ -192,10 +205,10 @@ def _run_items(stage: str, cfg: RunConfig, authors: list[_Author], run) -> list[
     errors, shown = [], {}
     pool = ProcessPoolExecutor(
         workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=_start_worker, initargs=(items, run, os.getpid()),
+        initializer=this._start_worker, initargs=(items, run, os.getpid()),
     )
     try:
-        futures = {i: pool.submit(_run_item, i) for i in runnable}
+        futures = {i: pool.submit(this._run_item, i) for i in runnable}
         for i, (_, author, seed, split) in enumerate(items):
             if i in futures:
                 try:
@@ -378,8 +391,6 @@ def cmd_eval(cfg: RunConfig) -> int:
             f"nothing to evaluate: {skipped[0]} (run `authorlm train-nnlm / train-ngram` first)"
         )
     out = _stage_dir(cfg, "eval")
-    for line in skipped:
-        print(f"eval: {line}", file=sys.stderr)
 
     rows = []
     per_method = {method: [] for method in METHODS}
@@ -393,6 +404,9 @@ def cmd_eval(cfg: RunConfig) -> int:
         rows.append([author.name, seed, method, repr(perplexity)])
         per_method[method].append(perplexity)
         print(f"eval: {author.name} seed {seed} {method}: PP={perplexity:.2f}")
+    # only now, so that refusing a model or its score is the one stderr line
+    for line in skipped:
+        print(f"eval: {line}", file=sys.stderr)
     files.write_csv(out / "perplexity.csv", ["author", "seed", "method", "perplexity"], rows)
     summary = _write_perplexity_summary(
         out / "perplexity_summary.csv", {m: v for m, v in per_method.items() if v}
@@ -406,10 +420,10 @@ def cmd_experiment(cfg: RunConfig) -> int:
     """Attribution sweeps over every author whose text splits, for each
     (method, seed) that has all of those authors' models.
 
-    Test pools come from the raw text (tokenize + stem only), not from the
-    encoded corpus, because classification re-encodes them under every
-    candidate's vocabulary; only the lines of a seed's test part are
-    stemmed.
+    Test pools come from the raw text (tokenize + stem only, as the
+    author's preprocess outputs say), not from the encoded corpus, because
+    classification re-encodes them under every candidate's vocabulary;
+    only the lines of a seed's test part are stemmed.
     """
     exp = cfg.experiment
     need = max(exp["sentence_counts"], default=0)
@@ -447,16 +461,14 @@ def cmd_experiment(cfg: RunConfig) -> int:
     pools = {
         seed: {
             author.name: textproc.preprocess_sentences(
-                [author.corpus.sentences[i] for i in author.splits[seed].test],
-                stemming=cfg.pipeline["stemming"],
+                [author.text.sentences[i] for i in author.splits[seed].test],
+                stemming=author.corpus.stemming,
             )
             for author in authors
         }
         for seed in cfg.seeds
     }
     out = _stage_dir(cfg, "experiment")
-    for line in skipped:
-        print(f"experiment: {line}", file=sys.stderr)
 
     curves = defaultdict(list)
     for method, seed in sweeps:
@@ -486,6 +498,9 @@ def cmd_experiment(cfg: RunConfig) -> int:
         shown = {s: round(a, 3) for s, a in curve.items()}
         print(f"experiment: {method} seed {seed}: accuracy {shown}")
 
+    # only now, so that refusing a model or its score is the one stderr line
+    for line in skipped:
+        print(f"experiment: {line}", file=sys.stderr)
     summary = _write_accuracy_summary(out / "summary.csv", curves, exp["sentence_counts"])
     methods = {m: {"accuracy_by_count": acc} for m, acc in summary.items()}
     files.write_json(

@@ -201,6 +201,8 @@ class RunConfig:
             raise ConfigError("experiment.trials must be >= 0")
         if any(s < 1 for s in exp["sentence_counts"]):
             raise ConfigError("experiment.sentence_counts must all be >= 1")
+        if self.synth["authors"] < 1:
+            raise ConfigError("synth.authors must be >= 1")
         if len(self.synth["length_range"]) != 2:
             raise ConfigError("synth.length_range must have two entries")
         try:

@@ -54,7 +54,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .files import write_file
-from .textproc import flatten_padded, parse_ids
+from .textproc import flatten_padded, header_int, parse_id_rows, parse_ids
 
 _KN_MAGIC = "authorlm-kn 1"
 _NO_PROB = "na"  # entry kept only for its back-off weight
@@ -404,22 +404,6 @@ def save_model(model: KnModel, path: str | Path) -> None:
     write_file(path, "\n".join(lines) + "\n")
 
 
-def _bulk_ids(fields: np.ndarray, k: int, vocab_size: int) -> np.ndarray | None:
-    """(n, k) ids from n id-list fields in one ``parse_ids`` call, or None
-    unless every field holds exactly k ids below V.
-
-    Each field is followed by the out-of-range marker V.  With n * (k + 1)
-    numbers in all, a field with more or fewer than k of them moves some
-    marker into an id column, where it fails the range test like any id of
-    V or above.
-    """
-    ids = parse_ids(f" {vocab_size} ".join(fields) + f" {vocab_size}")
-    if ids is None or len(ids) != len(fields) * (k + 1):
-        return None
-    ids = ids.reshape(len(fields), k + 1)[:, :k]
-    return ids if ids.max() < vocab_size else None
-
-
 def _bulk_floats(fields: np.ndarray) -> np.ndarray | None:
     """float() of every field of an object array, or None if one fails."""
     try:
@@ -435,8 +419,8 @@ def _parse_entries(
     bulk parse, or None unless every line is a well-formed entry and the
     packed keys rise strictly.
 
-    One split of the block's text gives the fields, one ``parse_ids`` call
-    all ids, and ``float`` mapped over each float column the values.
+    One split of the block's text gives the fields, one ``parse_id_rows``
+    call all ids, and ``float`` mapped over each float column the values.
     """
     dtype = _key_dtype(vocab_size, order)
     if not lines:
@@ -451,10 +435,10 @@ def _parse_entries(
     starts = line_ends - widths + 1  # index of each line's first field
     if not ((widths == 2) | (widths == 3)).all():
         return None
-    ids = _bulk_ids(fields[starts + 1], k, vocab_size)
-    if ids is None:
+    parsed = parse_id_rows(fields[starts + 1], vocab_size)
+    if parsed is None or (parsed[0] != k).any():
         return None
-    keys = _pack(ids, vocab_size, dtype)
+    keys = _pack(parsed[1].reshape(-1, k), vocab_size, dtype)
     if not (keys[1:] > keys[:-1]).all():
         return None
     log10_p = fields[starts]
@@ -520,13 +504,6 @@ def _entry_error(lines: list[str], k: int, order: int, vocab_size: int, count: i
     return len(lines), f"section {k} has {len(lines)} entries, header said {count}"
 
 
-def _header_int(line: str, prefix: str, least: int) -> int | None:
-    """n when the line is exactly ``prefix`` + str(n) for an n >= ``least``."""
-    digits = line.removeprefix(prefix) if line.startswith(prefix) else ""
-    ok = digits.isascii() and digits.isdigit() and digits == str(int(digits))
-    return int(digits) if ok and int(digits) >= least else None
-
-
 def load_model(path: str | Path) -> KnModel:
     """Parse a model file in the one layout ``save_model`` writes: the
     format header; ``# order N``, ``# vocab V``, ``# discounts`` and N
@@ -553,8 +530,8 @@ def load_model(path: str | Path) -> KnModel:
         expect(i, repr(want), line(i) == want or None)
 
     exactly(0, f"# {_KN_MAGIC}")
-    order = expect(1, "'# order <N>'", _header_int(line(1), "# order ", 1))
-    V = expect(2, "'# vocab <V>'", _header_int(line(2), "# vocab ", 1))
+    order = expect(1, "'# order <N>'", header_int(line(1), "# order ", 1))
+    V = expect(2, "'# vocab <V>'", header_int(line(2), "# vocab ", 1))
     fields = line(3).split(" ")
     try:
         discounts = tuple(map(float, fields[2:])) if fields[:2] == ["#", "discounts"] else ()
@@ -563,7 +540,7 @@ def load_model(path: str | Path) -> KnModel:
     expect(3, f"'# discounts' and {order} values", discounts if len(discounts) == order else None)
     exactly(4, "\\data\\")
     counts = [
-        expect(4 + k, f"'ngram {k}=<count>'", _header_int(line(4 + k), f"ngram {k}=", 0))
+        expect(4 + k, f"'ngram {k}=<count>'", header_int(line(4 + k), f"ngram {k}=", 0))
         for k in range(1, order + 1)
     ]
     i = 5 + order

@@ -6,15 +6,16 @@ sentence-boundary padding, and split into train/validation/test parts.
 Everything downstream (both language model families) consumes the encoded
 form produced here.
 
-The encoded corpus file is read in one pass: the header lines one at a
-time, the sentence lines together by one numpy parse of their ids
-(``parse_ids``), one range test and one split at per-line markers.  A
-body that is not all well-formed, in-range ids is re-read line by line
-with ``int()`` per token, so every error names its file and line.
+The vocabulary and encoded corpus files are read only in the one layout
+``save_vocabulary`` and ``save_processed`` write.  In every text format,
+``.arpa`` models included, ids are read only by ``parse_ids`` (ASCII
+digits, single spaces), many rows at once by ``parse_id_rows``, and
+header integers by ``header_int``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import string
 from collections import Counter
 from dataclasses import dataclass
@@ -38,8 +39,6 @@ _RESERVED = (SENTENCE_START, SENTENCE_END, UNKNOWN)
 
 _VOCAB_MAGIC = "authorlm-vocab 1"
 _CORPUS_MAGIC = "authorlm-corpus 1"
-# the only bytes a text may hold for parse_ids to read it in bulk
-_ID_TEXT_BYTES = b"0123456789 \t\n"
 
 
 @dataclass(frozen=True)
@@ -62,12 +61,8 @@ class RawCorpus:
 def read_corpus_file(path: str | Path) -> RawCorpus:
     """Read a UTF-8 one-sentence-per-line file; the file stem is the author id."""
     path = Path(path)
-    lines = [
-        line.strip()
-        for line in path.read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
-    return RawCorpus(author_id=path.stem, sentences=tuple(lines))
+    lines = (line.strip() for line in path.read_text(encoding="utf-8").splitlines())
+    return RawCorpus(author_id=path.stem, sentences=tuple(filter(None, lines)))
 
 
 def tokenize(line: str) -> list[str]:
@@ -361,36 +356,42 @@ def top_k_coverage(processed: ProcessedCorpus, ks: Sequence[int]) -> dict[int, f
 def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
     """Write the word<TAB>id<TAB>count table with a small header."""
     lines = [f"# {_VOCAB_MAGIC}", f"# size {vocab.size}"]
-    for i, (w, c) in enumerate(zip(vocab.words, vocab.counts)):
-        lines.append(f"{w}\t{i}\t{c}")
+    lines += [f"{w}\t{i}\t{c}" for i, (w, c) in enumerate(zip(vocab.words, vocab.counts))]
     write_file(path, "\n".join(lines) + "\n")
 
 
 def _read_lines(path: str | Path, magic: str) -> list[str]:
-    """Lines of a file whose first line must be the ``# <magic>`` header."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != f"# {magic}":
+    """The lines of a file that starts with ``# <magic>`` and ends each line in ``\\n``."""
+    lines = Path(path).read_bytes().decode("utf-8").split("\n")
+    if lines[0] != f"# {magic}":
         raise ValueError(f"{path}: expected header {magic!r} on line 1")
+    if lines.pop():
+        raise ValueError(f"{path}:{len(lines) + 1}: last line does not end in a newline")
     return lines
 
 
+def header_int(line: str, prefix: str, least: int) -> int | None:
+    """n when the line is exactly ``prefix`` + str(n) for an n >= ``least``."""
+    digits = line.removeprefix(prefix) if line.startswith(prefix) else ""
+    ok = digits.isascii() and digits.isdigit() and digits == str(int(digits))
+    return int(digits) if ok and int(digits) >= least else None
+
+
 def load_vocabulary(path: str | Path) -> Vocabulary:
-    """Read a table written by ``save_vocabulary``; its ``# size`` header
-    on line 2 must match the number of rows."""
+    """Read a table in the one layout ``save_vocabulary`` writes: the format
+    header, ``# size N``, then exactly N ``word<TAB>i<TAB>count`` rows, i
+    the row index and count an integer >= 0 (``header_int`` digits)."""
     lines = _read_lines(path, _VOCAB_MAGIC)
+    first = 2 if lines[1:2] and lines[1].startswith("#") else 1  # else line 2 is a row
     words, counts = [], []
-    for lineno, line in enumerate(lines, 1):
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in enumerate(lines[first:], first + 1):
         fields = line.split("\t")
-        if len(fields) != 3:
-            raise ValueError(f"{path}:{lineno}: expected word<TAB>id<TAB>count")
-        word, idx, count = fields
-        if int(idx) != len(words):
-            raise ValueError(f"{path}:{lineno}: ids must be dense and in order")
-        words.append(word)
-        counts.append(int(count))
-    if lines[1:2] != [f"# size {len(words)}"]:
+        count = header_int(fields[2], "", 0) if len(fields) == 3 else None
+        if count is None or fields[1] != str(len(words)):
+            raise ValueError(f"{path}:{lineno}: expected word<TAB>{len(words)}<TAB>count, got {line!r}")
+        words.append(fields[0])
+        counts.append(count)
+    if first == 1 or header_int(lines[1], "# size ", 0) != len(words):
         raise ValueError(f"{path}:2: expected '# size {len(words)}' for {len(words)} rows")
     return Vocabulary(words=tuple(words), counts=tuple(counts))
 
@@ -403,82 +404,78 @@ def save_processed(processed: ProcessedCorpus, path: str | Path) -> None:
         f"# stemming {int(processed.stemming)}",
         f"# prune_threshold {processed.prune_threshold!r}",
     ]
-    for sent in processed.sentences:
-        lines.append(" ".join(str(i) for i in sent))
+    lines += [" ".join(map(str, sent)) for sent in processed.sentences]
     write_file(path, "\n".join(lines) + "\n")
 
 
 def parse_ids(text: str) -> np.ndarray | None:
-    """The whitespace-separated integers of ``text`` as int64, in one numpy
-    parse, or None unless the text holds only ASCII digits, spaces, tabs
-    and newlines.  On such text numpy reads every token as ``int()`` does;
-    a sign, an underscore or a non-ASCII digit would not be read the same
-    way, and a number beyond int64 is read as the int64 maximum.
-    """
-    if not text.isascii() or text.encode().translate(None, _ID_TEXT_BYTES):
+    """The ids of ``text`` as int64, in one numpy parse, or None unless the
+    text is runs of ASCII digits separated by single spaces.  On such text
+    numpy reads every id as ``int()`` does; a number beyond int64 is read
+    as the int64 maximum."""
+    if not text.isascii() or text.encode().translate(None, b"0123456789 ") or "  " in f" {text} ":
         return None
-    if not text or text.isspace():  # numpy reads blanks alone as one 0
-        return np.empty(0, dtype=np.int64)
     return np.fromstring(text, dtype=np.int64, sep=" ")
 
 
-def _bulk_sentences(body: list[str], vocab_size: int) -> list[tuple[int, ...]] | None:
-    """The id tuples of sentence lines, or None unless every id parses and
-    lies in [0, V).
-
-    Each line is followed by the marker V, which no valid id equals, so
-    the markers are exactly the ids >= V when there is one per line.
-    """
-    if not body:
-        return []
-    ids = parse_ids(f" {vocab_size}\n".join(body) + f" {vocab_size}")
+def parse_id_rows(rows: Sequence[str], vocab_size: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Each row's length and all the rows' ids, as ``_flatten`` gives them,
+    from one ``parse_ids`` call; None unless every row is ids in [0, V).
+    Each row is followed by the marker V, which no valid id equals, so the
+    markers are exactly the ids >= V when there is one per row."""
+    if not len(rows):
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    ids = parse_ids(f" {vocab_size} ".join(rows) + f" {vocab_size}")
     if ids is None:
         return None
-    ends = np.flatnonzero(ids >= vocab_size)
-    if len(ends) != len(body):
+    markers = ids >= vocab_size
+    if markers.sum() != len(rows):
         return None
-    flat = ids.tolist()
-    return [tuple(flat[a:b]) for a, b in zip([0, *(ends[:-1] + 1).tolist()], ends.tolist())]
+    return np.diff(np.flatnonzero(markers), prepend=-1) - 1, ids[~markers]
 
 
-def _sentence_line(path, lineno: int, line: str, vocab_size: int) -> tuple[int, ...]:
-    try:
-        sentence = tuple(int(t) for t in line.split())
-    except ValueError as exc:
-        raise ValueError(f"{path}:{lineno}: malformed sentence line") from exc
-    for i in sentence:
-        if not 0 <= i < vocab_size:
-            raise ValueError(f"{path}:{lineno}: id {i} outside the vocabulary of {vocab_size}")
-    return sentence
-
-
-_CORPUS_HEADERS = {"order": int, "stemming": lambda x: bool(int(x)), "prune_threshold": float}
+def _sentence_error(lines: list[str], vocab_size: int, order: int) -> tuple[int, str]:
+    """Offset and message of the first sentence line ``load_processed``
+    refuses, keeping no sentence; a minus sign and digits are an id."""
+    for j, line in enumerate(lines):
+        tokens = line.split(" ")
+        ids = parse_ids(" ".join(t.removeprefix("-") for t in tokens))
+        if ids is None or len(ids) != len(tokens):
+            return j, "malformed sentence line"
+        outside = [t for t, i in zip(tokens, ids.tolist()) if t[0] == "-" or i >= vocab_size]
+        if outside:
+            return j, f"id {outside[0]} outside the vocabulary of {vocab_size}"
+        if len(ids) < order or ids[-1] != END_ID or (ids[: order - 1] != START_ID).any():
+            return j, "sentence not padded for the stated order"
+    raise AssertionError("every sentence line is valid")
 
 
 def load_processed(path: str | Path, vocab: Vocabulary) -> ProcessedCorpus:
-    """Read an encoded corpus file written by ``save_processed``.
-
-    The sentence lines are parsed in bulk; if that refuses them, they are
-    re-read line by line in file order, together with the headers, so the
-    first error in the file is the one raised.
+    """Read an encoded corpus in the one layout ``save_processed`` writes:
+    the format header, ``# order N`` (N >= 2), ``# stemming 0|1``,
+    ``# prune_threshold`` and a float in [0, 1], then one sentence per
+    line: ids in [0, V) padded for the order, parsed in one call.  A
+    refused body is scanned again only to name the first line that differs.
     """
     lines = _read_lines(path, _CORPUS_MAGIC)
-    sentences = _bulk_sentences([ln for ln in lines if ln and ln[0] != "#"], vocab.size)
-    by_line = sentences is None
-    if by_line:
-        sentences = []
-    params = {}
-    for lineno, line in enumerate(lines, 1):
-        if line.startswith("#"):
-            fields = line[1:].split()
-            parse = _CORPUS_HEADERS.get(fields[0]) if fields else None
-            if parse is not None:
-                try:
-                    params[fields[0]] = parse(fields[1])
-                except (IndexError, ValueError):
-                    raise ValueError(f"{path}:{lineno}: bad header line {line!r}") from None
-        elif line and by_line:
-            sentences.append(_sentence_line(path, lineno, line, vocab.size))
-    if len(params) < len(_CORPUS_HEADERS):
-        raise ValueError(f"{path}: missing pipeline-parameter header")
-    return ProcessedCorpus(vocabulary=vocab, sentences=tuple(sentences), **params)
+    head = (lines[1:4] + [""] * 3)[:3]  # a missing header line reads as ""
+    order = header_int(head[0], "# order ", 2)
+    stemming = header_int(head[1], "# stemming ", 0)
+    threshold, prefix = float("nan"), "# prune_threshold "
+    if head[2].startswith(prefix):
+        with contextlib.suppress(ValueError):
+            threshold = float(head[2].removeprefix(prefix))
+    for lineno, ok in enumerate((order is not None, stemming in (0, 1), 0 <= threshold <= 1), 2):
+        if not ok:
+            raise ValueError(f"{path}:{lineno}: bad header line {head[lineno - 2]!r}")
+    body = lines[4:]
+    parsed = parse_id_rows(body, vocab.size)
+    if parsed is not None:
+        flat, ends = parsed[1].tolist(), np.cumsum(parsed[0]).tolist()
+        sentences = tuple(tuple(flat[a:b]) for a, b in zip([0, *ends], ends))
+        try:
+            return ProcessedCorpus(vocab, sentences, order, bool(stemming), threshold)
+        except ValueError:  # a sentence not padded for the order
+            pass
+    j, message = _sentence_error(body, vocab.size, order)
+    raise ValueError(f"{path}:{5 + j}: {message}")

@@ -137,6 +137,8 @@ class TestConfigErrors:
             ("synth.lexicon_size=0", "synth"),
             ("synth.concentration=0", "synth: concentration"),
             ("synth.sentences=0", "synth"),
+            ("synth.authors=0", "synth.authors"),
+            ("synth.authors=-2", "synth.authors"),
         ],
     )
     def test_bad_setting_is_one_line_config_error(self, workdir, setting, named, capsys):
@@ -467,6 +469,30 @@ class TestWorkers:
             "runpy.run_module('authorlm.cli', run_name='__main__', alter_sys=True)",
         ])
 
+    @pytest.mark.parametrize(
+        "launcher",
+        [
+            ["-m", "cProfile", "-o", "stage.prof", "-m", "authorlm.cli"],
+            ["-c", "import runpy, sys; sys.argv[0] = 'authorlm'; "
+                   "runpy.run_module('authorlm.cli', run_name='__main__')"],
+        ],
+        ids=["cprofile", "runpy"],
+    )
+    def test_stage_runs_when_main_is_another_module(self, workdir, launcher):
+        # the workers' __main__ is cProfile or the -c script, which lacks
+        # the item function the pool sends them
+        for command in ("synth", "preprocess"):
+            assert run(command, "--config", "cfg.json") == cli.EXIT_OK, command
+        proc = subprocess.run(
+            [sys.executable, *launcher, "train-ngram", "--config", "cfg.json"],
+            capture_output=True, text=True, env=module_env(), timeout=60,
+        )
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        assert proc.stdout.splitlines() == [
+            f"train-ngram: author0{i} seed 0: done" for i in range(2)
+        ]
+        assert len(list((workdir / "outputs" / "models").glob("*.arpa"))) == 2
+
     def test_dead_worker_ends_the_stage(self, workdir):
         # the first item to start kills its worker; the others would sleep
         # for minutes, so the stage must end them: a worker left running
@@ -712,6 +738,59 @@ class TestCorruptInputs:
         assert len(proc.stderr.splitlines()) == 1
         assert "author00.corpus.txt:2: bad header line '# order'" in proc.stderr
 
+    def test_duplicated_order_header_is_config_error(self, corpus_file, capsys):
+        # the earlier loader let the last "# order" win: order-3 models of
+        # sentences padded for order 4
+        text = corpus_file.read_text()
+        corpus_file.write_text(text.replace("# order 4\n", "# order 4\n# order 3\n"))
+        capsys.readouterr()
+        assert run("train-ngram", "--config", "cfg.json") == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"authorlm train-ngram: {Path('outputs/preprocess/author00.corpus.txt')}:3: "
+            "bad header line '# order 3'"
+        ]
+        assert not list((corpus_file.parents[1] / "models").glob("*.arpa"))
+
+    def test_text_changed_since_preprocess_is_config_error(self, trained, capsys):
+        # a split of 63 sentences would take training sentences into the test pools
+        with open(trained.parent / "corpus" / "author00.txt", "a") as text:
+            text.write("w001 w002\nw003 w004\nw005 w006\n")
+        capsys.readouterr()
+        assert run("experiment", "--config", "cfg.json") == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"authorlm experiment: {Path('corpus/author00.txt')}: 63 sentences, "
+            "preprocess outputs 60 (rerun preprocess after changing the text)"
+        ]
+
+    def test_experiment_stems_as_preprocess_did(self, trained, monkeypatch, capsys):
+        seen = []
+        preprocess_sentences = textproc.preprocess_sentences
+
+        def spy(lines, stemming):
+            seen.append(stemming)
+            return preprocess_sentences(lines, stemming)
+
+        assert run("experiment", "--config", "cfg.json") == cli.EXIT_OK
+        before = (trained / "experiment" / "trials_nnlm_0.csv").read_text().splitlines()[1:]
+        monkeypatch.setattr(textproc, "preprocess_sentences", spy)
+        code = run("experiment", "--config", "cfg.json", "--set", "pipeline.stemming=false")
+        assert code == cli.EXIT_OK
+        assert seen == [True, True]  # one test pool per author
+        assert (trained / "experiment" / "trials_nnlm_0.csv").read_text().splitlines()[1:] == before
+
+    @pytest.mark.parametrize("stage", ["eval", "experiment"])
+    def test_refusal_is_the_one_stderr_line(self, trained, stage, capsys):
+        # an author that every stage skips, then a corrupt model
+        (trained.parent / "corpus" / "short.txt").write_text("a single sentence\n")
+        assert run("preprocess", "--config", "cfg.json") == cli.EXIT_OK
+        path = trained / "models" / "author01_0.arpa"
+        path.write_text(path.read_text().replace("\\data\\", "\\date\\"))
+        capsys.readouterr()
+        assert run(stage, "--config", "cfg.json") == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        named = f"authorlm {stage}: {path.relative_to(trained.parent)}:5: "
+        assert len(err) == 1 and err[0].startswith(named), err
+
     def test_bad_vocabulary_header_is_config_error(self, trained, capsys):
         path = trained / "preprocess" / "author00.vocab.tsv"
         path.write_text(path.read_text().replace("authorlm-vocab 1", "authorlm-vocab 9"))
@@ -760,7 +839,7 @@ class TestCorruptInputs:
         "setting, stages, shape",
         [
             ("pipeline.prune_threshold=0.05", ("eval", "experiment"), "11 and 4"),
-            ("pipeline.order=3", ("eval",), "15 and 3"),
+            ("pipeline.order=3", ("eval", "experiment"), "15 and 3"),
         ],
         ids=["pruned-vocabulary", "order"],
     )

@@ -311,8 +311,36 @@ class TestSerialization:
 
     def test_vocab_bad_line(self, tmp_path):
         path = tmp_path / "v.tsv"
-        path.write_text("# authorlm-vocab 1\n<s>\t0\t0\nbroken line\n")
-        with pytest.raises(ValueError, match=":3:"):
+        path.write_text("# authorlm-vocab 1\n# size 2\n<s>\t0\t0\nbroken line\n")
+        with pytest.raises(ValueError, match="v.tsv:4: expected word<TAB>1<TAB>count"):
+            tp.load_vocabulary(path)
+
+    @pytest.mark.parametrize(
+        "edit, lineno",
+        [
+            (lambda t: t.replace("\t3\t", "\t+3\t"), 6),
+            (lambda t: t.replace("\t0\t0\n", "\t0\t-7\n"), 3),
+            (lambda t: t.replace("\n<unk>", "\n# note\n<unk>"), 5),
+            (lambda t: t.replace("\n<unk>", "\n\n<unk>"), 5),
+            (lambda t: t.replace("\t2\t0\n", "\t2\t0\r\n"), 5),
+            (lambda t: t.replace("\t2\t0\n", "\t2\t٣\n"), 5),
+        ],
+        ids=["plus-id", "negative-count", "comment-row", "blank-row", "cr-row", "non-ascii-count"],
+    )
+    def test_vocab_row_outside_layout(self, tmp_path, edit, lineno):
+        vocab = tp.build_vocabulary([["alpha", "beta", "alpha", "x"]], 0.0)
+        path = tmp_path / "v.tsv"
+        tp.save_vocabulary(vocab, path)
+        path.write_text(edit(path.read_text()))
+        with pytest.raises(ValueError, match=rf"v\.tsv:{lineno}: expected word<TAB>\d+<TAB>count"):
+            tp.load_vocabulary(path)
+
+    def test_vocab_crlf_refused_on_line_1(self, tmp_path):
+        vocab = tp.build_vocabulary([["a"]])
+        path = tmp_path / "v.tsv"
+        tp.save_vocabulary(vocab, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        with pytest.raises(ValueError, match="v.tsv: expected header 'authorlm-vocab 1' on line 1"):
             tp.load_vocabulary(path)
 
     @pytest.mark.parametrize(
@@ -353,13 +381,13 @@ class TestSerialization:
 CORPUS_HEADER = "# authorlm-corpus 1\n# order 3\n# stemming 1\n# prune_threshold 1e-05\n"
 
 
-def load_both(path, vocab):
-    """The outcome of the loader and of the earlier per-line one: a corpus,
-    or the message of the ValueError each raised."""
+def load_both(path, vocab, loaders=(tp.load_processed, textproc_reference.load_processed)):
+    """The outcome of the loader and of the earlier per-line one: what it
+    loaded, or the message of the ValueError it raised."""
     outcomes = []
-    for load in (tp.load_processed, textproc_reference.load_processed):
+    for load in loaders:
         try:
-            outcomes.append(load(path, vocab))
+            outcomes.append(load(path, *vocab))
         except ValueError as exc:
             outcomes.append(str(exc))
     return outcomes
@@ -371,53 +399,100 @@ class TestCorpusLoader:
     vocab = tp.build_vocabulary([["a", "b", "c", "d", "e"]])  # V = 8
 
     @given(
-        order=st.integers(min_value=1, max_value=4),
-        lines=st.lists(
-            st.tuples(
-                st.lists(st.integers(min_value=0, max_value=7), max_size=8),
-                st.sampled_from([" ", "  ", "\t", " \t "]),  # separator
-                st.sampled_from(["", " ", "\t"]),  # leading and trailing blanks
-                st.integers(min_value=0, max_value=2),  # blank lines after it
-            ),
+        sentences=st.lists(
+            st.lists(st.sampled_from(["aa", "bb", "cc", "naïve", "dd", "ee"]), max_size=8),
             max_size=12,
-        ),
-        late_header=st.booleans(),
+        ).filter(lambda s: any(s)),
+        order=st.integers(min_value=2, max_value=5),
+        stemming=st.booleans(),
+        threshold=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_saved_files_load_as_before(self, tmp_path_factory, sentences, order, stemming, threshold):
+        directory = tmp_path_factory.mktemp("saved")
+        vocab = tp.build_vocabulary(sentences, threshold)
+        corpus = tp.encode(sentences, vocab, order, stemming, threshold)
+        tp.save_vocabulary(vocab, directory / "v.tsv")
+        tp.save_processed(corpus, directory / "c.txt")
+        loaders = (tp.load_vocabulary, textproc_reference.load_vocabulary)
+        assert load_both(directory / "v.tsv", (), loaders) == [vocab, vocab]
+        assert load_both(directory / "c.txt", (vocab,)) == [corpus, corpus]
+
+    @given(
+        order=st.integers(min_value=2, max_value=4),
+        lines=st.lists(st.lists(st.integers(min_value=0, max_value=7), max_size=8), max_size=12),
     )
     @settings(max_examples=150, deadline=None)
-    def test_matches_per_line_parse(self, tmp_path_factory, order, lines, late_header):
+    def test_matches_per_line_parse(self, tmp_path_factory, order, lines):
+        # files in the layout: the header on lines 1-4, one sentence per line
         path = tmp_path_factory.mktemp("corpus") / "c.txt"
-        text = f"# authorlm-corpus 1\n# order {order}\n# stemming 0\n"
-        for i, (content, sep, edge, blanks) in enumerate(lines):
-            ids = [tp.START_ID] * (order - 1) + content + [tp.END_ID]
-            text += edge + sep.join(map(str, ids)) + edge + "\n" + "\n" * blanks
-            if late_header and i == len(lines) // 2:
-                text += "# prune_threshold 0.25\n"
-        if not late_header or not lines:
-            text += "# prune_threshold 0.25\n"
+        text = f"# authorlm-corpus 1\n# order {order}\n# stemming 0\n# prune_threshold 0.25\n"
+        for content in lines:
+            text += " ".join(map(str, [tp.START_ID] * (order - 1) + content + [tp.END_ID])) + "\n"
         path.write_text(text)
-        new, old = load_both(path, self.vocab)
+        new, old = load_both(path, (self.vocab,))
         assert new == old
         assert len(new.sentences) == len(lines)
 
     @pytest.mark.parametrize(
-        "line, outcome",
+        "text, message",
         [
-            ("0 0 4 x 1", "c.txt:7: malformed sentence line"),
-            ("0 0 +3 1", (0, 0, 3, 1)),
-            ("0 0 - 1", "c.txt:7: malformed sentence line"),
-            ("   ", "sentence not padded for the stated order"),
+            # the variants the earlier parser read like files in the layout
+            (CORPUS_HEADER.replace("# prune_threshold 1e-05\n", "") + "0 0 3 1\n# prune_threshold 0.25\n",
+             ":4: bad header line '0 0 3 1'"),
+            (CORPUS_HEADER + "0 0 3 1\n\n0 0 5 1\n", ":6: malformed sentence line"),
+            (CORPUS_HEADER + "0 0 3 1\n0\t0 5 1\n", ":6: malformed sentence line"),
+            (CORPUS_HEADER + "0 0 3 1\n0 0  5 1\n", ":6: malformed sentence line"),
+            (CORPUS_HEADER + "0 0 3 1\n 0 0 5 1\n", ":6: malformed sentence line"),
+            (CORPUS_HEADER + "0 0 3 1 \n", ":5: malformed sentence line"),
+            # further leniencies of the earlier parser
+            (CORPUS_HEADER + "0 0 3 1\n# order 3\n", ":6: malformed sentence line"),
+            (CORPUS_HEADER.replace("# order 3\n", "# order 4\n# order 3\n") + "0 0 3 1\n",
+             ":3: bad header line '# order 3'"),
+            (CORPUS_HEADER.replace("# order 3", "# order 1") + "3 1\n",
+             ":2: bad header line '# order 1'"),
+            (CORPUS_HEADER.replace("# stemming 1", "# stemming 2") + "0 0 3 1\n",
+             ":3: bad header line '# stemming 2'"),
+            (CORPUS_HEADER.replace("1e-05", "nan") + "0 0 3 1\n",
+             ":4: bad header line '# prune_threshold nan'"),
+            (CORPUS_HEADER.replace("1e-05", "1.5") + "0 0 3 1\n",
+             ":4: bad header line '# prune_threshold 1.5'"),
+            (CORPUS_HEADER + "0 0 3 1\n# note\n0 0 5 1\n", ":6: malformed sentence line"),
+            (CORPUS_HEADER + "0 0 3 1\r\n", ":5: malformed sentence line"),
+            (CORPUS_HEADER.replace("\n", "\r\n") + "0 0 3 1\r\n",
+             ": expected header 'authorlm-corpus 1' on line 1"),
+            (CORPUS_HEADER + "0 0 +5 1\n", ":5: malformed sentence line"),
+            (CORPUS_HEADER + "0 0 \u0663 1\n", ":5: malformed sentence line"),
+            (CORPUS_HEADER + "0 0 1_0 1\n", ":5: malformed sentence line"),
+            (CORPUS_HEADER + "0 0 3 1", ":5: last line does not end in a newline"),
+            (CORPUS_HEADER + "0 3 1\n", ":5: sentence not padded for the stated order"),
         ],
+        ids=[
+            "late-header", "blank-line", "tab", "double-space", "leading-edge", "trailing-edge",
+            "header-after-body", "duplicated-order", "order-1", "stemming-2", "threshold-nan",
+            "threshold-above-1", "comment-in-body", "crlf-line", "crlf-file", "plus-id",
+            "arabic-indic-digit", "underscore-id", "no-final-newline", "unpadded",
+        ],
+    )
+    def test_refuses_file_outside_layout(self, tmp_path, text, message):
+        path = tmp_path / "c.txt"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError) as refused:
+            tp.load_processed(path, self.vocab)
+        assert str(refused.value) == f"{path}{message}"
+
+    @pytest.mark.parametrize(
+        "line, as_before",
+        [("0 0 4 x 1", True), ("0 0 +3 1", False), ("0 0 - 1", True), ("   ", False)],
         ids=["letter", "plus-sign", "lone-minus", "only-spaces"],
     )
-    def test_malformed_body_as_before(self, tmp_path, line, outcome):
+    def test_malformed_body_as_before(self, tmp_path, line, as_before):
+        # the earlier parser read "+3" as 3 and "   " as an empty sentence
         path = tmp_path / "c.txt"
-        path.write_text(CORPUS_HEADER + "0 0 3 1\n\n" + line + "\n0 0 5 4 1\n")
-        new, old = load_both(path, self.vocab)
-        assert new == old
-        if isinstance(outcome, str):
-            assert new.endswith(outcome)
-        else:
-            assert new.sentences[1] == outcome
+        path.write_text(CORPUS_HEADER + "0 0 3 1\n" + line + "\n0 0 5 4 1\n")
+        new, old = load_both(path, (self.vocab,))
+        assert new.endswith("c.txt:6: malformed sentence line")
+        assert (new == old) is as_before
 
     @pytest.mark.parametrize("ids", ["0 0 -1 5 1", "0 0 8 1"], ids=["negative", "V"])
     def test_rejects_id_outside_vocabulary(self, tmp_path, ids):
@@ -430,13 +505,16 @@ class TestCorpusLoader:
         with pytest.raises(ValueError, match="outside the vocabulary"):
             tp.ProcessedCorpus(self.vocab, ((0, 0, -1, 1),), 3, True, 0.0)
 
-    @pytest.mark.parametrize("key", ["order", "stemming", "prune_threshold"])
+    @pytest.mark.parametrize(
+        "key, lineno", [("order", 2), ("stemming", 3), ("prune_threshold", 4)],
+        ids=["order", "stemming", "prune_threshold"],
+    )
     @pytest.mark.parametrize("value", ["", " ", " x"], ids=["bare", "blank", "word"])
-    def test_header_without_value(self, tmp_path, key, value):
+    def test_header_without_value(self, tmp_path, key, lineno, value):
         path = tmp_path / "c.txt"
-        text = CORPUS_HEADER.replace(f"# {key} ", f"# {key}{value}\n# was ")
-        path.write_text(text + "0 0 3 1\n")
-        lineno = text.splitlines().index(f"# {key}{value}") + 1
+        lines = CORPUS_HEADER.splitlines()
+        lines[lineno - 1] = f"# {key}{value}"
+        path.write_text("\n".join(lines) + "\n0 0 3 1\n")
         with pytest.raises(ValueError, match=rf"c\.txt:{lineno}: bad header line '# {key}{value}'"):
             tp.load_processed(path, self.vocab)
 
