@@ -12,8 +12,8 @@ They work on every item the inventory allows and print one stderr line for
 each item they skip; the training stages run their items in forked worker
 processes, one per usable CPU (``_run_items``).  Exit codes:
 0 success, 1 configuration or usage error, a missing, corrupt or stale input, a
-dead worker process, or nothing to work on; 2 partial failure (some items
-skipped or failed, the rest done); 3 divergence.
+dead worker process, nothing to work on, or a closed stdout; 2 partial
+failure (some items skipped or failed, the rest done); 3 divergence.
 """
 
 from __future__ import annotations
@@ -72,17 +72,21 @@ class _Author:
     """One author's inputs to a stage, loaded once.
 
     ``corpus`` is the encoded preprocess output, the one source of the
-    pipeline settings (order, stemming) and of the sentence count after
-    preprocess; ``text`` is the author's raw text, read only for the
-    attribution sweep.  ``splits[seed]`` is that seed's split of the
-    sentences, or the ``ValueError`` that refused it; ``models`` holds the
-    (seed, method) pairs whose model file exists.  An author whose
-    preprocess outputs are missing has no vocabulary or corpus, and every
-    seed refuses it.
+    pipeline settings ``order`` and ``stemming`` (kept as fields) and of the
+    sentence count after preprocess; ``text`` is the author's raw text,
+    read only for the attribution sweep, which keeps the settings but not
+    the corpus.
+    ``splits[seed]`` is that seed's split of the sentences, or the
+    ``ValueError`` that refused it; ``models`` holds the (seed, method)
+    pairs whose model file exists.  An author whose preprocess outputs are
+    missing has no vocabulary, settings or corpus, and every seed refuses
+    it.
     """
 
     name: str
     vocab: textproc.Vocabulary | None
+    order: int | None
+    stemming: bool | None
     corpus: textproc.ProcessedCorpus | None
     text: textproc.RawCorpus | None
     splits: dict
@@ -95,7 +99,7 @@ def _load_model(cfg: RunConfig, author: _Author, seed: int, method: str):
     outputs."""
     path = _model_path(cfg, author.name, seed, method)
     model = _load(nnlm.load_model if method == "nnlm" else kn.load_model, path)
-    shape = (author.vocab.size, author.corpus.order)
+    shape = (author.vocab.size, author.order)
     if (model.vocab_size, model.order) != shape:
         raise ConfigError(
             f"{path}: model vocabulary size {model.vocab_size} and order {model.order}, "
@@ -107,7 +111,8 @@ def _load_model(cfg: RunConfig, author: _Author, seed: int, method: str):
 def _inventory(cfg: RunConfig, raw: bool = False) -> list[_Author]:
     """Every author's inventory; ``raw`` also reads the author's text file,
     a ConfigError naming it when its sentence count differs from the
-    encoded corpus.  A ConfigError when no author has preprocess outputs."""
+    encoded corpus, and then drops the corpus.  A ConfigError when no author
+    has preprocess outputs."""
     authors, missing = [], []
     for path in _author_files(cfg):
         name = path.stem
@@ -123,7 +128,7 @@ def _inventory(cfg: RunConfig, raw: bool = False) -> list[_Author]:
         if absent:  # preprocess failed for this author
             missing.append(absent[0])
             refused = dict.fromkeys(cfg.seeds, ValueError(f"missing {absent[0]}"))
-            authors.append(_Author(name, None, None, None, refused, models))
+            authors.append(_Author(name, None, None, None, None, None, refused, models))
             continue
         vocab = _load(textproc.load_vocabulary, vocab_path)
         corpus = _load(textproc.load_processed, corpus_path, vocab)
@@ -139,7 +144,9 @@ def _inventory(cfg: RunConfig, raw: bool = False) -> list[_Author]:
                 splits[seed] = textproc.split(len(corpus.sentences), seed, cfg.split["ratios"])
             except ValueError as exc:
                 splits[seed] = exc
-        authors.append(_Author(name, vocab, corpus, text, splits, models))
+        authors.append(_Author(
+            name, vocab, corpus.order, corpus.stemming, None if raw else corpus, text, splits, models
+        ))
     if len(missing) == len(authors):
         raise ConfigError(f"missing {missing[0]} (run `authorlm preprocess` first)")
     return authors
@@ -336,11 +343,10 @@ def cmd_train_nnlm(cfg: RunConfig) -> int:
     logs = _stage_dir(cfg, "logs")
 
     def run(ai, author, seed, split):
-        processed = author.corpus
-        train_samples = textproc.extract_samples(processed, split.train)
-        val_samples = textproc.extract_samples(processed, split.validation)
+        train_samples = textproc.extract_samples(author.corpus, split.train)
+        val_samples = textproc.extract_samples(author.corpus, split.validation)
         try:  # a vocabulary too small for the network is this item's failure
-            model_cfg = cfg.nnlm_config(author.vocab.size, processed.order, derive_seed(seed, ai, 1))
+            model_cfg = cfg.nnlm_config(author.vocab.size, author.order, derive_seed(seed, ai, 1))
             model, history = nnlm.train(model_cfg, train_samples, val_samples)
         except (ValueError, nnlm.TrainingDiverged) as exc:
             return exc
@@ -364,7 +370,7 @@ def cmd_train_ngram(cfg: RunConfig) -> int:
 
     def run(ai, author, seed, split):
         sentences = [author.corpus.sentences[i] for i in split.train]
-        model = kn.train_model(sentences, author.corpus.order, author.vocab.size)
+        model = kn.train_model(sentences, author.order, author.vocab.size)
         kn.save_model(model, _model_path(cfg, author.name, seed, "kn"))
         return None
 
@@ -462,7 +468,7 @@ def cmd_experiment(cfg: RunConfig) -> int:
         seed: {
             author.name: textproc.preprocess_sentences(
                 [author.text.sentences[i] for i in author.splits[seed].test],
-                stemming=author.corpus.stemming,
+                stemming=author.stemming,
             )
             for author in authors
         }
@@ -641,9 +647,17 @@ def main(argv: list[str] | None = None) -> int:
         if args.output_dir:
             cfg.data["output_dir"] = args.output_dir
         cfg.validate(need_corpus=need_corpus)
-        return fn(cfg)
+        code = fn(cfg)
+        sys.stdout.flush()  # so that a closed stdout shows here, not at exit
+        return code
     except ConfigError as exc:
         print(f"authorlm {args.command}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except BrokenPipeError:
+        # Python's recipe for a closed stdout (``| head -1``): the stage stops
+        # at its next line, and since the interpreter flushes stdout again at
+        # exit, stdout is first pointed at devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CONFIG
 
 

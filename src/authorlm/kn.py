@@ -509,11 +509,10 @@ def load_model(path: str | Path) -> KnModel:
     format header; ``# order N``, ``# vocab V``, ``# discounts`` and N
     values; ``\\data\\`` and ``ngram k=n`` for k = 1..N; per order k,
     ``\\k-grams:`` and exactly n entries, their id tuples rising strictly;
-    ``\\end\\`` last.  Errors name the file and the first line that differs.
+    ``\\end\\`` last, every line ending in a newline.  Errors name the file
+    and the first line that differs.
     """
     lines = Path(path).read_bytes().decode("utf-8").split("\n")
-    if not lines[-1]:
-        lines.pop()  # the newline that ends the last line
 
     def line(i: int) -> str:
         if i >= len(lines):
@@ -530,6 +529,8 @@ def load_model(path: str | Path) -> KnModel:
         expect(i, repr(want), line(i) == want or None)
 
     exactly(0, f"# {_KN_MAGIC}")
+    if lines.pop():  # what follows the last newline
+        raise KnParseError(path, len(lines) + 1, "last line does not end in a newline")
     order = expect(1, "'# order <N>'", header_int(line(1), "# order ", 1))
     V = expect(2, "'# vocab <V>'", header_int(line(2), "# vocab ", 1))
     fields = line(3).split(" ")

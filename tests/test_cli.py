@@ -164,6 +164,26 @@ class TestConfigErrors:
             "authorlm preprocess: corpus directory not found: corpus"
         ]
 
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "block-buffered"])
+    @pytest.mark.parametrize("command", ["synth", "preprocess"])
+    def test_closed_stdout_is_exit_1_without_traceback(self, workdir, command, unbuffered):
+        # ``| head -1`` without the race: the pipe's reader is gone before
+        # the stage prints its first line
+        if command == "preprocess":
+            assert run("synth", "--config", "cfg.json") == cli.EXIT_OK
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "authorlm.cli", command, "--config", "cfg.json"],
+                stdout=writer, stderr=subprocess.PIPE, text=True, timeout=120,
+                env={**module_env(), "PYTHONUNBUFFERED": unbuffered},
+            )
+        finally:
+            os.close(writer)
+        assert proc.returncode == cli.EXIT_CONFIG
+        assert proc.stderr == ""
+
 
 class TestPipeline:
     def run_all(self, workdir):

@@ -516,6 +516,15 @@ class TestExactLayout:
         lines[i] = set_field(lines[i], 1, "+0")
         assert self.refused(path, lines) == f"{path}:{i + 1}: bad id list '+0'"
 
+    def test_last_line_without_newline(self, tmp_path):
+        # a model cut by its final byte, the newline after \\end\\
+        _, path, lines = saved_lines(tmp_path, TRIGRAM_CORPUS, 3)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(kn.KnParseError) as err:
+            kn.load_model(path)
+        assert str(err.value) == f"{path}:{len(lines)}: last line does not end in a newline"
+        assert err.value.line == len(lines)
+
     def test_crlf(self, tmp_path):
         _, path, lines = saved_lines(tmp_path, TRIGRAM_CORPUS, 3)
         path.write_bytes(("\r\n".join(lines) + "\r\n").encode())

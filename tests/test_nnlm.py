@@ -594,6 +594,22 @@ class TestBitExactTraining:
         history = assert_trains_like_reference(cfg, train_s, val_s, tmp_path)
         assert len(history) < cfg.max_epochs
 
+    @pytest.mark.parametrize(
+        "vocab_size, embed_dim, hidden_dim", [(12, 6, 10), (53, 16, 48)],
+        ids=["edge-kernel", "readme"],
+    )
+    def test_blocked_validation_over_4096_samples(self, tmp_path, vocab_size, embed_dim, hidden_dim):
+        # validation runs in 128-row blocks where the reference takes one
+        # pass per 4,096 rows; the training batches reuse one workspace
+        cfg = nnlm.NnlmConfig(
+            vocab_size=vocab_size, order=4, embed_dim=embed_dim, hidden_dim=hidden_dim,
+            batch_size=32, learning_rate=0.3, max_epochs=3, patience=3, init_seed=6,
+        )
+        train_s = random_samples(vocab_size, 4, 250, seed=16)
+        val_s = random_samples(vocab_size, 4, 4321, seed=17)
+        assert len(train_s) % cfg.batch_size != 0 and len(val_s) % 128 != 0
+        assert_trains_like_reference(cfg, train_s, val_s, tmp_path)
+
     def test_sigmoid_matches_masked_form(self):
         special = [0.0, -0.0, 745.0, -745.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300]
         rng = np.random.default_rng(14)
@@ -604,6 +620,44 @@ class TestBitExactTraining:
         assert got[keep].tobytes() == want[keep].tobytes()
         block = x[len(special) : len(special) + 4800].reshape(100, 48)
         assert nnlm._sigmoid(block).tobytes() == ref.sigmoid(block).tobytes()
+
+
+class TestFixedBuffers:
+    """Training writes into one preallocated workspace; validation and
+    scoring into one of ``_SCORE_ROWS`` rows."""
+
+    def test_validation_memory_is_one_block(self):
+        import tracemalloc
+
+        cfg = nnlm.NnlmConfig(vocab_size=2000, order=4, embed_dim=8, hidden_dim=16, init_seed=1)
+        params = nnlm.init_params(cfg)
+        samples = random_samples(cfg.vocab_size, cfg.order, 5000, seed=18)
+        block = nnlm._SCORE_ROWS * cfg.vocab_size * 8  # one (rows, V) float64 array
+        tracemalloc.start()
+        try:
+            loss = nnlm._mean_loss(params, samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * block, peak
+        ref_params = ref.RefParams(*(t.copy() for _, t in params.tensors()))
+        assert loss == ref._mean_loss(ref_params, samples)
+
+    def test_calls_without_a_workspace_do_not_share_arrays(self):
+        cfg = tiny_config()
+        params = nnlm.init_params(cfg)
+        rng = np.random.default_rng(19)
+        batches = [random_batch(cfg, rng), random_batch(cfg, rng)]
+        traces = [nnlm.forward(params, b) for b in batches]
+        grads = [nnlm.backward(params, t, b) for t, b in zip(traces, batches)]
+        first = [traces[0].embedded, traces[0].hidden, traces[0].log_probs, grads[0].flat]
+        second = [traces[1].embedded, traces[1].hidden, traces[1].log_probs, grads[1].flat]
+        for a in first:
+            for b in second:
+                assert not np.shares_memory(a, b)
+        again = nnlm.forward(params, batches[0])
+        assert again.log_probs.tobytes() == traces[0].log_probs.tobytes()
+        assert nnlm.backward(params, again, batches[0]).flat.tobytes() == grads[0].flat.tobytes()
 
 
 class TestFlatParameters:
