@@ -7,15 +7,19 @@ author's model, each with its own vocabulary, and predicts the author
 whose model assigns the lowest perplexity; ties break toward the lowest
 author index so repeated runs agree.
 
-Sweeps score once and sum per trial: each test pool's padded windows are
-built once, in local token indices, and one gather through a lookup array
-encodes them under each candidate's vocabulary; every pool sentence is then
-scored under each candidate exactly once, one query per (candidate, pool),
-into one (candidates, tokens) matrix.  A trial gathers its drawn
-sentences' columns in draw order and sums each row as ``perplexity`` sums
-a token stream, so its accumulated perplexity is that of the pooled token
-stream, with no per-sentence partial sums.  ``classify`` is the one-pool,
-one-trial case of the same code.
+Sweeps score once and sum per trial: the padded windows of every test
+pool are built once per model order, in local token indices, and one
+gather through a lookup array encodes them under each candidate's
+vocabulary; every pool sentence is then scored under each candidate
+exactly once, in one query per candidate for the whole sweep, into one
+(candidates, tokens) matrix.  A model's per-token scores do not depend on
+what else shares a query (KN lookups are per row, and an NNLM scores each
+distinct context once, in fixed blocks), so this gives the bits that one
+query per pool gave.  A trial gathers its drawn sentences' columns in draw
+order and sums each row as ``perplexity`` sums a token stream, so its
+accumulated perplexity is that of the pooled token stream, with no
+per-sentence partial sums.  ``classify`` is the one-pool, one-trial case
+of the same code.
 
 A score that is not a finite number is an error, never a result: a
 non-finite per-token log probability or perplexity raises a ValueError
@@ -166,10 +170,10 @@ def _encode_pool(pool: Sequence[Sequence[str]], order: int) -> _PoolEncoding:
 
 @dataclass(frozen=True)
 class _PoolTable:
-    """Every candidate's per-token log probabilities over one test pool.
+    """Every candidate's per-token log probabilities over pooled sentences.
 
     Row c of the C-contiguous (candidates, tokens) matrix ``log_probs`` is
-    candidate c's token stream over the whole pool; sentence k owns the
+    candidate c's token stream over all the sentences; sentence k owns the
     columns ``positions[k]`` (a sentence yields the same number of tokens
     under any vocabulary).
     """
@@ -179,8 +183,9 @@ class _PoolTable:
 
 
 def _score_pool(authors: Sequence[AuthorModel], pool: Sequence[Sequence[str]]) -> _PoolTable:
-    """Encode a pool once per model order and score it under each candidate
-    in one query; a ``NonFiniteScore`` when a log probability is not finite."""
+    """Encode the sentences once per model order and score them under each
+    candidate in one query; a ``NonFiniteScore`` when a log probability is
+    not finite.  A sweep passes every test pool's sentences at once."""
     encodings: dict[int, _PoolEncoding] = {}
     ends = np.cumsum([len(sent) + 1 for sent in pool], dtype=np.int64)
     log_probs = np.empty((len(authors), int(ends[-1]) if len(ends) else 0))
@@ -308,9 +313,9 @@ def accuracy_sweep(
 
     For each (author, sentence count, trial) the trial's own PCG64 stream,
     keyed by (seed, author index, count, trial), draws that many sentences
-    from the author's test pool without replacement.  Every pool is scored
-    under every candidate once up front; a trial only sums the rows of its
-    drawn sentences.
+    from the author's test pool without replacement.  Every pool sentence
+    is scored under every candidate once up front, in one query per
+    candidate; a trial only sums the rows of its drawn sentences.
     """
     sentence_counts = tuple(int(s) for s in sentence_counts)
     if any(s < 1 for s in sentence_counts):
@@ -324,13 +329,14 @@ def accuracy_sweep(
                 f"need {max_s}"
             )
 
+    table = _score_pool(authors, [sent for pool in pools for sent in pool])
     records = []
+    first = 0  # the index of the pool's first sentence in the table
     for i, (author, pool) in enumerate(zip(authors, pools)):
-        table = _score_pool(authors, pool)
         for s in sentence_counts:
             for t in range(trials):
                 chosen = stream(seed, i, s, t).choice(len(pool), size=s, replace=False)
-                best, _ = _decide(table, chosen)
+                best, _ = _decide(table, first + chosen)
                 records.append(
                     TrialRecord(
                         author_id=author.author_id,
@@ -339,6 +345,7 @@ def accuracy_sweep(
                         predicted_author=authors[best].author_id,
                     )
                 )
+        first += len(pool)
 
     return ExperimentReport(
         author_ids=tuple(a.author_id for a in authors),

@@ -27,7 +27,17 @@ because every float operation and its order are kept:
 Scoring (``NnlmModel.log_probs`` and ``distribution``) runs the forward
 pass in fixed blocks of ``_SCORE_ROWS`` rows, padding the last block, so a
 position's log probability does not depend on what else is in its query.
-Validation runs through the same 128-row blocks and sums the gathered log
+That holds only if every row of a block runs the same OpenBLAS dgemm
+kernel: the micro-tile is 4 rows high on Haswell, 16 on SkylakeX and 24
+on some other cores, and the rows past the last whole tile of a block run
+an edge kernel that can round differently (128 = 5 * 24 + 8, so rows
+120-127 of every 128-row block did).  The block is therefore a multiple of
+48, the least common multiple of those heights.  It holds on one BLAS
+thread, which importing the package sets up; several threads split a
+block's rows at other places.  Since a row's bits do not depend on its
+place, ``log_probs`` scores each distinct context of a query once and
+gathers every row's target from its context's scores.
+Validation runs through the same routine and sums the gathered log
 probabilities in groups of 4,096 values, in the order that one forward
 pass per 4,096 rows summed them, so validation losses and early stopping
 keep their bits.
@@ -250,13 +260,13 @@ def _activations(params: NnlmParams, contexts: np.ndarray, work: _Workspace):
 
 # Rows per scoring block.  Scoring runs every matrix product on exactly
 # this many rows, so a position gets the same bits whatever else shares its
-# call: the value is a multiple of the OpenBLAS dgemm micro-tile height (4
-# on Haswell, 16 on SkylakeX), so every row runs the main kernel, never an
-# edge kernel or gemv.  A call writes all its blocks into one
-# ``_Workspace`` of this many rows, so its memory does not grow with the
-# number of rows it scores.
-_SCORE_ROWS = 128
-_BLOCK_ROWS = np.arange(_SCORE_ROWS)
+# call, provided every row runs the main kernel, never an edge kernel or
+# gemv.  So 48, the lcm of the OpenBLAS dgemm micro-tile heights 4
+# (Haswell), 16 (SkylakeX) and 24, must divide it; 128 did not, and its
+# rows 120-127 ran the 24-row tile's edge kernel.  A call writes all its
+# blocks into one ``_Workspace`` of this many rows, so its memory does not
+# grow with the number of rows it scores.
+_SCORE_ROWS = 144
 
 
 def _scored_blocks(params: NnlmParams, contexts: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
@@ -273,23 +283,49 @@ def _scored_blocks(params: NnlmParams, contexts: np.ndarray) -> Iterator[tuple[i
         yield start, log_probs
 
 
+def _distinct_contexts(contexts: np.ndarray, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(first row of each distinct context, each row's distinct index).
+
+    Each context is packed into one int64 key, column by column; when the
+    next column would overflow, the keys so far are replaced by their
+    ranks, which stay below the row count.
+    """
+    keys = np.zeros(len(contexts), dtype=np.int64)
+    span = 1  # keys lie in [0, span)
+    for column in contexts.T:
+        if span * vocab_size >= 2**63:
+            _, keys = np.unique(keys, return_inverse=True)
+            span = int(keys.max()) + 1
+        keys = keys * vocab_size + column
+        span *= vocab_size
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
+
+
 def _target_log_probs(params: NnlmParams, contexts: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Log probability of each target, scored in ``_SCORE_ROWS`` blocks."""
-    n = len(targets)
-    out = np.empty(n)
-    for start, log_probs in _scored_blocks(params, contexts):
-        stop = min(start + _SCORE_ROWS, n)
-        out[start:stop] = log_probs[_BLOCK_ROWS[: stop - start], targets[start:stop]]
+    """Log probability of each target, in row order.  Each distinct
+    context is scored once, in ``_SCORE_ROWS`` blocks, and every row takes
+    its target's value from its context's scores."""
+    first, inverse = _distinct_contexts(contexts, params.b_out.shape[0])
+    rows = np.argsort(inverse, kind="stable")  # grouped by distinct context
+    owners = inverse[rows]
+    cuts = np.searchsorted(owners, np.arange(0, len(first) + _SCORE_ROWS, _SCORE_ROWS))
+    out = np.empty(len(targets))
+    for (start, log_probs), lo, hi in zip(_scored_blocks(params, contexts[first]), cuts, cuts[1:]):
+        block = rows[lo:hi]
+        out[block] = log_probs[owners[lo:hi] - start, targets[block]]
     return out
 
 
 def forward(params: NnlmParams, batch: Samples, work: _Workspace | None = None) -> ForwardTrace:
     """Forward pass over a batch; loss is the mean negative log probability
     assigned to the targets.  The trace's arrays are views into ``work``,
-    or into a fresh workspace when none is given."""
+    or into a fresh workspace when none is given; only then are the ids
+    checked, since ``train`` checks every sample once and passes its own."""
     contexts, targets = batch
-    _check_ids(contexts, targets, params.b_out.shape[0])
-    work = work or _Workspace(params, len(contexts), backward=False)
+    if work is None:
+        _check_ids(contexts, targets, params.b_out.shape[0])
+        work = _Workspace(params, len(contexts), backward=False)
     embedded, hidden, log_probs = _activations(params, contexts, work)
     loss = cross_entropy(log_probs, targets)
     return ForwardTrace(embedded=embedded, hidden=hidden, log_probs=log_probs, loss=loss)

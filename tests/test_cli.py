@@ -596,10 +596,12 @@ class TestAcrossStages:
 
     def test_eval_scores_the_stream_experiment_scores(self, outputs):
         # eval's perplexity is the whole-pool perplexity of the author's own
-        # row in experiment's pool table, bit for bit
+        # row in experiment's table, which scores every author's pool in one
+        # query per candidate, bit for bit
         out = outputs / "outputs"
         scored = files.read_csv(out / "eval" / "perplexity.csv")
         assert len(scored) == 3 * len(self.SEEDS) * 2
+        authors = sorted(p.stem for p in (outputs / "corpus").glob("*.txt"))
         for row in scored:
             author, seed, method = row["author"], int(row["seed"]), row["method"]
             vocab = textproc.load_vocabulary(out / "preprocess" / f"{author}.vocab.tsv")
@@ -607,11 +609,18 @@ class TestAcrossStages:
                 model = nnlm.load_model(out / "models" / f"{author}_{seed}.nnlm")
             else:
                 model = kn.load_model(out / "models" / f"{author}_{seed}.arpa")
-            lines = textproc.read_corpus_file(outputs / "corpus" / f"{author}.txt").sentences
-            test = textproc.split(len(lines), seed, [0.8, 0.1, 0.1]).test
-            pool = textproc.preprocess_sentences([lines[i] for i in test], stemming=True)
-            table = evaluation._score_pool([evaluation.AuthorModel(author, model, vocab)], pool)
-            assert row["perplexity"] == repr(evaluation._report(table.log_probs[0]).perplexity)
+            pools = []
+            for name in authors:
+                lines = textproc.read_corpus_file(outputs / "corpus" / f"{name}.txt").sentences
+                test = textproc.split(len(lines), seed, [0.8, 0.1, 0.1]).test
+                pools.append(textproc.preprocess_sentences([lines[i] for i in test], stemming=True))
+            table = evaluation._score_pool(
+                [evaluation.AuthorModel(author, model, vocab)], [s for pool in pools for s in pool]
+            )
+            mine = authors.index(author)
+            first = sum(len(pool) for pool in pools[:mine])
+            own = np.concatenate(table.positions[first : first + len(pools[mine])])
+            assert row["perplexity"] == repr(evaluation._report(table.log_probs[0, own]).perplexity)
 
 
 class TestCorruptInputs:

@@ -325,7 +325,15 @@ class TestSweep:
                     for ctx, t in zip(samples.contexts, samples.targets)
                 )
             assert author.model.scored == expected
-            assert author.model.calls == len(pools)  # one batch per pool
+            assert author.model.calls == 1  # one query per candidate per sweep
+
+    def test_one_query_scores_like_one_query_per_pool(self):
+        # a sweep's table, bit for bit the per-pool queries side by side
+        pools = list(confusable_pools().values())
+        for authors in (kn_candidates(), nnlm_candidates(), nnlm_candidates(6, 10)):
+            table = ev._score_pool(authors, [sent for pool in pools for sent in pool])
+            per_pool = [ev._score_pool(authors, pool).log_probs for pool in pools]
+            assert table.log_probs.tobytes() == np.concatenate(per_pool, axis=1).tobytes()
 
     @pytest.mark.parametrize("order", [2, 3, 4, 5])
     def test_pool_encoding_matches_encode_sentence(self, order):

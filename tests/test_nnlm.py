@@ -452,10 +452,14 @@ class TestQuery:
         model.distribution([0, 1, 2])
         assert len(checked) == 2
 
-    @pytest.mark.parametrize(
-        "vocab_size, embed_dim, hidden_dim", [(12, 6, 10), (53, 16, 48)],
-        ids=["edge-kernel", "readme"],
+    # at the english shape a 128-row block ran the edge kernel of a 24-row
+    # dgemm tile on its last 8 rows
+    SHAPES = pytest.mark.parametrize(
+        "vocab_size, embed_dim, hidden_dim", [(12, 6, 10), (53, 16, 48), (1820, 16, 48)],
+        ids=["edge-kernel", "readme", "english"],
     )
+
+    @SHAPES
     def test_sub_batches_score_like_the_full_batch(self, vocab_size, embed_dim, hidden_dim):
         # a position's bits do not depend on what else shares its call
         cfg = nnlm.NnlmConfig(
@@ -466,12 +470,64 @@ class TestQuery:
         batch = random_samples(vocab_size, 4, 3000, seed=8)
         full = model.log_probs(batch.contexts, batch.targets)
         rng = np.random.default_rng(9)
-        sizes = [1, 2, 127, 128, 129, 255, 257, 2999, *rng.integers(1, 3000, size=40)]
+        sizes = [1, 2, 127, 128, 129, 143, 144, 145, 255, 257, 2999, *rng.integers(1, 3000, size=40)]
         for size in sizes:
             rows = rng.choice(3000, size=size, replace=False)
             got = model.log_probs(batch.contexts[rows], batch.targets[rows])
             assert got.tobytes() == full[rows].tobytes(), size
         assert model.log_prob(batch.contexts[5], batch.targets[5]) == full[5]
+
+    @SHAPES
+    def test_block_rows_do_not_depend_on_their_place(self, vocab_size, embed_dim, hidden_dim):
+        # every row of a block runs the main dgemm kernel: a context's whole
+        # log-softmax row is the same at each of the block's places
+        cfg = nnlm.NnlmConfig(
+            vocab_size=vocab_size, order=4, embed_dim=embed_dim, hidden_dim=hidden_dim,
+            init_seed=3, init_scale=0.5,
+        )
+        params = nnlm.init_params(cfg)
+        contexts = random_samples(vocab_size, 4, nnlm._SCORE_ROWS, seed=23).contexts
+        [(_, first)] = nnlm._scored_blocks(params, contexts)
+        first = first.copy()
+        for shift in range(1, nnlm._SCORE_ROWS):
+            [(_, rolled)] = nnlm._scored_blocks(params, np.roll(contexts, shift, axis=0))
+            assert np.roll(rolled, -shift, axis=0).tobytes() == first.tobytes(), shift
+
+    @SHAPES
+    def test_scores_each_distinct_context_once(self, vocab_size, embed_dim, hidden_dim, monkeypatch):
+        cfg = nnlm.NnlmConfig(
+            vocab_size=vocab_size, order=4, embed_dim=embed_dim, hidden_dim=hidden_dim,
+            init_seed=4, init_scale=0.5,
+        )
+        model = nnlm.NnlmModel(config=cfg, params=nnlm.init_params(cfg))
+        rng = np.random.default_rng(20)
+        pool = random_samples(vocab_size, 4, 150, seed=21, repeat_words=True).contexts
+        contexts = pool[rng.integers(0, len(pool), size=600)]
+        targets = rng.integers(0, vocab_size, size=600)
+        distinct = {tuple(row) for row in contexts.tolist()}
+        seen = []
+        activations = nnlm._activations
+        def counting(params, block, work):
+            seen.extend(map(tuple, block.tolist()))
+            return activations(params, block, work)
+        monkeypatch.setattr(nnlm, "_activations", counting)
+        got = model.log_probs(contexts, targets)
+        # the distinct contexts, each once, then the last block's padding
+        assert len(seen) == -(-len(distinct) // nnlm._SCORE_ROWS) * nnlm._SCORE_ROWS
+        assert sorted(seen[: len(distinct)]) == sorted(distinct)
+        assert seen[len(distinct) :] == [(0, 0, 0)] * (len(seen) - len(distinct))
+        for row, (context, target) in enumerate(zip(contexts, targets)):
+            assert model.log_probs(context[None], target[None]).tobytes() == got[row].tobytes()
+
+    def test_distinct_contexts_past_the_int64_range(self):
+        # V**(order-1) = 10**24 does not fit one int64 key: ranks take over
+        rng = np.random.default_rng(22)
+        words = rng.integers(0, 10**6, size=(40, 4))
+        words[:, 0] = [0, 10**6 - 1] * 20
+        contexts = words[rng.integers(0, len(words), size=300)]
+        first, inverse = nnlm._distinct_contexts(contexts, 10**6)
+        assert np.array_equal(contexts[first][inverse], contexts)
+        assert len(first) == len(np.unique(contexts, axis=0))
 
 
 class TestSerialization:
