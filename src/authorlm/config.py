@@ -201,6 +201,11 @@ class RunConfig:
             raise ConfigError("experiment.trials must be >= 0")
         if any(s < 1 for s in exp["sentence_counts"]):
             raise ConfigError("experiment.sentence_counts must all be >= 1")
+        # a repeat would train, score and report the same item twice
+        repeatable = (("split.seeds", self.seeds), ("experiment.sentence_counts", exp["sentence_counts"]))
+        for key, values in repeatable:
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{key} must not repeat a value: {values}")
         if self.synth["authors"] < 1:
             raise ConfigError("synth.authors must be >= 1")
         if len(self.synth["length_range"]) != 2:

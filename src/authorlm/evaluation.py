@@ -49,8 +49,6 @@ class LanguageModel(Protocol):
     @property
     def vocab_size(self) -> int: ...
 
-    def log_prob(self, context: Sequence[int], target: int) -> float: ...
-
     def log_probs(self, contexts: np.ndarray, targets: np.ndarray) -> np.ndarray: ...
 
 

@@ -64,11 +64,10 @@ Gram = tuple[int, ...]
 
 
 class KnParseError(ValueError):
-    """Malformed model file; carries the offending line number."""
+    """Malformed model file; the message names ``path:line``."""
 
     def __init__(self, path, line: int, message: str):
         super().__init__(f"{path}:{line}: {message}")
-        self.line = line
 
 
 def _key_dtype(vocab_size: int, order: int):

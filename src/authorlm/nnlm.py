@@ -42,16 +42,16 @@ probabilities in groups of 4,096 values, in the order that one forward
 pass per 4,096 rows summed them, so validation losses and early stopping
 keep their bits.
 
-Training writes into fixed buffers: ``train`` makes one ``_Workspace``
-(the (B, V) logits, exp and dlogits arrays, the (B, H) and
-(B, (order-1)*D) arrays, the gradient vector and the scaled-gradient
-temporary), and ``forward``, ``backward`` and ``momentum_step`` write into
-it with ``out=``; the last, shorter batch uses ``[:b]`` views.  Called
-without a workspace they allocate fresh arrays.  A training item's memory
-therefore no longer grows with its validation set: at the paper's shapes
-(V = 6,000, D = 50, H = 200; 5,000 training and 5,000 validation samples)
-one item's process peaked at 501 MB with a 4,096-row validation pass and
-peaks at 123 MB with the blocks.
+Training allocates each batch's arrays afresh; only scoring reuses one
+preallocated ``_Workspace`` of ``_SCORE_ROWS`` rows for all the blocks of a
+call.  At V of about 2,000 a block's (rows, V) arrays are about 2 MB,
+above glibc's mmap threshold, so a fresh block would be mapped and its
+pages faulted in again each time: allocating per block made the ``english``
+benchmark's ``experiment`` stage about 30% slower.  Scoring validation in
+blocks keeps a training item's memory from growing with its validation
+set: at the paper's shapes (V = 6,000, D = 50, H = 200; 5,000 training and
+5,000 validation samples, 2 epochs) one item's process peaked at 501 MB
+with a 4,096-row validation pass and peaks at 111 MB with the blocks.
 """
 
 from __future__ import annotations
@@ -214,29 +214,19 @@ def _check_ids(contexts: np.ndarray, targets: np.ndarray, vocab_size: int) -> No
 
 
 class _Workspace:
-    """Preallocated arrays for batches of up to ``rows`` rows; a batch of b
-    rows uses their ``[:b]`` views.  It holds what the forward pass writes
-    and, unless ``backward`` is false, what ``backward`` and
-    ``momentum_step`` write: their arrays, the gradient vector and the
-    scaled-gradient temporary."""
+    """Arrays for forward passes of up to ``rows`` rows; a pass over b rows
+    writes into their ``[:b]`` views."""
 
-    def __init__(self, params: NnlmParams, rows: int, backward: bool = True):
+    def __init__(self, params: NnlmParams, rows: int):
         v, d = params.embed.shape
         context_dim, h = params.w_hid.shape
         self.embedded = np.empty((rows, context_dim // d, d))
         self.hidden = np.empty((rows, h))
-        self.scratch = np.empty((rows, h))  # the sigmoid's exp(-|x|), backward's 1 - hidden
+        self.scratch = np.empty((rows, h))  # the sigmoid's exp(-|x|)
         self.mask = np.empty((rows, h), dtype=bool)
         self.log_probs = np.empty((rows, v))
         self.exp = np.empty((rows, v))
         self.row_stat = np.empty((rows, 1))  # row max, then row log-sum-exp
-        if backward:
-            self.dlogits = np.empty((rows, v))
-            self.dpre = np.empty((rows, h))
-            self.dembedded = np.empty((rows, context_dim))
-            self.cells = np.empty((rows, context_dim // d, d), dtype=np.int64)
-            self.grads = NnlmParams(np.empty_like(params.flat), params.shapes)
-            self.scaled = np.empty_like(params.flat)
 
 
 def _activations(params: NnlmParams, contexts: np.ndarray, work: _Workspace):
@@ -277,7 +267,7 @@ def _scored_blocks(params: NnlmParams, contexts: np.ndarray) -> Iterator[tuple[i
     n = len(contexts)
     padded = np.zeros((-(-n // _SCORE_ROWS) * _SCORE_ROWS, contexts.shape[1]), dtype=np.int64)
     padded[:n] = contexts
-    work = _Workspace(params, _SCORE_ROWS, backward=False)
+    work = _Workspace(params, _SCORE_ROWS)
     for start in range(0, n, _SCORE_ROWS):
         _, _, log_probs = _activations(params, padded[start : start + _SCORE_ROWS], work)
         yield start, log_probs
@@ -317,15 +307,12 @@ def _target_log_probs(params: NnlmParams, contexts: np.ndarray, targets: np.ndar
     return out
 
 
-def forward(params: NnlmParams, batch: Samples, work: _Workspace | None = None) -> ForwardTrace:
+def forward(params: NnlmParams, batch: Samples) -> ForwardTrace:
     """Forward pass over a batch; loss is the mean negative log probability
-    assigned to the targets.  The trace's arrays are views into ``work``,
-    or into a fresh workspace when none is given; only then are the ids
-    checked, since ``train`` checks every sample once and passes its own."""
+    assigned to the targets."""
     contexts, targets = batch
-    if work is None:
-        _check_ids(contexts, targets, params.b_out.shape[0])
-        work = _Workspace(params, len(contexts), backward=False)
+    _check_ids(contexts, targets, params.b_out.shape[0])
+    work = _Workspace(params, len(contexts))
     embedded, hidden, log_probs = _activations(params, contexts, work)
     loss = cross_entropy(log_probs, targets)
     return ForwardTrace(embedded=embedded, hidden=hidden, log_probs=log_probs, loss=loss)
@@ -339,11 +326,8 @@ def cross_entropy(log_probs: np.ndarray, targets: np.ndarray) -> float:
     return float(-picked.sum() / len(targets))
 
 
-def backward(
-    params: NnlmParams, trace: ForwardTrace, batch: Samples, work: _Workspace | None = None
-) -> NnlmParams:
-    """Analytic gradients of the batch-mean cross-entropy, written into
-    ``work.grads`` (a fresh workspace's when none is given).
+def backward(params: NnlmParams, trace: ForwardTrace, batch: Samples) -> NnlmParams:
+    """Analytic gradients of the batch-mean cross-entropy.
 
     Embedding gradients accumulate over the context positions, so a word
     repeated within one context contributes once per occurrence; each
@@ -352,27 +336,26 @@ def backward(
     contexts, targets = batch
     b = contexts.shape[0]
     d = params.embed.shape[1]
-    work = work or _Workspace(params, b)
 
-    dlogits = np.exp(trace.log_probs, out=work.dlogits[:b])
+    dlogits = np.exp(trace.log_probs)
     dlogits[np.arange(b), targets] -= 1.0
     dlogits /= b
 
-    grads = work.grads
+    grads = NnlmParams(np.empty_like(params.flat), params.shapes)
     np.matmul(trace.hidden.T, dlogits, out=grads.w_out)
     np.add.reduce(dlogits, axis=0, out=grads.b_out)
 
     # d loss / d pre-activation = (dhidden * hidden) * (1 - hidden), in place
-    dpre = np.matmul(dlogits, params.w_out.T, out=work.dpre[:b])
+    dpre = dlogits @ params.w_out.T
     dpre *= trace.hidden
-    dpre *= np.subtract(1.0, trace.hidden, out=work.scratch[:b])
+    dpre *= 1.0 - trace.hidden
     np.matmul(trace.embedded.T, dpre, out=grads.w_hid)
     np.add.reduce(dpre, axis=0, out=grads.b_hid)
 
     # dembedded[i, c*D + j] belongs to cell (contexts[i, c], j) of embed;
     # bincount adds each cell's terms in row order, as np.add.at does
-    dembedded = np.matmul(dpre, params.w_hid.T, out=work.dembedded[:b])
-    cells = np.add((contexts * d)[..., None], np.arange(d), out=work.cells[:b])
+    dembedded = dpre @ params.w_hid.T
+    cells = (contexts * d)[..., None] + np.arange(d)
     grads.embed[...] = np.bincount(
         cells.ravel(), weights=dembedded.ravel(), minlength=grads.embed.size
     ).reshape(grads.embed.shape)
@@ -385,14 +368,12 @@ def momentum_step(
     grads: NnlmParams,
     learning_rate: float,
     momentum: float,
-    work: _Workspace | None = None,
 ) -> None:
     """velocity <- momentum * velocity - learning_rate * grads;
-    params <- params + velocity.  Updates both arguments in place; the
-    scaled gradient goes to ``work.scaled`` when a workspace is given."""
+    params <- params + velocity.  Updates both arguments in place."""
     v = velocity.flat
     v *= momentum
-    v -= np.multiply(learning_rate, grads.flat, out=None if work is None else work.scaled)
+    v -= learning_rate * grads.flat
     params.flat += v
 
 
@@ -469,7 +450,6 @@ def train(
     history: list[EpochStats] = []
 
     n = len(train_samples)
-    work = _Workspace(params, min(config.batch_size, n))
     for epoch in range(1, config.max_epochs + 1):
         perm = stream(config.init_seed, epoch).permutation(n)
         contexts, targets = train_samples.contexts[perm], train_samples.targets[perm]
@@ -477,11 +457,11 @@ def train(
         for start in range(0, n, config.batch_size):
             stop = start + config.batch_size
             batch = Samples(contexts[start:stop], targets[start:stop])
-            trace = forward(params, batch, work)
+            trace = forward(params, batch)
             if not math.isfinite(trace.loss):
                 raise TrainingDiverged(epoch, "training")
-            grads = backward(params, trace, batch, work)
-            momentum_step(params, velocity, grads, config.learning_rate, config.momentum, work)
+            grads = backward(params, trace, batch)
+            momentum_step(params, velocity, grads, config.learning_rate, config.momentum)
             running += trace.loss * len(batch)
         train_loss = running / n
 

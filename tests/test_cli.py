@@ -126,6 +126,8 @@ class TestConfigErrors:
             ('nnlm={"embed_dim": 3}', "nnlm"),
             # other out-of-range values
             ("split.seeds=[-1]", "split.seeds"),
+            ("split.seeds=[0, 0]", "split.seeds"),
+            ("experiment.sentence_counts=[2, 2]", "experiment.sentence_counts"),
             ("split.ratios=[0.9, 0, 0.1]", "split.ratios"),
             ("split.ratios=[0.9, 0.1, 0]", "split.ratios"),
             ("split.ratios=[1.2, -0.1, -0.1]", "split.ratios"),

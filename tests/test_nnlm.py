@@ -409,6 +409,14 @@ class TestTrain:
         assert nnlm_pp < unigram_pp
 
 
+# at the english shape a 128-row block ran the edge kernel of a 24-row
+# dgemm tile on its last 8 rows
+SHAPES = pytest.mark.parametrize(
+    "vocab_size, embed_dim, hidden_dim", [(12, 6, 10), (53, 16, 48), (1820, 16, 48)],
+    ids=["edge-kernel", "readme", "english"],
+)
+
+
 class TestQuery:
     def make_model(self, **kw):
         cfg = tiny_config(**kw)
@@ -451,13 +459,6 @@ class TestQuery:
         model.log_probs(*random_batch(model.config, np.random.default_rng(2), size=300))
         model.distribution([0, 1, 2])
         assert len(checked) == 2
-
-    # at the english shape a 128-row block ran the edge kernel of a 24-row
-    # dgemm tile on its last 8 rows
-    SHAPES = pytest.mark.parametrize(
-        "vocab_size, embed_dim, hidden_dim", [(12, 6, 10), (53, 16, 48), (1820, 16, 48)],
-        ids=["edge-kernel", "readme", "english"],
-    )
 
     @SHAPES
     def test_sub_batches_score_like_the_full_batch(self, vocab_size, embed_dim, hidden_dim):
@@ -650,13 +651,11 @@ class TestBitExactTraining:
         history = assert_trains_like_reference(cfg, train_s, val_s, tmp_path)
         assert len(history) < cfg.max_epochs
 
-    @pytest.mark.parametrize(
-        "vocab_size, embed_dim, hidden_dim", [(12, 6, 10), (53, 16, 48)],
-        ids=["edge-kernel", "readme"],
-    )
+    @SHAPES
     def test_blocked_validation_over_4096_samples(self, tmp_path, vocab_size, embed_dim, hidden_dim):
-        # validation runs in 128-row blocks where the reference takes one
-        # pass per 4,096 rows; the training batches reuse one workspace
+        # validation runs in _SCORE_ROWS-row blocks where the reference takes
+        # one pass per 4,096 rows; at the english shape the batches are
+        # BLAS-bound and the short last batch gets arrays of its own
         cfg = nnlm.NnlmConfig(
             vocab_size=vocab_size, order=4, embed_dim=embed_dim, hidden_dim=hidden_dim,
             batch_size=32, learning_rate=0.3, max_epochs=3, patience=3, init_seed=6,
@@ -679,8 +678,8 @@ class TestBitExactTraining:
 
 
 class TestFixedBuffers:
-    """Training writes into one preallocated workspace; validation and
-    scoring into one of ``_SCORE_ROWS`` rows."""
+    """Validation and scoring write into one workspace of ``_SCORE_ROWS``
+    rows; each training call allocates arrays of its own."""
 
     def test_validation_memory_is_one_block(self):
         import tracemalloc
@@ -699,7 +698,7 @@ class TestFixedBuffers:
         ref_params = ref.RefParams(*(t.copy() for _, t in params.tensors()))
         assert loss == ref._mean_loss(ref_params, samples)
 
-    def test_calls_without_a_workspace_do_not_share_arrays(self):
+    def test_forward_and_backward_calls_do_not_share_arrays(self):
         cfg = tiny_config()
         params = nnlm.init_params(cfg)
         rng = np.random.default_rng(19)
