@@ -9,8 +9,8 @@ The stages after preprocess start from one inventory per author: its
 inputs loaded once, each seed's split (or the error that refused it, such
 as missing preprocess outputs), and the (seed, method) models on disk.
 They work on every item the inventory allows and print one stderr line for
-each item they skip; the training stages run their items in forked worker
-processes, one per usable CPU (``_run_items``).  Exit codes:
+each item they skip; the training stages fork one worker process per
+usable CPU, which takes items from a pipe (``_run_items``).  Exit codes:
 0 success, 1 configuration or usage error, a missing, corrupt or stale input, a
 dead worker process, nothing to work on, or a closed stdout; 2 partial
 failure (some items skipped or failed, the rest done); 3 divergence.
@@ -19,7 +19,10 @@ failure (some items skipped or failed, the rest done); 3 divergence.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import gc
 import os
+import pickle
 import sys
 import warnings
 from collections import defaultdict
@@ -29,6 +32,10 @@ from pathlib import Path
 from . import evaluation, files, kn, nnlm, synthetic, textproc
 from .config import ConfigError, RunConfig
 from .prng import derive_seed
+
+# once per process: what the imports made lives until it ends, so no
+# collection, the several at interpreter teardown included, walks it again
+gc.freeze()
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -152,89 +159,126 @@ def _inventory(cfg: RunConfig, raw: bool = False) -> list[_Author]:
     return authors
 
 
-_job = None  # (items, run) of the stage, set in each forked worker
+class _WorkerTraceback(Exception):
+    """The traceback, as text, of an exception that ``run`` raised in a
+    worker; the exception is raised from it."""
 
 
-def _start_worker(items, run, stage_pid: int) -> None:
-    import ctypes
-    import signal
+def _write_all(fd: int, data: bytes) -> None:
+    while data:
+        data = data[os.write(fd, data) :]
 
-    global _job
-    _job = items, run
-    # An idle worker waits on its task queue forever once the stage process
-    # is gone, so on Linux the kernel kills it when the stage process dies.
+
+def _work(items, run, tasks: int, feed: int, out: int, stage_pid: int) -> None:
+    """A forked worker: runs each item whose index it reads from ``tasks``
+    and writes its record to ``out``: the length of the pickled (index,
+    result, raised exception and its traceback, distinct warnings), then
+    its bytes.  Ends the process instead of returning."""
+    code = 1
     try:
-        prctl = ctypes.CDLL(None).prctl
-    except AttributeError:  # no prctl on this platform
-        pass
-    else:
-        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
-        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
-    if os.getppid() != stage_pid:  # it died before that took effect
-        os._exit(1)
+        # an idle worker would wait on ``tasks`` forever once the stage
+        # process is gone, so on Linux the kernel kills it when that dies
+        if prctl := getattr(ctypes.CDLL(None), "prctl", None):
+            prctl(1, ctypes.c_ulong(9))  # PR_SET_PDEATHSIG, SIGKILL
+        os.close(feed)  # or ``tasks`` would never end
+        while os.getppid() == stage_pid and (index := os.read(tasks, 4)):
+            i = int.from_bytes(index, "little")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    outcome = run(*items[i]), None
+                except Exception as exc:  # sent with its traceback, which pickling drops
+                    import traceback
+
+                    outcome = None, (exc, traceback.format_exc())
+            shown = dict.fromkeys((str(w.message), w.category, w.filename, w.lineno) for w in caught)
+            record = pickle.dumps((i, *outcome, list(shown)))
+            _write_all(out, len(record).to_bytes(4, "little") + record)
+        code = 0
+    finally:
+        os._exit(code)
 
 
-def _run_item(index: int):
-    """One item in a worker: its ``run`` result and the distinct warnings
-    it raised, which the parent shows in item order."""
-    items, run = _job
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        exc = run(*items[index])
-    return exc, list(dict.fromkeys((str(w.message), w.category, w.filename, w.lineno) for w in caught))
+def _receive(selector, workers: dict, outcomes: dict) -> bool:
+    """Wait for the workers' result pipes, put each whole record that has
+    come in ``outcomes`` and reap each worker that has closed its pipe;
+    True if one of those ended with a non-zero code."""
+    died = False
+    for key, _ in selector.select():
+        buffer = key.data
+        buffer += (chunk := os.read(key.fd, 1 << 16))
+        while len(buffer) >= 4 + (size := int.from_bytes(buffer[:4], "little")):
+            record = pickle.loads(buffer[4 : 4 + size])
+            outcomes[record[0]] = record[1:]
+            del buffer[: 4 + size]
+        if not chunk:
+            selector.unregister(key.fd)
+            os.close(key.fd)
+            died |= os.waitpid(workers.pop(key.fd), 0)[1] != 0
+    return died
 
 
 def _run_items(stage: str, cfg: RunConfig, authors: list[_Author], run) -> list[Exception]:
     """Call ``run(author_index, author, seed, split)`` for every (author,
     seed) whose split exists; ``run`` returns None or the item's exception.
-    The items run in forked worker processes, one per usable CPU, which
-    inherit ``run`` and the items and get only an item's index.  Prints one
-    line per item in (author, seed) order, a failed or refused one with its
-    error on stderr, and returns those errors.  A worker that dies (killed,
-    out of memory) ends the stage with a ConfigError."""
-    # imported here, so that the other stages do not pay for the import
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    Prints one line per item in (author, seed) order as soon as its turn
+    comes, a failed or refused one with its error on stderr, and returns
+    those errors; an exception that ``run`` raised is raised in its turn.
 
-    # The pool sends a worker its function by module and name.  Run by
-    # runpy or cProfile, this code is not the ``__main__`` module that the
-    # workers look the name up in, so it sends the package module's.
-    this = sys.modules[__name__]
-    if getattr(this, "_run_item", None) is not _run_item:
-        from . import cli as this
+    Forks one worker per usable CPU, up to the item count, which takes item
+    indices from one pipe, filled and closed here, and sends its records
+    back on its own pipe.  A worker that dies (killed, out of memory) or
+    ends with items unreported ends the stage with a ConfigError naming the
+    first unfinished item.  No worker outlives this call."""
+    import selectors  # here, so that the other stages do not pay for it
 
     items = [(ai, a, seed, a.splits[seed]) for ai, a in enumerate(authors) for seed in cfg.seeds]
-    runnable = [i for i, item in enumerate(items) if not isinstance(item[3], ValueError)]
-    workers = max(1, min(len(runnable), len(os.sched_getaffinity(0))))
+    runnable = {i for i, item in enumerate(items) if not isinstance(item[3], ValueError)}
+    errors, shown, outcomes, dead = [], {}, {}, False
+    workers = {}  # the read end of each live worker's result pipe -> its pid
+    selector = selectors.DefaultSelector()
+    stage_pid, (tasks, feed) = os.getpid(), os.pipe()
     sys.stdout.flush()  # a forked child must not write the parent's buffered lines again
     sys.stderr.flush()
-    errors, shown = [], {}
-    pool = ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=this._start_worker, initargs=(items, run, os.getpid()),
-    )
     try:
-        futures = {i: pool.submit(this._run_item, i) for i in runnable}
-        for i, (_, author, seed, split) in enumerate(items):
-            if i in futures:
-                try:
-                    exc, caught = futures[i].result()
-                except BrokenProcessPool:
-                    raise ConfigError(
-                        f"a worker process died before {author.name} seed {seed} finished"
-                    ) from None
+        for _ in range(min(len(runnable), len(os.sched_getaffinity(0)))):
+            results, out = os.pipe()
+            if (pid := os.fork()) == 0:
+                _work(items, run, tasks, feed, out, stage_pid)
+            os.close(out)
+            workers[results] = pid
+            selector.register(results, selectors.EVENT_READ, bytearray())
+        # 4 bytes an index, and a pipe holds whole indices (a write of up to
+        # PIPE_BUF bytes is atomic, and Linux fills whole pages beyond that),
+        # so a worker's 4-byte read takes one whole index
+        _write_all(feed, b"".join(i.to_bytes(4, "little") for i in sorted(runnable)))
+        os.close(feed)
+        feed = None
+        for i, (_, author, seed, exc) in enumerate(items):
+            while i in runnable and i not in outcomes:
+                if dead or not workers:
+                    raise ConfigError(f"a worker process died before {author.name} seed {seed} finished")
+                dead |= _receive(selector, workers, outcomes)
+            if i in outcomes:
+                exc, raised, caught = outcomes[i]
+                if raised is not None:
+                    raise raised[0] from _WorkerTraceback(raised[1])
                 for text, category, filename, lineno in caught:
                     warnings.warn_explicit(text, category, filename, lineno, registry=shown)
-            else:
-                exc = split
             if exc is None:
                 print(f"{stage}: {author.name} seed {seed}: done")
             else:
                 errors.append(exc)
                 print(f"{stage}: {author.name} seed {seed}: {exc}", file=sys.stderr)
-    finally:  # on an early exit, items not yet started are dropped
-        pool.shutdown(cancel_futures=True)
+    finally:  # a worker still running is killed; each is reaped
+        for fd, pid in workers.items():
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+            os.close(fd)
+        selector.close()
+        os.close(tasks)
+        if feed is not None:
+            os.close(feed)
     return errors
 
 
@@ -345,17 +389,19 @@ def cmd_train_nnlm(cfg: RunConfig) -> int:
     def run(ai, author, seed, split):
         train_samples = textproc.extract_samples(author.corpus, split.train)
         val_samples = textproc.extract_samples(author.corpus, split.validation)
-        try:  # a vocabulary too small for the network is this item's failure
+        # a vocabulary too small for the network, divergence or an output
+        # that cannot be written is this item's failure
+        try:
             model_cfg = cfg.nnlm_config(author.vocab.size, author.order, derive_seed(seed, ai, 1))
             model, history = nnlm.train(model_cfg, train_samples, val_samples)
-        except (ValueError, nnlm.TrainingDiverged) as exc:
+            nnlm.save_model(model, _model_path(cfg, author.name, seed, "nnlm"))
+            files.write_csv(
+                logs / f"{author.name}_{seed}.train.csv",
+                ["epoch", "train_loss", "validation_loss"],
+                [[e.epoch, repr(e.train_loss), repr(e.validation_loss)] for e in history],
+            )
+        except (OSError, ValueError, nnlm.TrainingDiverged) as exc:
             return exc
-        nnlm.save_model(model, _model_path(cfg, author.name, seed, "nnlm"))
-        files.write_csv(
-            logs / f"{author.name}_{seed}.train.csv",
-            ["epoch", "train_loss", "validation_loss"],
-            [[e.epoch, repr(e.train_loss), repr(e.validation_loss)] for e in history],
-        )
         return None
 
     errors = _run_items("train-nnlm", cfg, authors, run)
@@ -371,7 +417,10 @@ def cmd_train_ngram(cfg: RunConfig) -> int:
     def run(ai, author, seed, split):
         sentences = [author.corpus.sentences[i] for i in split.train]
         model = kn.train_model(sentences, author.order, author.vocab.size)
-        kn.save_model(model, _model_path(cfg, author.name, seed, "kn"))
+        try:
+            kn.save_model(model, _model_path(cfg, author.name, seed, "kn"))
+        except OSError as exc:  # a model that cannot be written is this item's failure
+            return exc
         return None
 
     return EXIT_PARTIAL if _run_items("train-ngram", cfg, authors, run) else EXIT_OK

@@ -312,6 +312,12 @@ def forward(params: NnlmParams, batch: Samples) -> ForwardTrace:
     assigned to the targets."""
     contexts, targets = batch
     _check_ids(contexts, targets, params.b_out.shape[0])
+    return _forward(params, batch)
+
+
+def _forward(params: NnlmParams, batch: Samples) -> ForwardTrace:
+    """``forward`` on a batch whose ids are known to be in range."""
+    contexts, targets = batch
     work = _Workspace(params, len(contexts))
     embedded, hidden, log_probs = _activations(params, contexts, work)
     loss = cross_entropy(log_probs, targets)
@@ -457,7 +463,7 @@ def train(
         for start in range(0, n, config.batch_size):
             stop = start + config.batch_size
             batch = Samples(contexts[start:stop], targets[start:stop])
-            trace = forward(params, batch)
+            trace = _forward(params, batch)  # every sample's ids were checked above
             if not math.isfinite(trace.loss):
                 raise TrainingDiverged(epoch, "training")
             grads = backward(params, trace, batch)

@@ -20,7 +20,7 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -215,7 +215,9 @@ def flatten_padded(sentences: Iterable[Sequence[int]], order: int) -> tuple[np.n
 def encode_sentence(tokens: Sequence[str], vocab: Vocabulary, order: int) -> tuple[int, ...]:
     if order < 2:
         raise ValueError("order must be >= 2")
-    ids = tuple(vocab.index_of(t) for t in tokens)
+    # the index's own get, with the unknown id as its default: no Python
+    # call per token
+    ids = tuple(map(vocab._index.get, tokens, repeat(UNK_ID)))
     return (START_ID,) * (order - 1) + ids + (END_ID,)
 
 
@@ -404,7 +406,8 @@ def save_processed(processed: ProcessedCorpus, path: str | Path) -> None:
         f"# stemming {int(processed.stemming)}",
         f"# prune_threshold {processed.prune_threshold!r}",
     ]
-    lines += [" ".join(map(str, sent)) for sent in processed.sentences]
+    names = [str(i) for i in range(processed.vocabulary.size)]  # each id's text, made once
+    lines += [" ".join([names[i] for i in sent]) for sent in processed.sentences]
     write_file(path, "\n".join(lines) + "\n")
 
 

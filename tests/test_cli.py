@@ -380,6 +380,22 @@ class TestPipeline:
             for i in range(2)
         ]
 
+    @pytest.mark.parametrize("stage, ext", [("train-ngram", "arpa"), ("train-nnlm", "nnlm")])
+    def test_unwritable_model_is_partial_failure(self, workdir, capsys, stage, ext):
+        # a directory where the model goes fails that item only, in one line
+        for command in ("synth", "preprocess"):
+            assert run(command, "--config", "cfg.json") == cli.EXIT_OK, command
+        models = workdir / "outputs" / "models"
+        (models / f"author00_0.{ext}").mkdir(parents=True)
+        capsys.readouterr()
+        assert run(stage, "--config", "cfg.json") == cli.EXIT_PARTIAL
+        out, err = capsys.readouterr()
+        assert out.splitlines() == [f"{stage}: author01 seed 0: done"]
+        [line] = err.splitlines()
+        assert line.startswith(f"{stage}: author00 seed 0: [Errno ") and f"author00_0.{ext}" in line
+        assert (models / f"author01_0.{ext}").is_file()
+        assert sorted(p.name for p in models.iterdir()) == [f"author00_0.{ext}", f"author01_0.{ext}"]
+
     def test_divergence_exit_code(self, workdir, capsys):
         assert run("synth", "--config", "cfg.json") == cli.EXIT_OK
         assert run("preprocess", "--config", "cfg.json") == cli.EXIT_OK
