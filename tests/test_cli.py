@@ -556,6 +556,27 @@ class TestWorkers:
         ]
         assert not list((workdir / "outputs" / "models").glob("*.arpa"))
 
+    def test_exception_raised_in_a_worker_keeps_its_traceback(self, workdir, monkeypatch, capsys):
+        # an exception that is no item's failure ends the stage as raised,
+        # from the worker's traceback, and leaves no worker behind
+        seeds = ["--set", "split.seeds=[0, 1, 2]"]
+        for command in ("synth", "preprocess"):
+            assert run(command, "--config", "cfg.json", *seeds) == cli.EXIT_OK, command
+
+        def train_model(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(kn, "train_model", train_model)
+        capsys.readouterr()
+        with pytest.raises(RuntimeError, match="^boom$") as raised:
+            run("train-ngram", "--config", "cfg.json", *seeds)
+        cause = raised.value.__cause__
+        assert isinstance(cause, cli._WorkerTraceback)
+        assert "in train_model" in str(cause) and str(cause).rstrip().endswith("RuntimeError: boom")
+        assert capsys.readouterr().out == ""
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_killed_stage_takes_its_workers(self, workdir):
         # every item sleeps; once the stage process is killed, its workers
         # must go too, or they keep the output pipes open
