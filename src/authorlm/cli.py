@@ -12,7 +12,8 @@ They work on every item the inventory allows and print one stderr line for
 each item they skip; the training stages fork one worker process per
 usable CPU, which takes items from a pipe (``_run_items``).  Exit codes:
 0 success, 1 configuration or usage error, a missing, corrupt or stale input, a
-dead worker process, nothing to work on, or a closed stdout; 2 partial
+dead worker process, nothing to work on, a stage output that cannot be
+written, or a closed stdout; 2 partial
 failure (some items skipped or failed, the rest done); 3 divergence.
 """
 
@@ -459,15 +460,15 @@ def cmd_eval(cfg: RunConfig) -> int:
         rows.append([author.name, seed, method, repr(perplexity)])
         per_method[method].append(perplexity)
         print(f"eval: {author.name} seed {seed} {method}: PP={perplexity:.2f}")
-    # only now, so that refusing a model or its score is the one stderr line
-    for line in skipped:
-        print(f"eval: {line}", file=sys.stderr)
     files.write_csv(out / "perplexity.csv", ["author", "seed", "method", "perplexity"], rows)
     summary = _write_perplexity_summary(
         out / "perplexity_summary.csv", {m: v for m, v in per_method.items() if v}
     )
     for method, s in summary.items():
         print(f"eval: {method} test perplexity {evaluation.format_mean_std(s['mean'], s['std'])}")
+    # only now, so that refusing a model, its score or an output is the one stderr line
+    for line in skipped:
+        print(f"eval: {line}", file=sys.stderr)
     return EXIT_PARTIAL if skipped else EXIT_OK
 
 
@@ -553,15 +554,15 @@ def cmd_experiment(cfg: RunConfig) -> int:
         shown = {s: round(a, 3) for s, a in curve.items()}
         print(f"experiment: {method} seed {seed}: accuracy {shown}")
 
-    # only now, so that refusing a model or its score is the one stderr line
-    for line in skipped:
-        print(f"experiment: {line}", file=sys.stderr)
     summary = _write_accuracy_summary(out / "summary.csv", curves, exp["sentence_counts"])
     methods = {m: {"accuracy_by_count": acc} for m, acc in summary.items()}
     files.write_json(
         out / "summary.json",
         {"seeds": cfg.seeds, "excluded_authors": exp["excluded_authors"], "methods": methods},
     )
+    # only now, so that refusing a model, its score or an output is the one stderr line
+    for line in skipped:
+        print(f"experiment: {line}", file=sys.stderr)
     return EXIT_PARTIAL if skipped else EXIT_OK
 
 
@@ -707,6 +708,12 @@ def main(argv: list[str] | None = None) -> int:
         # at its next line, and since the interpreter flushes stdout again at
         # exit, stdout is first pointed at devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CONFIG
+    except OSError as exc:  # e.g. a directory where a summary file goes
+        # os.replace names the temporary file first and the target second
+        path = exc.filename2 or exc.filename
+        message = f"{path}: {exc.strerror}" if path else str(exc)
+        print(f"authorlm {args.command}: {message}", file=sys.stderr)
         return EXIT_CONFIG
 
 

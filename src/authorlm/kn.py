@@ -28,20 +28,23 @@ back-off walk, ``KnModel._walk``.
 Float rule: counts, totals, discounts, the interpolation sum and the final
 ``* ln 10`` are exact IEEE operations and run vectorized; the
 transcendentals of the higher orders (``math.log10`` of each probability
-and weight, ``10.0 ** x`` of each lower-order term) stay per-element Python
-scalars, because numpy's vectorized log10 and power can differ from them in
-the last bit and saved model files must not change.  The unigram level has
-always used ``np.log10``.
+and weight, ``10.0 ** x`` of each lower-order term) stay Python scalar
+calls, because numpy's vectorized log10 and power can differ from them in
+the last bit and saved model files must not change.  Back-off weights come
+from small integer counts and repeat, so their ``math.log10`` runs once per
+distinct value (``_each_distinct``); probabilities are mostly distinct and
+are converted one by one.  The unigram level has always used ``np.log10``.
 
 The text serialization holds exactly the stored tables, so a round-trip
 through a file reproduces query results bit for bit.  ``save_model``
 builds each section as whole columns (probability, ids, back-off) and
-joins them once; it keeps one ``repr`` per float, the shortest string that
-reads back to the same double, so the bytes of a saved model do not
-depend on how it is written.  ``load_model`` reads that one layout and no
-other: fixed header and section lines, exactly the announced number of
-entries per section, strictly rising id tuples, so each section's packed
-keys are used as parsed.
+joins them once; every float is written as its ``repr``, the shortest
+string that reads back to the same double, and each distinct value is
+formatted once, so the bytes of a saved model do not depend on how it is
+written.  ``load_model`` reads that one layout and no other: fixed header
+and section lines, exactly the announced number of entries per section,
+strictly rising id tuples, so each section's packed keys are used as
+parsed; each distinct back-off text is parsed once.
 """
 
 from __future__ import annotations
@@ -126,6 +129,17 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     first = np.ones(len(values), dtype=bool)
     first[1:] = values[1:] != values[:-1]
     return np.flatnonzero(first)
+
+
+def _each_distinct(convert, values: np.ndarray, dtype) -> np.ndarray:
+    """``convert`` of every element of a float64 array, as a ``dtype`` array.
+
+    ``convert`` runs once per distinct bit pattern (so -0.0 and 0.0 stay
+    apart) and its results are gathered to every element, so each result is
+    the one a call per element would give.
+    """
+    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array([convert(x) for x in distinct.view(np.float64).tolist()], dtype=dtype)[inverse]
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -327,7 +341,7 @@ def build_model(tables: CountTables, vocab_size: int) -> KnModel:
         dk = discounts[k - 1]
         lam = dk * distinct / totals
         model.bows[k - 1] = _Table(
-            k - 1, vocab_size, ctx[starts], np.array([math.log10(x) for x in lam.tolist()])
+            k - 1, vocab_size, ctx[starts], _each_distinct(math.log10, lam, np.float64)
         )
         lower = model._walk(grams[:, 1:-1], grams[:, -1])
         lower = np.array([10.0**x for x in lower.tolist()])
@@ -360,9 +374,11 @@ def save_model(model: KnModel, path: str | Path) -> None:
     ``repr`` so parsing restores them exactly.
 
     A section is built as columns over the sorted union of its probability
-    and back-off keys: the formatted floats land by ``searchsorted``
-    position, and each id column is gathered from a table of one string
-    per id, so a line is the sum of k + 2 string columns.
+    and back-off keys: the formatted floats, one ``repr`` per distinct value
+    gathered to every entry, land by ``searchsorted`` position, and each id
+    column is gathered from a table of one string per id, so a line is the
+    sum of k + 2 string columns.  The bytes are those of one ``repr`` per
+    entry.
     """
     V = model.vocab_size
     dtype = _key_dtype(V, model.order)
@@ -380,12 +396,12 @@ def save_model(model: KnModel, path: str | Path) -> None:
         keys = keys[_run_starts(keys)]
         ids = _unpack(keys, k, V)
         entries = np.full(len(keys), _NO_PROB, dtype=object)
-        entries[np.searchsorted(keys, probs.keys)] = list(map(repr, probs.values.tolist()))
+        entries[np.searchsorted(keys, probs.keys)] = _each_distinct(repr, probs.values, object)
         entries += first_id[ids[:, 0]]
         for j in range(1, k):
             entries += next_id[ids[:, j]]
         bow = np.full(len(keys), "", dtype=object)
-        bow[np.searchsorted(keys, bows.keys)] = [f"\t{x!r}" for x in bows.values.tolist()]
+        bow[np.searchsorted(keys, bows.keys)] = _each_distinct("\t{!r}".format, bows.values, object)
         sections.append((entries + bow).tolist())
 
     lines = [
@@ -411,6 +427,17 @@ def _bulk_floats(fields: np.ndarray) -> np.ndarray | None:
         return None
 
 
+def _distinct_floats(fields: np.ndarray) -> np.ndarray | None:
+    """float() of every field of an object array of strings, parsed once
+    per distinct text and gathered to every field, or None if one fails."""
+    texts = fields.tolist()
+    try:
+        parsed = {text: float(text) for text in dict.fromkeys(texts)}
+    except ValueError:
+        return None
+    return np.fromiter(map(parsed.__getitem__, texts), dtype=np.float64, count=len(texts))
+
+
 def _parse_entries(
     lines: list[str], k: int, order: int, vocab_size: int
 ) -> tuple[_Table, _Table] | None:
@@ -419,7 +446,8 @@ def _parse_entries(
     packed keys rise strictly.
 
     One split of the block's text gives the fields, one ``parse_id_rows``
-    call all ids, and ``float`` mapped over each float column the values.
+    call all ids, ``float`` mapped over the probability column its values,
+    and one ``float`` per distinct text the back-off weights, which repeat.
     """
     dtype = _key_dtype(vocab_size, order)
     if not lines:
@@ -450,7 +478,7 @@ def _parse_entries(
     has_bow = widths == 3
     if k == order and has_bow.any():
         return None
-    bows = _bulk_floats(fields[starts[has_bow] + 2])
+    bows = _distinct_floats(fields[starts[has_bow] + 2])
     if bows is None or not np.isfinite(bows).all():
         return None
     return _Table(k, vocab_size, keys[has_p], probs), _Table(k, vocab_size, keys[has_bow], bows)

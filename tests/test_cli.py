@@ -396,6 +396,23 @@ class TestPipeline:
         assert (models / f"author01_0.{ext}").is_file()
         assert sorted(p.name for p in models.iterdir()) == [f"author00_0.{ext}", f"author01_0.{ext}"]
 
+    @pytest.mark.parametrize(
+        "stage, summary", [("preprocess", "preprocess/stats.csv"), ("eval", "eval/perplexity.csv")]
+    )
+    def test_unwritable_summary_is_config_error(self, workdir, capsys, stage, summary):
+        # a directory where the stage's summary file goes: exit 1, one line naming it
+        before = ("synth", "preprocess", "train-nnlm", "train-ngram")
+        for command in before[: before.index(stage)] if stage in before else before:
+            assert run(command, "--config", "cfg.json") == cli.EXIT_OK, command
+        path = workdir / "outputs" / summary
+        path.mkdir(parents=True)
+        capsys.readouterr()
+        assert run(stage, "--config", "cfg.json") == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"authorlm {stage}: {Path('outputs', summary)}: Is a directory"
+        ]
+        assert list(path.parent.glob(".*.tmp")) == []
+
     def test_divergence_exit_code(self, workdir, capsys):
         assert run("synth", "--config", "cfg.json") == cli.EXIT_OK
         assert run("preprocess", "--config", "cfg.json") == cli.EXIT_OK

@@ -235,6 +235,22 @@ class TestProbabilities:
         with pytest.raises(ValueError, match="out of range"):
             model.log_prob([vocab.size], 0)
 
+    def test_bows_are_math_log10_of_each_weight(self):
+        # the weights repeat and are converted once per distinct value; the
+        # bits are those of math.log10 called on every weight
+        order, V = 4, 9
+        tables = kn.count(random_id_sentences(order, V, seed=7, n=80), order)
+        model = kn.build_model(tables, V)
+        for k in range(2, order + 1):
+            grams, counts = tables.discounted(k)
+            ctx = kn._pack(grams, V, np.int64) // V
+            starts = kn._run_starts(ctx)
+            distinct = np.diff(np.append(starts, len(ctx)))
+            lam = model.discounts[k - 1] * distinct / np.add.reduceat(counts, starts)
+            assert len(np.unique(lam)) < len(lam)
+            want = np.array([math.log10(x) for x in lam.tolist()])
+            assert model.bows[k - 1].values.tobytes() == want.tobytes()
+
     def test_long_context_truncates(self):
         vocab, pc = abab()
         model = kn.train_model(pc.sentences, 2, vocab.size)
@@ -365,6 +381,42 @@ class TestSaveModelBytes:
         assert "ngram 2=0\nngram 3=0\n\\1-grams:\n" in text
         assert text.endswith("\\2-grams:\n\\3-grams:\n\\end\\\n")
 
+    @pytest.mark.parametrize(
+        "order, pool",
+        [
+            (4, [-0.5, -1.25, -2.0]),
+            (3, [0.0, -0.0]),
+            (3, [-0.75]),
+            (1, [-0.75]),  # the top order's empty back-offs are the only ones
+        ],
+        ids=["repeated", "signed-zeros", "one-value", "one-value-order1"],
+    )
+    def test_repeated_values(self, tmp_path, order, pool):
+        # each table's values are draws from a small pool, so every column
+        # repeats its few values; each is formatted once, the bytes are the
+        # per-entry writer's and the values load back bit for bit
+        V = 9
+        model = kn.train_model(random_id_sentences(order, V, seed=order), order, V)
+        rng = np.random.default_rng(order)
+
+        def draw(table):
+            return kn._Table(table.order, V, table.keys, rng.choice(pool, size=len(table)))
+
+        model = dataclasses.replace(
+            model,
+            unigram_log10=rng.choice(pool, size=V),
+            probs={k: draw(t) for k, t in model.probs.items()},
+            bows={k: draw(t) for k, t in model.bows.items()},
+        )
+        text = self.assert_same_bytes(tmp_path, model)
+        fields = {f for line in text.splitlines() if "\t" in line for f in line.split("\t")[::2]}
+        assert fields - {"na"} == {repr(x) for x in pool}
+        loaded = kn.load_model(tmp_path / "new.arpa")
+        assert loaded.unigram_log10.tobytes() == model.unigram_log10.tobytes()
+        for k in range(2, order + 1):
+            assert loaded.probs[k].values.tobytes() == model.probs[k].values.tobytes()
+            assert loaded.bows[k - 1].values.tobytes() == model.bows[k - 1].values.tobytes()
+
     def test_empty_bow_tables(self, tmp_path):
         model = kn.train_model(random_id_sentences(3, 9, seed=5), 3, 9)
         empty = {k: kn._Table(k, 9, table.keys[:0], table.values[:0]) for k, table in model.bows.items()}
@@ -454,6 +506,22 @@ class TestMalformedEntries:
             kn.load_model(path)
         assert str(err.value) == f"{path}:{i + 1}: id list length != section order 3"
 
+    def test_malformed_copy_of_a_repeated_bow_names_its_line(self, tmp_path):
+        # back-off texts are parsed once per distinct text: a bad copy of a
+        # text that other lines repeat is a text of its own, and refused
+        _, path, lines = saved_lines(tmp_path, TRIGRAM_CORPUS, 3)
+        bows = [(i, line.split("\t")[2]) for i, line in enumerate(lines) if line.count("\t") == 2]
+        texts = [text for _, text in bows]
+        common = max(set(texts), key=texts.count)
+        rows = [i for i, text in bows if text == common]
+        assert len(rows) >= 3
+        i = rows[len(rows) // 2]
+        lines[i] = set_field(lines[i], 2, common + "x")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(kn.KnParseError) as err:
+            kn.load_model(path)
+        assert str(err.value) == f"{path}:{i + 1}: bad back-off weight {common + 'x'!r}"
+
     def test_duplicate_entry_names_its_line(self, tmp_path):
         model, path, lines = saved_lines(tmp_path, TRIGRAM_CORPUS, 3)
         i = middle_of_section(lines, 3)
@@ -535,6 +603,8 @@ class TestBulkFloats:
     """The block reader's float column takes and refuses exactly what
     ``float()`` does, with the same bits."""
 
+    parse = staticmethod(kn._bulk_floats)
+
     EDGE = [
         "nan", "-nan", "NaN", "inf", "-Infinity", "1_0", "1__0", "_1", " 1.5", "1.5\t",
         "0x10", "na", "1e", "1e5", "5e-324", "2e-324", "1e309", "-0.0", "+1", "1.",
@@ -550,7 +620,7 @@ class TestBulkFloats:
 
     @pytest.mark.parametrize("text", EDGE)
     def test_edge_strings_parse_like_float(self, text):
-        got = kn._bulk_floats(np.array([text], dtype=object))
+        got = self.parse(np.array([text], dtype=object))
         want = self.as_float(text)
         if want is None:
             assert got is None
@@ -558,7 +628,7 @@ class TestBulkFloats:
             assert got.dtype == np.float64 and got.tobytes() == np.float64(want).tobytes()
 
     def test_one_bad_field_refuses_the_block(self):
-        assert kn._bulk_floats(np.array(["-0.5", "-0.5x", "-1"], dtype=object)) is None
+        assert self.parse(np.array(["-0.5", "-0.5x", "-1"], dtype=object)) is None
 
     def test_reprs_round_trip_bit_for_bit(self):
         rng = np.random.default_rng(17)
@@ -567,7 +637,23 @@ class TestBulkFloats:
             rng.standard_normal(2000) * 10.0 ** rng.integers(-300, 300, size=2000),
         ])
         fields = np.array([repr(float(v)) for v in values], dtype=object)
-        assert kn._bulk_floats(fields).tobytes() == values.tobytes()
+        assert self.parse(fields).tobytes() == values.tobytes()
+
+
+class TestDistinctFloats(TestBulkFloats):
+    """The back-off column's parser, one ``float()`` per distinct text,
+    passes the same tests."""
+
+    parse = staticmethod(kn._distinct_floats)
+
+    def test_repeated_texts_round_trip_bit_for_bit(self):
+        rng = np.random.default_rng(19)
+        values = rng.choice([-0.0, 0.0, -0.25, -1.5e-300, 5e-324], size=500)
+        fields = np.array([repr(float(v)) for v in values], dtype=object)
+        assert self.parse(fields).tobytes() == values.tobytes()
+
+    def test_bad_copy_of_a_good_text_refuses_the_block(self):
+        assert self.parse(np.array(["-0.5", "-0.5", "-0.5x", "-0.5"], dtype=object)) is None
 
 
 def read_entries(path):
