@@ -1,7 +1,8 @@
-"""The smoothed n-gram baseline, from counts to a portable text model.
+"""The smoothed n-gram baseline, from counts to a saved model.
 
 Works the 4-token corpus "a b a b" end to end, since every number in it
-can be checked by hand, then shows the ARPA-style file format.
+can be checked by hand, then saves the model and shows its file's header
+line and the tables it stores.
 
 Run:  python demos/03_ngram_lm.py
 """
@@ -43,13 +44,24 @@ for ctx, label in [((a,), "a"), ((tp.UNK_ID,), "<unk>")]:
     dist = model.distribution(ctx)
     print(f"sum of P(.|{label}) = {dist.sum():.12f}")
 
-# --- the text serialization: one entry per line with log10 values;
-# entries that exist only to carry a back-off weight say "na"
+# --- the saved model: one JSON header line, then the raw arrays it lists
+# (unigram log10 probabilities, then each table's id rows and log10 values)
 with tempfile.TemporaryDirectory() as tmp:
-    path = Path(tmp) / "demo.arpa"
+    path = Path(tmp) / "demo.kn"
     kn.save_model(model, path)
-    print(f"\n{path.name}:")
-    print(path.read_text())
+    print(f"\n{path.name} header:")
+    print(path.read_bytes().split(b"\n", 1)[0].decode())
     restored = kn.load_model(path)
     assert restored.log_prob([a], b) == model.log_prob([a], b)
     print("reloaded model answers queries bit-for-bit identically")
+
+# --- the stored tables, through the API: log10 unigram probabilities,
+# then the sorted tables of bigram probabilities and back-off weights; a
+# table key is the id tuple read as a base-V number (w1 * V + w2)
+V, words = vocab.size, vocab.words
+probs, bows = restored.probs[2], restored.bows[1]
+print("\nlog10 P(w):", dict(zip(words, restored.unigram_log10.round(6).tolist())))
+print("log10 P(w2|w1):", {(words[key // V], words[key % V]): x
+                          for key, x in zip(probs.keys.tolist(), probs.values.round(6).tolist())})
+print("log10 backoff(w1):", {words[key]: x
+                             for key, x in zip(bows.keys.tolist(), bows.values.round(6).tolist())})

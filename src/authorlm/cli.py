@@ -60,8 +60,7 @@ def _stage_dir(cfg: RunConfig, stage: str) -> Path:
 
 
 def _model_path(cfg: RunConfig, author: str, seed: int, method: str) -> Path:
-    ext = "nnlm" if method == "nnlm" else "arpa"
-    return cfg.output_dir / "models" / f"{author}_{seed}.{ext}"
+    return cfg.output_dir / "models" / f"{author}_{seed}.{method}"
 
 
 def _load(loader, path: Path, *args):
@@ -710,9 +709,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CONFIG
     except OSError as exc:  # e.g. a directory where a summary file goes
-        # os.replace names the temporary file first and the target second
-        path = exc.filename2 or exc.filename
-        message = f"{path}: {exc.strerror}" if path else str(exc)
+        message = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
         print(f"authorlm {args.command}: {message}", file=sys.stderr)
         return EXIT_CONFIG
 

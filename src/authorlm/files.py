@@ -1,10 +1,16 @@
-"""The one place that writes files, and the CSV output format.
+"""The one place that writes files, the model container, and the CSV
+output format.
 
 ``write_file`` writes the new contents to a temporary file in the target's
 directory and renames it over the target with ``os.replace``, so a stage
 that fails or is killed leaves either the old file or the new one, never a
 truncated one.  There is no fsync: the aim is safety when a stage fails,
-not durability across a power loss.
+not durability across a power loss.  A write that fails names the target
+only, never the temporary file, which is gone by then.
+
+Both model families are saved in one binary container (``write_arrays``,
+``read_arrays``): one sorted-key JSON header line, then the raw
+little-endian bytes of each array in header order, and nothing after them.
 
 Every CSV output starts with one ``# generated <UTC timestamp>`` comment
 line, the only line allowed to differ between two runs of one config;
@@ -13,13 +19,18 @@ line, the only line allowed to differ between two runs of one config;
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import json
+import math
 import os
 from datetime import datetime, timezone
+from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 
 def write_file(path: str | Path, data: str | bytes) -> None:
@@ -30,9 +41,56 @@ def write_file(path: str | Path, data: str | bytes) -> None:
         with open(tmp, "xb") as f:
             f.write(data.encode("utf-8") if isinstance(data, str) else data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            raise type(exc)(exc.errno, exc.strerror, str(path)) from None
         raise
+
+
+def write_arrays(path: str | Path, header: dict, arrays: Sequence[np.ndarray]) -> None:
+    """The container: ``header`` as one sorted-key JSON line, then the raw
+    little-endian bytes of each array, in order."""
+    line = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
+    body = [a.astype(a.dtype.newbyteorder("<"), copy=False).tobytes() for a in arrays]
+    write_file(path, b"".join([line, *body]))
+
+
+Layout = list[tuple[str, str, tuple[int, ...]]]
+
+
+def read_arrays(
+    path: str | Path, magic: str, version: int, layout: Callable[[str | Path, dict], Layout]
+) -> tuple[dict, list[np.ndarray]]:
+    """The header and arrays of a container file whose header holds
+    ``format`` ``magic`` and ``version``.  ``layout(path, header)`` checks
+    the rest of the header and gives the (name, dtype, shape) of each array
+    it implies, in file order; the file must hold exactly their bytes.
+    Every refusal is a ValueError naming the path.
+    """
+    with open(path, "rb") as f:
+        try:
+            header = json.loads(f.readline())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not a model file") from exc
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: not a model file")
+        if header.get("format") != magic:
+            raise ValueError(f"{path}: unexpected format {header.get('format')!r}")
+        if header.get("version") != version:
+            raise ValueError(f"{path}: unsupported version {header.get('version')!r}")
+        arrays = layout(path, header)
+        ends = list(accumulate(np.dtype(dtype).itemsize * math.prod(shape) for _, dtype, shape in arrays))
+        # sized before reading, so a header that states huge arrays allocates nothing
+        size = os.fstat(f.fileno()).st_size - f.tell()
+        if size < ends[-1]:
+            raise ValueError(f"{path}: truncated tensor {arrays[bisect.bisect_right(ends, size)][0]!r}")
+        if size > ends[-1]:
+            raise ValueError(f"{path}: unexpected bytes after tensor {arrays[-1][0]!r}")
+        out = [np.empty(shape, dtype) for _, dtype, shape in arrays]
+        for a in out:  # each into its own memory, so the caller may drop any
+            f.readinto(a.reshape(-1).view(np.uint8))
+    return header, out
 
 
 def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:

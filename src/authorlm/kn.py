@@ -17,8 +17,8 @@ In memory a model is a dense unigram log10 array plus, per order, sorted
 packed tables (``_Table``): the id tuple (w1, ..., wk) is stored as the
 base-V number w1*V**(k-1) + ... + wk next to its log10 probability or
 log10 back-off weight.  For tuples of one length, key order is
-lexicographic id order, the order the text format lists entries in and
-the order count rows come in, so packing count rows needs no sort.  Keys
+lexicographic id order, the order a saved model lists id rows in and the
+order count rows come in, so packing rows needs no sort.  Keys
 are int64 when V**order < 2**63 and exact Python ints (object arrays)
 otherwise, so the choice depends only on the model's shape.  Every query
 (single probabilities, batches, whole distributions, and the lower-order
@@ -35,16 +35,11 @@ from small integer counts and repeat, so their ``math.log10`` runs once per
 distinct value (``_each_distinct``); probabilities are mostly distinct and
 are converted one by one.  The unigram level has always used ``np.log10``.
 
-The text serialization holds exactly the stored tables, so a round-trip
-through a file reproduces query results bit for bit.  ``save_model``
-builds each section as whole columns (probability, ids, back-off) and
-joins them once; every float is written as its ``repr``, the shortest
-string that reads back to the same double, and each distinct value is
-formatted once, so the bytes of a saved model do not depend on how it is
-written.  ``load_model`` reads that one layout and no other: fixed header
-and section lines, exactly the announced number of entries per section,
-strictly rising id tuples, so each section's packed keys are used as
-parsed; each distinct back-off text is parsed once.
+A saved model is the ``files`` container holding exactly the stored
+tables: the unigram log10 array, then each table's id rows (the keys
+unpacked) and log10 values, as raw bytes, so a round-trip reproduces query
+results bit for bit and a model's bytes depend only on the model.
+``load_model`` checks every array before packing its rows into keys.
 """
 
 from __future__ import annotations
@@ -56,21 +51,14 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .files import write_file
-from .textproc import flatten_padded, header_int, parse_id_rows, parse_ids
+from .files import Layout, read_arrays, write_arrays
+from .textproc import flatten_padded
 
-_KN_MAGIC = "authorlm-kn 1"
-_NO_PROB = "na"  # entry kept only for its back-off weight
+_KN_MAGIC = "authorlm-kn"
+_KN_VERSION = 2
 _LN10 = math.log(10.0)
 
 Gram = tuple[int, ...]
-
-
-class KnParseError(ValueError):
-    """Malformed model file; the message names ``path:line``."""
-
-    def __init__(self, path, line: int, message: str):
-        super().__init__(f"{path}:{line}: {message}")
 
 
 def _key_dtype(vocab_size: int, order: int):
@@ -131,15 +119,15 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero(first)
 
 
-def _each_distinct(convert, values: np.ndarray, dtype) -> np.ndarray:
-    """``convert`` of every element of a float64 array, as a ``dtype`` array.
+def _each_distinct(convert, values: np.ndarray) -> np.ndarray:
+    """``convert`` of every element of a float64 array, as a float64 array.
 
-    ``convert`` runs once per distinct bit pattern (so -0.0 and 0.0 stay
-    apart) and its results are gathered to every element, so each result is
-    the one a call per element would give.
+    ``convert`` runs once per distinct bit pattern and its results are
+    gathered to every element, so each result is the one a call per
+    element would give.
     """
     distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    return np.array([convert(x) for x in distinct.view(np.float64).tolist()], dtype=dtype)[inverse]
+    return np.array([convert(x) for x in distinct.view(np.float64).tolist()])[inverse]
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -341,7 +329,7 @@ def build_model(tables: CountTables, vocab_size: int) -> KnModel:
         dk = discounts[k - 1]
         lam = dk * distinct / totals
         model.bows[k - 1] = _Table(
-            k - 1, vocab_size, ctx[starts], _each_distinct(math.log10, lam, np.float64)
+            k - 1, vocab_size, ctx[starts], _each_distinct(math.log10, lam)
         )
         lower = model._walk(grams[:, 1:-1], grams[:, -1])
         lower = np.array([10.0**x for x in lower.tolist()])
@@ -363,238 +351,106 @@ def train_model(
     return build_model(tables, vocab_size)
 
 
+def _table_names(order: int) -> list[tuple[str, int]]:
+    """Name and id-row width of each table, in file order: probabilities of
+    orders 2..N, then back-off weights of context lengths 1..N-1."""
+    return [(f"probs{k}", k) for k in range(2, order + 1)] + [(f"bows{k}", k) for k in range(1, order)]
+
+
 def save_model(model: KnModel, path: str | Path) -> None:
-    """Write the ARPA-style text form.
-
-    Layout: comment headers (format version, order, vocab size, discounts),
-    a \\data\\ section with per-order entry counts, then one section per
-    order holding ``log10prob<TAB>ids<TAB>log10bow`` lines.  The bow field
-    appears only on entries that are back-off contexts; entries kept only
-    for their bow carry ``na`` in the probability field.  Floats use
-    ``repr`` so parsing restores them exactly.
-
-    A section is built as columns over the sorted union of its probability
-    and back-off keys: the formatted floats, one ``repr`` per distinct value
-    gathered to every entry, land by ``searchsorted`` position, and each id
-    column is gathered from a table of one string per id, so a line is the
-    sum of k + 2 string columns.  The bytes are those of one ``repr`` per
-    entry.
-    """
+    """The model container (``files.write_arrays``).  The header holds the
+    format, version, order, vocabulary size, discounts and each array's
+    name and shape.  Then come the dense unigram log10 array and, per
+    table, its sorted id rows (int64, n x k) and their log10 values."""
     V = model.vocab_size
-    dtype = _key_dtype(V, model.order)
-    no_bows = _Table(model.order, V, np.empty(0, dtype=dtype), np.empty(0))
-    first_id = np.array([f"\t{i}" for i in range(V)], dtype=object)
-    next_id = np.array([f" {i}" for i in range(V)], dtype=object)
-    sections = []
-    for k in range(1, model.order + 1):
-        if k == 1:
-            probs = _Table(1, V, np.arange(V).astype(dtype), model.unigram_log10)
-        else:
-            probs = model.probs[k]
-        bows = model.bows.get(k, no_bows)
-        keys = np.sort(np.concatenate([probs.keys, bows.keys]))
-        keys = keys[_run_starts(keys)]
-        ids = _unpack(keys, k, V)
-        entries = np.full(len(keys), _NO_PROB, dtype=object)
-        entries[np.searchsorted(keys, probs.keys)] = _each_distinct(repr, probs.values, object)
-        entries += first_id[ids[:, 0]]
-        for j in range(1, k):
-            entries += next_id[ids[:, j]]
-        bow = np.full(len(keys), "", dtype=object)
-        bow[np.searchsorted(keys, bows.keys)] = _each_distinct("\t{!r}".format, bows.values, object)
-        sections.append((entries + bow).tolist())
-
-    lines = [
-        f"# {_KN_MAGIC}",
-        f"# order {model.order}",
-        f"# vocab {model.vocab_size}",
-        "# discounts " + " ".join(repr(d) for d in model.discounts),
-        "\\data\\",
-    ]
-    lines += [f"ngram {k}={len(entries)}" for k, entries in enumerate(sections, 1)]
-    for k, entries in enumerate(sections, 1):
-        lines.append(f"\\{k}-grams:")
-        lines += entries
-    lines.append("\\end\\")
-    write_file(path, "\n".join(lines) + "\n")
+    arrays = {"unigram": model.unigram_log10}
+    for name, k in _table_names(model.order):
+        table = (model.probs if name.startswith("probs") else model.bows)[k]
+        arrays[f"{name}.ids"] = _unpack(table.keys, k, V)
+        arrays[name] = table.values
+    header = {
+        "format": _KN_MAGIC,
+        "version": _KN_VERSION,
+        "order": model.order,
+        "vocab": V,
+        "discounts": list(model.discounts),
+        "arrays": [[name, list(a.shape)] for name, a in arrays.items()],
+    }
+    write_arrays(path, header, list(arrays.values()))
 
 
-def _bulk_floats(fields: np.ndarray) -> np.ndarray | None:
-    """float() of every field of an object array, or None if one fails."""
+def _row_count(arrays, i: int) -> int | None:
+    """The row count a header's i-th array entry states, if it is an int >= 0."""
     try:
-        return fields.astype(np.float64)
-    except (ValueError, TypeError):
+        n = arrays[i][1][0]
+    except (TypeError, IndexError, KeyError):
         return None
+    return n if type(n) is int and n >= 0 else None
 
 
-def _distinct_floats(fields: np.ndarray) -> np.ndarray | None:
-    """float() of every field of an object array of strings, parsed once
-    per distinct text and gathered to every field, or None if one fails."""
-    texts = fields.tolist()
-    try:
-        parsed = {text: float(text) for text in dict.fromkeys(texts)}
-    except ValueError:
-        return None
-    return np.fromiter(map(parsed.__getitem__, texts), dtype=np.float64, count=len(texts))
+def _layout(path, header: dict) -> Layout:
+    """The arrays a header's order and vocabulary size imply, with the row
+    counts it states; the header must list exactly those."""
+    order, V, discounts, arrays = (header.get(key) for key in ("order", "vocab", "discounts", "arrays"))
+    if type(order) is not int or type(V) is not int or order < 1 or V < 1:
+        raise ValueError(f"{path}: bad order {order!r} or vocabulary size {V!r}")
+    if not (isinstance(discounts, list) and len(discounts) == order
+            and all(type(d) in (int, float) for d in discounts)):
+        raise ValueError(f"{path}: expected {order} discounts, got {discounts!r}")
+    layout = [("unigram", "<f8", (V,))]
+    for name, k in _table_names(order):
+        n = _row_count(arrays, len(layout))
+        layout += [(f"{name}.ids", "<i8", (n, k)), (name, "<f8", (n,))]
+    if arrays != [[name, list(shape)] for name, _, shape in layout] or any(
+        shape[0] is None for _, _, shape in layout
+    ):
+        raise ValueError(f"{path}: arrays do not match order {order} and vocabulary size {V}")
+    return layout
 
 
-def _parse_entries(
-    lines: list[str], k: int, order: int, vocab_size: int
-) -> tuple[_Table, _Table] | None:
-    """The probability and back-off tables of section k's entry lines in one
-    bulk parse, or None unless every line is a well-formed entry and the
-    packed keys rise strictly.
-
-    One split of the block's text gives the fields, one ``parse_id_rows``
-    call all ids, ``float`` mapped over the probability column its values,
-    and one ``float`` per distinct text the back-off weights, which repeat.
-    """
-    dtype = _key_dtype(vocab_size, order)
-    if not lines:
-        empty = _Table(k, vocab_size, np.empty(0, dtype=dtype), np.empty(0))
-        return empty, empty
-    text = "\n".join(lines)
-    fields = np.array(text.replace("\n", "\t").split("\t"), dtype=object)
-    # the tab and newline bytes, in order, give each line's field count
-    raw = np.frombuffer(text.encode() + b"\n", dtype=np.uint8)
-    line_ends = np.flatnonzero(raw[(raw == 9) | (raw == 10)] == 10)
-    widths = np.diff(np.append(-1, line_ends))
-    starts = line_ends - widths + 1  # index of each line's first field
-    if not ((widths == 2) | (widths == 3)).all():
-        return None
-    parsed = parse_id_rows(fields[starts + 1], vocab_size)
-    if parsed is None or (parsed[0] != k).any():
-        return None
-    keys = _pack(parsed[1].reshape(-1, k), vocab_size, dtype)
-    if not (keys[1:] > keys[:-1]).all():
-        return None
-    log10_p = fields[starts]
-    has_p = log10_p != _NO_PROB
-    if k == 1 and not has_p.all():
-        return None
-    probs = _bulk_floats(log10_p[has_p])
-    if probs is None or not ((-np.inf < probs) & (probs <= 0.0)).all():
-        return None
-    has_bow = widths == 3
-    if k == order and has_bow.any():
-        return None
-    bows = _distinct_floats(fields[starts[has_bow] + 2])
-    if bows is None or not np.isfinite(bows).all():
-        return None
-    return _Table(k, vocab_size, keys[has_p], probs), _Table(k, vocab_size, keys[has_bow], bows)
-
-
-def _entry_error(lines: list[str], k: int, order: int, vocab_size: int, count: int):
-    """Offset and message of the first line that ``_parse_entries`` refuses
-    in the block of section k that its header said holds ``count`` lines.
-
-    The checks are those of the bulk parse, one line at a time, and build
-    no values.  A block that runs into the next section or the end of the
-    file has fewer entries than its header said.
-    """
-    previous = None
-    for j, line in enumerate(lines):
-        if line.startswith("\\"):
-            return j, f"section {k} has {j} entries, header said {count}"
-        fields = line.split("\t")
-        if len(fields) not in (2, 3):
-            return j, "expected 2 or 3 tab-separated fields"
-        ids = parse_ids(fields[1])
-        if ids is None:
-            return j, f"bad id list {fields[1]!r}"
-        if len(ids) != k:
-            return j, f"id list length != section order {k}"
-        if ids.max() >= vocab_size:
-            return j, "word id out of range"
-        gram = tuple(ids.tolist())
-        if previous is not None and gram <= previous:
-            return j, "id list does not rise above the previous entry's"
-        previous = gram
-        if fields[0] != _NO_PROB:
-            try:
-                lp = float(fields[0])
-            except ValueError:
-                return j, f"bad probability {fields[0]!r}"
-            if not -math.inf < lp <= 0.0:  # NaN fails too
-                return j, f"log10 probability {fields[0]!r} must be finite and <= 0"
-        elif k == 1:
-            return j, "unigram entries need a probability"
-        if len(fields) == 3:
-            if k == order:
-                return j, "top-order entries cannot carry a bow"
-            try:
-                bow = float(fields[2])
-            except ValueError:
-                return j, f"bad back-off weight {fields[2]!r}"
-            if not math.isfinite(bow):
-                return j, f"back-off weight {fields[2]!r} must be finite"
-    return len(lines), f"section {k} has {len(lines)} entries, header said {count}"
+def _check_values(path, name: str, values: np.ndarray) -> None:
+    """Log10 probabilities must be finite and <= 0, back-off weights finite;
+    a refusal names the first bad row."""
+    if name.startswith("bows"):
+        bad = ~np.isfinite(values)
+        what = "back-off weight {!r} must be finite"
+    else:
+        bad = ~((-np.inf < values) & (values <= 0.0))  # NaN fails too
+        what = "log10 probability {!r} must be finite and <= 0"
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(f"{path}: {name}: row {row}: " + what.format(float(values[row])))
 
 
 def load_model(path: str | Path) -> KnModel:
-    """Parse a model file in the one layout ``save_model`` writes: the
-    format header; ``# order N``, ``# vocab V``, ``# discounts`` and N
-    values; ``\\data\\`` and ``ngram k=n`` for k = 1..N; per order k,
-    ``\\k-grams:`` and exactly n entries, their id tuples rising strictly;
-    ``\\end\\`` last, every line ending in a newline.  Errors name the file
-    and the first line that differs.
-    """
-    lines = Path(path).read_bytes().decode("utf-8").split("\n")
-
-    def line(i: int) -> str:
-        if i >= len(lines):
-            raise KnParseError(path, max(len(lines), 1), "file ends before \\end\\")
-        return lines[i]
-
-    def expect(i: int, want: str, value):
-        """``value`` unless it is None, which refuses line i."""
-        if value is None:
-            raise KnParseError(path, i + 1, f"expected {want}, got {line(i)!r}")
-        return value
-
-    def exactly(i: int, want: str) -> None:
-        expect(i, repr(want), line(i) == want or None)
-
-    exactly(0, f"# {_KN_MAGIC}")
-    if lines.pop():  # what follows the last newline
-        raise KnParseError(path, len(lines) + 1, "last line does not end in a newline")
-    order = expect(1, "'# order <N>'", header_int(line(1), "# order ", 1))
-    V = expect(2, "'# vocab <V>'", header_int(line(2), "# vocab ", 1))
-    fields = line(3).split(" ")
-    try:
-        discounts = tuple(map(float, fields[2:])) if fields[:2] == ["#", "discounts"] else ()
-    except ValueError:
-        discounts = ()
-    expect(3, f"'# discounts' and {order} values", discounts if len(discounts) == order else None)
-    exactly(4, "\\data\\")
-    counts = [
-        expect(4 + k, f"'ngram {k}=<count>'", header_int(line(4 + k), f"ngram {k}=", 0))
-        for k in range(1, order + 1)
-    ]
-    i = 5 + order
-    sections = []
-    for k, count in enumerate(counts, 1):
-        exactly(i, f"\\{k}-grams:")
-        block = lines[i + 1 : i + 1 + count]
-        parsed = _parse_entries(block, k, order, V) if len(block) == count else None
-        if parsed is None:
-            j, message = _entry_error(block, k, order, V, count)
-            raise KnParseError(path, min(i + 1 + j, len(lines) - 1) + 1, message)
-        sections.append(parsed)
-        i += 1 + count
-    exactly(i, "\\end\\")
-    if i + 1 < len(lines):
-        raise KnParseError(path, i + 2, f"unexpected line after \\end\\: {lines[i + 1]!r}")
-
-    unigrams = sections[0][0]
-    if len(unigrams) < V:  # the ids rise, so V of them can only be 0..V-1
-        missing = next((j for j, u in enumerate(unigrams.keys.tolist()) if u != j), len(unigrams))
-        raise KnParseError(path, 6 + order, f"unigram section misses id {missing}")
+    """Read a ``save_model`` file (``files.read_arrays``).  Refuses, naming
+    the file, an array list that differs from what the order and vocabulary
+    size imply, ids outside [0, V), id rows that do not rise strictly
+    within a table, a log10 probability that is not finite and <= 0, and a
+    back-off weight that is not finite; no trained model holds one.  A bad
+    entry's message also names its table and row (counted from 0)."""
+    header, arrays = read_arrays(path, _KN_MAGIC, _KN_VERSION, _layout)
+    order, V = header["order"], header["vocab"]
+    _check_values(path, "unigram", arrays[0])
+    dtype = _key_dtype(V, order)
+    tables = {}
+    for (name, k), ids, values in zip(_table_names(order), arrays[1::2], arrays[2::2]):
+        bad = (ids < 0) | (ids >= V)
+        if bad.any():
+            row, col = np.argwhere(bad)[0]
+            raise ValueError(f"{path}: {name}: row {row}: id {ids[row, col]} out of range for V={V}")
+        keys = _pack(ids, V, dtype)
+        rising = keys[1:] > keys[:-1]
+        if not rising.all():
+            row = np.argmin(rising) + 1
+            raise ValueError(f"{path}: {name}: row {row} does not rise above the row before it")
+        _check_values(path, name, values)
+        tables[name] = _Table(k, V, keys, values)
     return KnModel(
         order=order,
         vocab_size=V,
-        discounts=discounts,
-        unigram_log10=unigrams.values,
-        probs={k: sections[k - 1][0] for k in range(2, order + 1)},
-        bows={k: sections[k - 1][1] for k in range(1, order)},
+        discounts=tuple(map(float, header["discounts"])),
+        unigram_log10=arrays[0],
+        probs={k: tables[f"probs{k}"] for k in range(2, order + 1)},
+        bows={k: tables[f"bows{k}"] for k in range(1, order)},
     )

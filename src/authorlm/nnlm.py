@@ -56,7 +56,6 @@ with a 4,096-row validation pass and peaks at 111 MB with the blocks.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -64,7 +63,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .files import write_file
+from .files import Layout, read_arrays, write_arrays
 from .prng import stream
 from .textproc import Samples
 
@@ -489,10 +488,10 @@ def train(
 
 
 def save_model(model: NnlmModel, path: str | Path) -> None:
-    """Binary container: one JSON header line (config, tensor shapes,
-    dtype, format version) followed by the raw row-major float64 bytes of
-    each tensor in header order, i.e. the parameter vector as one block.
-    Round-trips bit-exactly."""
+    """The model container (``files.write_arrays``): a header with the
+    config, tensor shapes, dtype and format version, then the raw row-major
+    float64 bytes of each tensor in header order, i.e. the parameter vector
+    as one block.  Round-trips bit-exactly."""
     header = {
         "format": _MODEL_MAGIC,
         "version": _MODEL_VERSION,
@@ -500,8 +499,7 @@ def save_model(model: NnlmModel, path: str | Path) -> None:
         "tensors": [[name, list(t.shape)] for name, t in model.params.tensors()],
         "dtype": "<f8",
     }
-    header_line = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
-    write_file(path, header_line + model.params.flat.astype("<f8", copy=False).tobytes())
+    write_arrays(path, header, [model.params.flat])
 
 
 def _header_config(path, config) -> NnlmConfig:
@@ -519,33 +517,18 @@ def _header_config(path, config) -> NnlmConfig:
         raise ValueError(f"{path}: the header config is invalid: {exc}") from None
 
 
+def _layout(path, header: dict) -> Layout:
+    """The tensors a header's config implies; the header must list exactly those."""
+    shapes = tensor_shapes(_header_config(path, header.get("config")))
+    if header.get("tensors") != [[name, list(shape)] for name, shape in zip(TENSOR_NAMES, shapes)]:
+        raise ValueError(f"{path}: tensors {header.get('tensors')!r} do not match the config")
+    return [(name, "<f8", shape) for name, shape in zip(TENSOR_NAMES, shapes)]
+
+
 def load_model(path: str | Path) -> NnlmModel:
-    with open(path, "rb") as f:
-        header_line = f.readline()
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not a model file") from exc
-        if not isinstance(header, dict):
-            raise ValueError(f"{path}: not a model file")
-        if header.get("format") != _MODEL_MAGIC:
-            raise ValueError(f"{path}: unexpected format {header.get('format')!r}")
-        if header.get("version") != _MODEL_VERSION:
-            raise ValueError(f"{path}: unsupported version {header.get('version')!r}")
-        config = _header_config(path, header.get("config"))
-        shapes = tensor_shapes(config)
-        layout = [[name, list(shape)] for name, shape in zip(TENSOR_NAMES, shapes)]
-        if header.get("tensors") != layout:
-            raise ValueError(f"{path}: tensors {header.get('tensors')!r} do not match the config")
-        ends = np.cumsum([math.prod(shape) for shape in shapes]) * 8
-        buf = bytearray(int(ends[-1]))
-        got = f.readinto(buf)
-        if got != len(buf):
-            short = TENSOR_NAMES[int(np.searchsorted(ends, got, side="right"))]
-            raise ValueError(f"{path}: truncated tensor {short!r}")
-        if f.read(1):
-            raise ValueError(f"{path}: unexpected bytes after tensor {TENSOR_NAMES[-1]!r}")
-    flat = np.frombuffer(buf, dtype="<f8")
+    header, tensors = read_arrays(path, _MODEL_MAGIC, _MODEL_VERSION, _layout)
+    flat = np.concatenate([t.ravel() for t in tensors])
     if not np.isfinite(flat).all():  # it would turn scores into NaN or infinities
         raise ValueError(f"{path}: non-finite parameter value")
-    return NnlmModel(config=config, params=NnlmParams(flat, shapes))
+    config = NnlmConfig(**header["config"])
+    return NnlmModel(config=config, params=NnlmParams(flat, tensor_shapes(config)))

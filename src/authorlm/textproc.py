@@ -7,10 +7,9 @@ Everything downstream (both language model families) consumes the encoded
 form produced here.
 
 The vocabulary and encoded corpus files are read only in the one layout
-``save_vocabulary`` and ``save_processed`` write.  In every text format,
-``.arpa`` models included, ids are read only by ``parse_ids`` (ASCII
-digits, single spaces), many rows at once by ``parse_id_rows``, and
-header integers by ``header_int``.
+``save_vocabulary`` and ``save_processed`` write.  In both, ids are read
+only by ``parse_ids`` (ASCII digits, single spaces), many rows at once by
+``parse_id_rows``, and header integers by ``header_int``.
 """
 
 from __future__ import annotations

@@ -5,19 +5,16 @@ from the textbook interpolation recursion evaluated in Fraction arithmetic
 with no caching, tables, or log space.  Used as the oracle the library's
 float implementation must match.
 
-``save_model`` is the earlier model writer, kept verbatim: one ``repr``
-and one f-string per entry in Python loops.  ``authorlm.kn.save_model``
-must write the same bytes.
+``read_saved`` and ``write_saved`` read and write a saved model's file
+without the library, so that tests can inspect and corrupt it.
 """
 
+import json
+import math
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
-
-from authorlm.files import write_file
-from authorlm.kn import _KN_MAGIC, _NO_PROB, KnModel, _key_dtype, _Table, _unpack
 
 
 def brute_counts(sentences, order):
@@ -89,37 +86,31 @@ class ReferenceKn:
         return discounted + weight * self._lower(context, target)
 
 
-def save_model(model: KnModel, path: str | Path) -> None:
-    V = model.vocab_size
-    dtype = _key_dtype(V, model.order)
-    no_bows = _Table(model.order, V, np.empty(0, dtype=dtype), np.empty(0))
-    sections = []
-    for k in range(1, model.order + 1):
-        if k == 1:
-            probs = _Table(1, V, np.arange(V).astype(dtype), model.unigram_log10)
-        else:
-            probs = model.probs[k]
-        bows = model.bows.get(k, no_bows)
-        keys = np.union1d(probs.keys, bows.keys)
-        log10_p = [_NO_PROB] * len(keys)
-        for i, x in zip(np.searchsorted(keys, probs.keys).tolist(), probs.values.tolist()):
-            log10_p[i] = repr(x)
-        bow = [""] * len(keys)
-        for i, x in zip(np.searchsorted(keys, bows.keys).tolist(), bows.values.tolist()):
-            bow[i] = "\t" + repr(x)
-        ids = [" ".join(map(str, gram)) for gram in _unpack(keys, k, V).tolist()]
-        sections.append([f"{p}\t{g}{b}" for p, g, b in zip(log10_p, ids, bow)])
 
-    lines = [
-        f"# {_KN_MAGIC}",
-        f"# order {model.order}",
-        f"# vocab {model.vocab_size}",
-        "# discounts " + " ".join(repr(d) for d in model.discounts),
-        "\\data\\",
-    ]
-    lines += [f"ngram {k}={len(entries)}" for k, entries in enumerate(sections, 1)]
-    for k, entries in enumerate(sections, 1):
-        lines.append(f"\\{k}-grams:")
-        lines += entries
-    lines.append("\\end\\")
-    write_file(path, "\n".join(lines) + "\n")
+def read_saved(path):
+    """(header, arrays) of a saved model: the JSON header line, then each
+    array the header lists, in order, as a writable copy keyed by name
+    (id rows int64, everything else float64)."""
+    header, body = path.read_bytes().split(b"\n", 1)
+    header, arrays, start = json.loads(header), {}, 0
+    for name, shape in header["arrays"]:
+        count = math.prod(shape)
+        dtype = "<i8" if name.endswith(".ids") else "<f8"
+        arrays[name] = np.frombuffer(body, dtype, count, start).reshape(shape).copy()
+        start += 8 * count
+    assert start == len(body)
+    return header, arrays
+
+
+def write_saved(path, header, arrays):
+    """The file ``read_saved`` reads: the sorted-key header line, then the
+    arrays' bytes in order."""
+    line = json.dumps(header, sort_keys=True).encode() + b"\n"
+    path.write_bytes(line + b"".join(a.tobytes() for a in arrays.values()))
+
+
+def edit_saved(path, edit):
+    """Rewrite a saved model with ``edit`` applied to its arrays."""
+    header, arrays = read_saved(path)
+    edit(arrays)
+    write_saved(path, header, arrays)

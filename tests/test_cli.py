@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from kn_reference import edit_saved
 
 import authorlm
 from authorlm import cli, evaluation, files, kn, nnlm, textproc
@@ -198,7 +199,7 @@ class TestPipeline:
         assert (out / "preprocess" / "stats.csv").is_file()
         assert (out / "preprocess" / "author00.vocab.tsv").is_file()
         assert (out / "models" / "author00_0.nnlm").is_file()
-        assert (out / "models" / "author01_0.arpa").is_file()
+        assert (out / "models" / "author01_0.kn").is_file()
         assert (out / "logs" / "author00_0.train.csv").is_file()
         assert (out / "eval" / "perplexity.csv").is_file()
         assert (out / "experiment" / "trials_nnlm_0.csv").is_file()
@@ -245,7 +246,7 @@ class TestPipeline:
         (workdir / "corpus" / "short.txt").write_text("a single sentence\n")
         assert run("preprocess", "--config", "cfg.json") == cli.EXIT_OK
         models = workdir / "outputs" / "models"
-        for stage, ext in (("train-ngram", "arpa"), ("train-nnlm", "nnlm")):
+        for stage, ext in (("train-ngram", "kn"), ("train-nnlm", "nnlm")):
             capsys.readouterr()
             assert run(stage, "--config", "cfg.json") == cli.EXIT_PARTIAL, stage
             assert capsys.readouterr().err.splitlines() == [
@@ -302,7 +303,7 @@ class TestPipeline:
         out = workdir / "outputs"
         for author in ("author00", "author01"):
             assert (out / "models" / f"{author}_0.nnlm").is_file()
-            assert (out / "models" / f"{author}_0.arpa").is_file()
+            assert (out / "models" / f"{author}_0.kn").is_file()
         scored = [(r["author"], r["method"]) for r in files.read_csv(out / "eval" / "perplexity.csv")]
         assert scored == [(a, m) for a in ("author00", "author01") for m in ("nnlm", "kn")]
         for method in ("nnlm", "kn"):
@@ -380,7 +381,7 @@ class TestPipeline:
             for i in range(2)
         ]
 
-    @pytest.mark.parametrize("stage, ext", [("train-ngram", "arpa"), ("train-nnlm", "nnlm")])
+    @pytest.mark.parametrize("stage, ext", [("train-ngram", "kn"), ("train-nnlm", "nnlm")])
     def test_unwritable_model_is_partial_failure(self, workdir, capsys, stage, ext):
         # a directory where the model goes fails that item only, in one line
         for command in ("synth", "preprocess"):
@@ -392,7 +393,10 @@ class TestPipeline:
         out, err = capsys.readouterr()
         assert out.splitlines() == [f"{stage}: author01 seed 0: done"]
         [line] = err.splitlines()
-        assert line.startswith(f"{stage}: author00 seed 0: [Errno ") and f"author00_0.{ext}" in line
+        # the target only: the temporary file write_file wrote is gone
+        target = Path("outputs", "models", f"author00_0.{ext}")
+        assert line == f"{stage}: author00 seed 0: [Errno 21] Is a directory: '{target}'"
+        assert ".tmp" not in line
         assert (models / f"author01_0.{ext}").is_file()
         assert sorted(p.name for p in models.iterdir()) == [f"author00_0.{ext}", f"author01_0.{ext}"]
 
@@ -534,8 +538,9 @@ class TestWorkers:
         ids=["cprofile", "runpy"],
     )
     def test_stage_runs_when_main_is_another_module(self, workdir, launcher):
-        # the workers' __main__ is cProfile or the -c script, which lacks
-        # the item function the pool sends them
+        # the stage's __main__ is cProfile or the -c script, not authorlm.cli;
+        # the forked workers run the item function they inherit, so nothing
+        # is looked up in __main__
         for command in ("synth", "preprocess"):
             assert run(command, "--config", "cfg.json") == cli.EXIT_OK, command
         proc = subprocess.run(
@@ -546,7 +551,7 @@ class TestWorkers:
         assert proc.stdout.splitlines() == [
             f"train-ngram: author0{i} seed 0: done" for i in range(2)
         ]
-        assert len(list((workdir / "outputs" / "models").glob("*.arpa"))) == 2
+        assert len(list((workdir / "outputs" / "models").glob("*.kn"))) == 2
 
     def test_dead_worker_ends_the_stage(self, workdir):
         # the first item to start kills its worker; the others would sleep
@@ -571,7 +576,7 @@ class TestWorkers:
         assert proc.stderr.splitlines() == [
             "authorlm train-ngram: a worker process died before author00 seed 0 finished"
         ]
-        assert not list((workdir / "outputs" / "models").glob("*.arpa"))
+        assert not list((workdir / "outputs" / "models").glob("*.kn"))
 
     def test_exception_raised_in_a_worker_keeps_its_traceback(self, workdir, monkeypatch, capsys):
         # an exception that is no item's failure ends the stage as raised,
@@ -664,7 +669,7 @@ class TestAcrossStages:
             if method == "nnlm":
                 model = nnlm.load_model(out / "models" / f"{author}_{seed}.nnlm")
             else:
-                model = kn.load_model(out / "models" / f"{author}_{seed}.arpa")
+                model = kn.load_model(out / "models" / f"{author}_{seed}.kn")
             pools = []
             for name in authors:
                 lines = textproc.read_corpus_file(outputs / "corpus" / f"{name}.txt").sentences
@@ -717,14 +722,25 @@ class TestCorruptInputs:
         assert f"models/author00_0.nnlm: {message}" in err
 
     @pytest.mark.parametrize("stage", ["eval", "experiment"])
-    def test_garbled_kn_is_config_error(self, trained, stage, capsys):
-        path = trained / "models" / "author01_0.arpa"
-        path.write_text(path.read_text().replace("\\data\\", "\\date\\"))
+    def test_truncated_kn_is_config_error(self, trained, stage, capsys):
+        path = trained / "models" / "author01_0.kn"
+        payload = path.read_bytes()
+        path.write_bytes(payload[: len(payload) // 2])
         capsys.readouterr()
         assert run(stage, "--config", "cfg.json") == cli.EXIT_CONFIG
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1
-        assert "models/author01_0.arpa:" in err
+        assert "models/author01_0.kn: truncated tensor" in err
+
+    @pytest.mark.parametrize("stage", ["eval", "experiment"])
+    def test_garbled_kn_is_config_error(self, trained, stage, capsys):
+        path = trained / "models" / "author01_0.kn"
+        path.write_bytes(b"garbled" + path.read_bytes()[7:])
+        capsys.readouterr()
+        assert run(stage, "--config", "cfg.json") == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert "models/author01_0.kn: not a model file" in err
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -751,27 +767,29 @@ class TestCorruptInputs:
             assert len(err) == 1 and "models/author00_0.nnlm: " in err[0] and message in err[0], err
 
     @pytest.mark.parametrize(
-        "field, value, message",
+        "name, value, message",
         [
-            (0, "nan", "log10 probability 'nan' must be finite and <= 0"),
-            (0, "inf", "log10 probability 'inf' must be finite and <= 0"),
-            (0, "5.0", "log10 probability '5.0' must be finite and <= 0"),
-            (2, "inf", "back-off weight 'inf' must be finite"),
+            ("probs2", np.nan, "probs2: row {row}: log10 probability nan must be finite and <= 0"),
+            ("probs3", np.inf, "probs3: row {row}: log10 probability inf must be finite and <= 0"),
+            ("unigram", 5.0, "unigram: row {row}: log10 probability 5.0 must be finite and <= 0"),
+            ("bows1", np.inf, "bows1: row {row}: back-off weight inf must be finite"),
         ],
         ids=["nan", "inf", "positive", "inf-back-off"],
     )
-    def test_impossible_kn_value_is_config_error(self, trained, field, value, message, capsys):
-        path = trained / "models" / "author01_0.arpa"
-        lines = path.read_text().splitlines()
-        i = next(i for i, line in enumerate(lines) if line.count("\t") == 2)
-        fields = lines[i].split("\t")
-        fields[field] = value
-        lines[i] = "\t".join(fields)
-        path.write_text("\n".join(lines) + "\n")
+    def test_impossible_kn_value_is_config_error(self, trained, name, value, message, capsys):
+        path = trained / "models" / "author01_0.kn"
+
+        rows = []
+
+        def edit(arrays):
+            rows.append(len(arrays[name]) // 2)
+            arrays[name][rows[0]] = value
+
+        edit_saved(path, edit)
         capsys.readouterr()
         assert run("eval", "--config", "cfg.json") == cli.EXIT_CONFIG
         assert capsys.readouterr().err.splitlines() == [
-            f"authorlm eval: {Path('outputs/models/author01_0.arpa')}:{i + 1}: {message}"
+            f"authorlm eval: {Path('outputs/models/author01_0.kn')}: {message.format(row=rows[0])}"
         ]
 
     @pytest.mark.parametrize(
@@ -812,7 +830,7 @@ class TestCorruptInputs:
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1
         assert "author00.corpus.txt:5: id -1 outside the vocabulary" in err
-        assert not list((corpus_file.parents[1] / "models").glob("*.arpa"))
+        assert not list((corpus_file.parents[1] / "models").glob("*.kn"))
 
     def test_header_without_value_is_config_error(self, corpus_file):
         text = corpus_file.read_text()
@@ -834,7 +852,7 @@ class TestCorruptInputs:
             f"authorlm train-ngram: {Path('outputs/preprocess/author00.corpus.txt')}:3: "
             "bad header line '# order 3'"
         ]
-        assert not list((corpus_file.parents[1] / "models").glob("*.arpa"))
+        assert not list((corpus_file.parents[1] / "models").glob("*.kn"))
 
     def test_text_changed_since_preprocess_is_config_error(self, trained, capsys):
         # a split of 63 sentences would take training sentences into the test pools
@@ -868,12 +886,12 @@ class TestCorruptInputs:
         # an author that every stage skips, then a corrupt model
         (trained.parent / "corpus" / "short.txt").write_text("a single sentence\n")
         assert run("preprocess", "--config", "cfg.json") == cli.EXIT_OK
-        path = trained / "models" / "author01_0.arpa"
-        path.write_text(path.read_text().replace("\\data\\", "\\date\\"))
+        path = trained / "models" / "author01_0.kn"
+        path.write_bytes(b"garbled" + path.read_bytes()[7:])
         capsys.readouterr()
         assert run(stage, "--config", "cfg.json") == cli.EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
-        named = f"authorlm {stage}: {path.relative_to(trained.parent)}:5: "
+        named = f"authorlm {stage}: {path.relative_to(trained.parent)}: "
         assert len(err) == 1 and err[0].startswith(named), err
 
     def test_bad_vocabulary_header_is_config_error(self, trained, capsys):
@@ -897,16 +915,17 @@ class TestCorruptInputs:
         ]
 
     def test_swapped_kn_entries_are_config_error(self, trained, capsys):
-        path = trained / "models" / "author01_0.arpa"
-        lines = path.read_text().splitlines()
-        i = lines.index("\\2-grams:") + 1
-        lines[i], lines[i + 1] = lines[i + 1], lines[i]
-        path.write_text("\n".join(lines) + "\n")
+        path = trained / "models" / "author01_0.kn"
+
+        def swap(arrays):
+            arrays["probs2.ids"][[0, 1]] = arrays["probs2.ids"][[1, 0]]
+
+        edit_saved(path, swap)
         capsys.readouterr()
         assert run("eval", "--config", "cfg.json") == cli.EXIT_CONFIG
         assert capsys.readouterr().err.splitlines() == [
-            f"authorlm eval: {Path('outputs/models/author01_0.arpa')}:{i + 2}: "
-            "id list does not rise above the previous entry's"
+            f"authorlm eval: {Path('outputs/models/author01_0.kn')}: "
+            "probs2: row 1 does not rise above the row before it"
         ]
 
     def test_vocabulary_rows_must_match_size_header(self, trained, capsys):
@@ -968,7 +987,7 @@ class TestCorruptionReplay:
 
     KINDS = ["truncate", "byte-flip", "byte-insert", "duplicate-line", "swap-lines", "crlf"]
     TARGETS = {
-        "arpa": "models/{}_0.arpa",
+        "arpa": "models/{}_0.kn",  # the Kneser-Ney model's ARPA-style back-off tables
         "nnlm": "models/{}_0.nnlm",
         "vocab": "preprocess/{}.vocab.tsv",
         "corpus": "preprocess/{}.corpus.txt",

@@ -7,6 +7,7 @@ import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import authorlm
@@ -41,10 +42,96 @@ class TestAtomicWrite:
         assert path.read_bytes() == b"old"
         assert os.listdir(tmp_path) == ["model.bin"]
 
+    def test_failed_write_names_the_target_only(self, tmp_path):
+        # the temporary file is gone by the time the error is seen
+        path = tmp_path / "model.kn"
+        path.mkdir()
+        with pytest.raises(IsADirectoryError) as err:
+            files.write_file(path, b"new contents")
+        assert str(err.value) == f"[Errno 21] Is a directory: '{path}'"
+        assert os.listdir(tmp_path) == ["model.kn"]
+
     def test_text_is_utf8_without_newline_translation(self, tmp_path):
         path = tmp_path / "t.txt"
         files.write_file(path, "±\nb\r\n")
         assert path.read_bytes() == "±\nb\r\n".encode("utf-8")
+
+
+class TestContainer:
+    """``write_arrays`` and ``read_arrays``: a sorted-key JSON header line,
+    then exactly the arrays the header implies."""
+
+    ARRAYS = {
+        "a": np.arange(6, dtype=np.int64).reshape(3, 2),
+        "empty": np.empty(0),
+        "b": np.array([0.5, -0.0]),
+    }
+
+    @staticmethod
+    def layout(path, header):
+        return [(n, "<i8" if n == "a" else "<f8", tuple(shape)) for n, shape in header["arrays"]]
+
+    def write(self, path):
+        arrays = [[n, list(a.shape)] for n, a in self.ARRAYS.items()]
+        header = {"format": "test", "version": 1, "arrays": arrays}
+        files.write_arrays(path, header, list(self.ARRAYS.values()))
+        return header
+
+    def test_round_trip(self, tmp_path):
+        header = self.write(tmp_path / "m.bin")
+        line, body = (tmp_path / "m.bin").read_bytes().split(b"\n", 1)
+        assert line == json.dumps(header, sort_keys=True).encode()
+        assert body == b"".join(a.tobytes() for a in self.ARRAYS.values())
+        got_header, arrays = files.read_arrays(tmp_path / "m.bin", "test", 1, self.layout)
+        assert got_header == header
+        for got, want in zip(arrays, self.ARRAYS.values()):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "cut, message",
+        [
+            (-1, "truncated tensor 'b'"),
+            (-17, "truncated tensor 'a'"),
+            (None, "unexpected bytes after tensor 'b'"),
+        ],
+        ids=["last", "first", "trailing"],
+    )
+    def test_size_refusals(self, tmp_path, cut, message):
+        path = tmp_path / "m.bin"
+        self.write(path)
+        data = path.read_bytes()
+        path.write_bytes(data[:cut] if cut else data + b"\0")
+        with pytest.raises(ValueError) as err:
+            files.read_arrays(path, "test", 1, self.layout)
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_huge_stated_array_allocates_nothing(self, tmp_path):
+        path = tmp_path / "m.bin"
+        self.write(path)
+        huge = lambda path, header: [("a", "<f8", (10**15,))]
+        with pytest.raises(ValueError) as err:
+            files.read_arrays(path, "test", 1, huge)
+        assert str(err.value) == f"{path}: truncated tensor 'a'"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda h: b"{", "not a model file"),
+            (lambda h: b"[]", "not a model file"),
+            (lambda h: h.replace(b'"test"', b'"other"'), "unexpected format 'other'"),
+            (lambda h: h.replace(b'"version": 1', b'"version": 2'), "unsupported version 2"),
+        ],
+        ids=["not-json", "not-object", "format", "version"],
+    )
+    def test_header_refusals(self, tmp_path, edit, message):
+        path = tmp_path / "m.bin"
+        self.write(path)
+        line, body = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(edit(line) + b"\n" + body)
+        with pytest.raises(ValueError) as err:
+            files.read_arrays(path, "test", 1, self.layout)
+        assert str(err.value) == f"{path}: {message}"
 
 
 class TestCsv:

@@ -11,10 +11,9 @@ import dataclasses
 import math
 from fractions import Fraction
 
-import kn_reference
 import numpy as np
 import pytest
-from kn_reference import ReferenceKn, brute_continuation, brute_counts
+from kn_reference import ReferenceKn, brute_continuation, brute_counts, read_saved, write_saved
 
 from authorlm import kn
 from authorlm import textproc as tp
@@ -142,8 +141,9 @@ class TestDiscounts:
     def test_abab_saved_header(self, tmp_path):
         # discounts are Python floats, so the header holds plain reprs
         vocab, pc = abab()
-        kn.save_model(kn.train_model(pc.sentences, 2, vocab.size), tmp_path / "m.arpa")
-        assert (tmp_path / "m.arpa").read_text().splitlines()[3] == "# discounts 0.5 0.6"
+        kn.save_model(kn.train_model(pc.sentences, 2, vocab.size), tmp_path / "m.kn")
+        header = (tmp_path / "m.kn").read_bytes().split(b"\n", 1)[0]
+        assert b'"discounts": [0.5, 0.6]' in header
 
 
 class TestProbabilities:
@@ -262,7 +262,7 @@ class TestSerialization:
     def roundtrip(self, tmp_path, sentences, order):
         vocab, pc = make_corpus(sentences, order)
         model = kn.train_model(pc.sentences, order, vocab.size)
-        path = tmp_path / "m.arpa"
+        path = tmp_path / "m.kn"
         kn.save_model(model, path)
         return vocab, model, kn.load_model(path)
 
@@ -283,81 +283,87 @@ class TestSerialization:
 
     def test_start_only_contexts_survive_roundtrip(self, tmp_path):
         # order-3 sentence-initial contexts carry back-off weight but no
-        # probability entry; they must round-trip through the na marker
+        # probability entry; the back-off table keeps them
         sentences = [["x", "y"], ["x", "z"]]
         vocab, model, loaded = self.roundtrip(tmp_path, sentences, 3)
         ctx = (tp.START_ID, tp.START_ID)
-        assert ctx in model.bows[2]
-        assert ctx not in model.probs[2]
+        assert ctx in model.bows[2] and ctx in loaded.bows[2]
+        assert ctx not in model.probs[2] and ctx not in loaded.probs[2]
         for w in range(vocab.size):
             assert model.log_prob(ctx, w) == loaded.log_prob(ctx, w)
 
     def test_truncated_file_names_line(self, tmp_path):
-        vocab, pc = abab()
-        model = kn.train_model(pc.sentences, 2, vocab.size)
-        path = tmp_path / "m.arpa"
-        kn.save_model(model, path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-3]) + "\n")
-        with pytest.raises(kn.KnParseError, match=r":\d+:"):
-            kn.load_model(path)
+        # a file cut inside any array names that array
+        _, path, data = saved_model(tmp_path, TRIGRAM_CORPUS, 3)
+        _, arrays = read_saved(path)
+        end = len(data) - sum(a.nbytes for a in arrays.values())
+        for name, a in arrays.items():
+            end += a.nbytes
+            if a.nbytes:
+                path.write_bytes(data[: end - a.nbytes // 2])
+                assert refusal(path) == f"{path}: truncated tensor {name!r}"
 
     def test_bad_count_header(self, tmp_path):
-        vocab, pc = abab()
-        model = kn.train_model(pc.sentences, 2, vocab.size)
-        path = tmp_path / "m.arpa"
-        kn.save_model(model, path)
-        text = path.read_text().replace("ngram 2=", "ngram 2=9")
-        path.write_text(text)
-        with pytest.raises(kn.KnParseError, match="entries"):
+        # the header states one more bigram than the file holds, so the
+        # file ends before the last array does
+        _, path, _ = saved_model(tmp_path, TRIGRAM_CORPUS, 3)
+        header, arrays = read_saved(path)
+        for entry in header["arrays"]:
+            if entry[0].startswith("probs2"):
+                entry[1][0] += 1
+        write_saved(path, header, arrays)
+        with pytest.raises(ValueError) as err:
             kn.load_model(path)
+        assert str(err.value) == f"{path}: truncated tensor 'bows2'"
 
     def test_bad_probability_field(self, tmp_path):
-        path = tmp_path / "m.arpa"
-        path.write_text(
-            "# authorlm-kn 1\n# order 1\n# vocab 2\n# discounts 0.5\n"
-            "\\data\\\nngram 1=2\n\\1-grams:\nxx\t0\n-0.3\t1\n\\end\\\n"
-        )
-        with pytest.raises(kn.KnParseError, match="8"):
+        path = tmp_path / "m.kn"
+        write_saved(path, unigram_header(2), {"unigram": np.array([-0.3, 0.3])})
+        with pytest.raises(ValueError) as err:
             kn.load_model(path)
+        assert str(err.value) == f"{path}: unigram: row 1: log10 probability 0.3 must be finite and <= 0"
 
     def test_handwritten_unigram_file(self, tmp_path):
-        path = tmp_path / "hand.arpa"
-        path.write_text(
-            "# authorlm-kn 1\n"
-            "# order 1\n"
-            "# vocab 2\n"
-            "# discounts 0.5\n"
-            "\\data\\\n"
-            "ngram 1=2\n"
-            "\\1-grams:\n"
-            f"{math.log10(0.25)!r}\t0\n"
-            f"{math.log10(0.75)!r}\t1\n"
-            "\\end\\\n"
-        )
+        path = tmp_path / "hand.kn"
+        unigram = np.array([math.log10(0.25), math.log10(0.75)])
+        write_saved(path, unigram_header(2), {"unigram": unigram})
         model = kn.load_model(path)
         assert math.exp(model.log_prob([], 0)) == pytest.approx(0.25, abs=1e-12)
         assert math.exp(model.log_prob([], 1)) == pytest.approx(0.75, abs=1e-12)
 
     def test_missing_unigram_entry(self, tmp_path):
-        path = tmp_path / "hand.arpa"
-        path.write_text(
-            "# authorlm-kn 1\n# order 1\n# vocab 3\n# discounts 0.5\n"
-            "\\data\\\nngram 1=2\n\\1-grams:\n-0.5\t0\n-0.5\t2\n\\end\\\n"
-        )
-        with pytest.raises(kn.KnParseError, match="misses id 1"):
+        path = tmp_path / "hand.kn"
+        header = {**unigram_header(3), "arrays": [["unigram", [2]]]}
+        write_saved(path, header, {"unigram": np.array([-0.5, -0.5])})
+        with pytest.raises(ValueError) as err:
             kn.load_model(path)
+        assert str(err.value) == f"{path}: arrays do not match order 1 and vocabulary size 3"
+
+
+def unigram_header(V):
+    """The header of an order-1 model over V ids."""
+    return {"format": "authorlm-kn", "version": 2, "order": 1, "vocab": V,
+            "discounts": [0.5], "arrays": [["unigram", [V]]]}
 
 
 class TestSaveModelBytes:
-    """``save_model`` writes the bytes of the earlier per-entry writer,
-    ``kn_reference.save_model``."""
+    """``save_model``'s bytes depend only on the model: saving the model it
+    loads writes them again, and every value loads back bit for bit."""
 
     def assert_same_bytes(self, tmp_path, model):
-        kn.save_model(model, tmp_path / "new.arpa")
-        kn_reference.save_model(model, tmp_path / "ref.arpa")
-        assert (tmp_path / "new.arpa").read_bytes() == (tmp_path / "ref.arpa").read_bytes()
-        return (tmp_path / "new.arpa").read_text()
+        kn.save_model(model, tmp_path / "m.kn")
+        loaded = kn.load_model(tmp_path / "m.kn")
+        kn.save_model(loaded, tmp_path / "again.kn")
+        assert (tmp_path / "again.kn").read_bytes() == (tmp_path / "m.kn").read_bytes()
+        assert loaded.discounts == model.discounts
+        assert loaded.unigram_log10.tobytes() == model.unigram_log10.tobytes()
+        for tables, back in ((model.probs, loaded.probs), (model.bows, loaded.bows)):
+            assert tables.keys() == back.keys()
+            for k, table in tables.items():
+                assert back[k].keys.dtype == table.keys.dtype
+                assert back[k].keys.tolist() == table.keys.tolist()
+                assert back[k].values.tobytes() == table.values.tobytes()
+        return read_saved(tmp_path / "m.kn")
 
     @pytest.mark.parametrize(
         "order, V",
@@ -368,18 +374,31 @@ class TestSaveModelBytes:
         model = kn.train_model(random_id_sentences(order, V, seed=order), order, V)
         if order > 1:
             assert model.probs[order].keys.dtype == (object if V == 7000 else np.int64)
-        self.assert_same_bytes(tmp_path, model)
+        header, arrays = self.assert_same_bytes(tmp_path, model)
+        names = ["unigram"] + [f"probs{k}{part}" for k in range(2, order + 1) for part in (".ids", "")]
+        names += [f"bows{k}{part}" for k in range(1, order) for part in (".ids", "")]
+        assert [name for name, _ in header["arrays"]] == names
+        assert {key: header[key] for key in ("format", "version", "order", "vocab")} == {
+            "format": "authorlm-kn", "version": 2, "order": order, "vocab": V
+        }
 
     def test_na_entries(self, tmp_path):
+        # contexts that only carry a back-off weight are rows of the back-off
+        # table and of no probability table
         vocab, pc = make_corpus([["x", "y"], ["x", "z"]], 3)
         model = kn.train_model(pc.sentences, 3, vocab.size)
-        text = self.assert_same_bytes(tmp_path, model)
-        assert f"\nna\t{tp.START_ID} {tp.START_ID}\t" in text
+        _, arrays = self.assert_same_bytes(tmp_path, model)
+        start = [tp.START_ID, tp.START_ID]
+        assert start in arrays["bows2.ids"].tolist()
+        assert start not in arrays["probs2.ids"].tolist()
 
     def test_empty_tables(self, tmp_path):
-        text = self.assert_same_bytes(tmp_path, kn.train_model([], 3, 5))
-        assert "ngram 2=0\nngram 3=0\n\\1-grams:\n" in text
-        assert text.endswith("\\2-grams:\n\\3-grams:\n\\end\\\n")
+        header, arrays = self.assert_same_bytes(tmp_path, kn.train_model([], 3, 5))
+        assert header["arrays"] == [
+            ["unigram", [5]],
+            ["probs2.ids", [0, 2]], ["probs2", [0]], ["probs3.ids", [0, 3]], ["probs3", [0]],
+            ["bows1.ids", [0, 1]], ["bows1", [0]], ["bows2.ids", [0, 2]], ["bows2", [0]],
+        ]
 
     @pytest.mark.parametrize(
         "order, pool",
@@ -387,14 +406,13 @@ class TestSaveModelBytes:
             (4, [-0.5, -1.25, -2.0]),
             (3, [0.0, -0.0]),
             (3, [-0.75]),
-            (1, [-0.75]),  # the top order's empty back-offs are the only ones
+            (1, [-0.75]),  # the unigrams are the only table
         ],
         ids=["repeated", "signed-zeros", "one-value", "one-value-order1"],
     )
     def test_repeated_values(self, tmp_path, order, pool):
-        # each table's values are draws from a small pool, so every column
-        # repeats its few values; each is formatted once, the bytes are the
-        # per-entry writer's and the values load back bit for bit
+        # each table's values are draws from a small pool; they load back
+        # bit for bit, signed zeros included
         V = 9
         model = kn.train_model(random_id_sentences(order, V, seed=order), order, V)
         rng = np.random.default_rng(order)
@@ -408,43 +426,26 @@ class TestSaveModelBytes:
             probs={k: draw(t) for k, t in model.probs.items()},
             bows={k: draw(t) for k, t in model.bows.items()},
         )
-        text = self.assert_same_bytes(tmp_path, model)
-        fields = {f for line in text.splitlines() if "\t" in line for f in line.split("\t")[::2]}
-        assert fields - {"na"} == {repr(x) for x in pool}
-        loaded = kn.load_model(tmp_path / "new.arpa")
-        assert loaded.unigram_log10.tobytes() == model.unigram_log10.tobytes()
-        for k in range(2, order + 1):
-            assert loaded.probs[k].values.tobytes() == model.probs[k].values.tobytes()
-            assert loaded.bows[k - 1].values.tobytes() == model.bows[k - 1].values.tobytes()
+        _, arrays = self.assert_same_bytes(tmp_path, model)
+        values = np.concatenate([a for name, a in arrays.items() if not name.endswith(".ids")])
+        assert set(values.view(np.int64).tolist()) == set(np.array(pool).view(np.int64).tolist())
 
     def test_empty_bow_tables(self, tmp_path):
         model = kn.train_model(random_id_sentences(3, 9, seed=5), 3, 9)
         empty = {k: kn._Table(k, 9, table.keys[:0], table.values[:0]) for k, table in model.bows.items()}
         model = dataclasses.replace(model, bows=empty)
-        text = self.assert_same_bytes(tmp_path, model)
-        assert all(len(line.split("\t")) == 2 for line in text.splitlines() if "\t" in line)
+        header, _ = self.assert_same_bytes(tmp_path, model)
+        assert [shape for name, shape in header["arrays"] if name.startswith("bows")] == [
+            [0, 1], [0], [0, 2], [0]
+        ]
 
 
-def saved_lines(tmp_path, sentences, order):
+def saved_model(tmp_path, sentences, order):
     vocab, pc = make_corpus(sentences, order)
     model = kn.train_model(pc.sentences, order, vocab.size)
-    path = tmp_path / "m.arpa"
+    path = tmp_path / "m.kn"
     kn.save_model(model, path)
-    return model, path, path.read_text().splitlines()
-
-
-def middle_of_section(lines, k, fields=None):
-    """0-based index of an entry line halfway through section k, optionally
-    one with the given number of tab-separated fields."""
-    start = lines.index(f"\\{k}-grams:") + 1
-    end = start
-    while end < len(lines) and not lines[end].startswith("\\"):
-        end += 1
-    rows = [
-        i for i in range(start, end)
-        if fields is None or len(lines[i].split("\t")) == fields
-    ]
-    return rows[len(rows) // 2]
+    return model, path, path.read_bytes()
 
 
 TRIGRAM_CORPUS = [
@@ -455,219 +456,314 @@ TRIGRAM_CORPUS = [
 ]
 
 
-def set_field(line, j, value):
-    fields = line.split("\t")
-    fields[j] = value
-    return "\t".join(fields)
+def edit_arrays(edit):
+    """A corruption that rewrites the header and arrays with ``edit``; it
+    returns what ``edit`` returns, the row the refusal names."""
+    def corrupt(path):
+        header, arrays = read_saved(path)
+        row = edit(header, arrays)
+        write_saved(path, header, arrays)
+        return row
+    return corrupt
+
+
+def edit_bytes(edit):
+    """A corruption that rewrites the file's bytes with ``edit``."""
+    def corrupt(path):
+        path.write_bytes(edit(path.read_bytes()))
+    return corrupt
+
+
+def set_value(name, value):
+    def edit(header, arrays):
+        row = len(arrays[name]) // 2
+        arrays[name][row] = value
+        return row
+    return edit_arrays(edit)
+
+
+def set_id(name, value):
+    def edit(header, arrays):
+        ids = arrays[f"{name}.ids"]
+        row = len(ids) // 2
+        ids[row, -1] = value
+        return row
+    return edit_arrays(edit)
+
+
+def set_header(**fields):
+    return edit_arrays(lambda header, arrays: header.update(fields))
+
+
+def relist(header, arrays):
+    """Make the header list the arrays' own names and shapes."""
+    header["arrays"] = [[name, list(a.shape)] for name, a in arrays.items()]
+
+
+@edit_arrays
+def swap_rows(header, arrays):
+    ids = arrays["probs3.ids"]
+    i = len(ids) // 2
+    ids[[i, i + 1]] = ids[[i + 1, i]]
+    return i + 1
+
+
+@edit_arrays
+def narrow_rows(header, arrays):
+    arrays["probs3.ids"] = arrays["probs3.ids"][:, 1:].copy()
+    relist(header, arrays)
+
+
+@edit_arrays
+def add_top_order_bows(header, arrays):
+    arrays["bows3.ids"], arrays["bows3"] = arrays["probs3.ids"], arrays["probs3"]
+    relist(header, arrays)
+
+
+@edit_arrays
+def drop_last_table(header, arrays):
+    del arrays["bows2.ids"], arrays["bows2"]
+    relist(header, arrays)
+
+
+class TestCorruptFile:
+    """A file that is not a whole model container is a ValueError naming
+    the file."""
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (edit_bytes(lambda data: b"not a model\n" + data), "not a model file"),
+            (edit_bytes(lambda data: b"[1, 2]\n" + data.split(b"\n", 1)[1]), "not a model file"),
+            (set_header(format="authorlm-nnlm"), "unexpected format 'authorlm-nnlm'"),
+            (set_header(version=1), "unsupported version 1"),
+            (set_header(vocab=True), "bad order 3 or vocabulary size True"),
+            (drop_last_table, "arrays do not match order 3 and vocabulary size 16"),
+            (edit_bytes(lambda data: data[:-4]), "truncated tensor 'bows2'"),
+            (edit_bytes(lambda data: data + b"\0"), "unexpected bytes after tensor 'bows2'"),
+        ],
+        ids=["not-json", "not-an-object", "format", "version", "vocab", "array-list", "truncated",
+             "trailing-bytes"],
+    )
+    def test_refused_naming_the_file(self, tmp_path, corrupt, message):
+        _, path, _ = saved_model(tmp_path, TRIGRAM_CORPUS, 3)
+        assert read_saved(path)[0]["vocab"] == 16
+        corrupt(path)
+        with pytest.raises(ValueError) as err:
+            kn.load_model(path)
+        assert str(err.value) == f"{path}: {message}"
+
+
+def refusal(path):
+    with pytest.raises(ValueError) as err:
+        kn.load_model(path)
+    return str(err.value)
 
 
 class TestMalformedEntries:
-    """One bad entry in the middle of a section: the error names its line
-    and the same message the line-by-line reader gives."""
+    """One bad entry in the middle of a table: the error names the file,
+    the table and the entry's row, and what is wrong with it.  An entry
+    whose ids do not fit the table changes the array list instead, and the
+    error says so."""
 
     @pytest.mark.parametrize(
-        "section, fields, edit, message",
+        "corrupt, message",
         [
-            (2, 3, lambda l: set_field(l, 1, "1 x"), "bad id list '1 x'"),
-            (3, None, lambda l: set_field(l, 1, "1 2"), "id list length != section order 3"),
-            (2, None, lambda l: set_field(l, 1, "1 999"), "word id out of range"),
-            (3, None, lambda l: set_field(l, 0, "-0.5x"), "bad probability '-0.5x'"),
-            (1, None, lambda l: set_field(l, 0, "na"), "unigram entries need a probability"),
-            (3, None, lambda l: l + "\t-0.25", "top-order entries cannot carry a bow"),
-            (2, 3, lambda l: set_field(l, 2, "bow"), "bad back-off weight 'bow'"),
+            (swap_rows, "probs3: row {row} does not rise above the row before it"),
+            (narrow_rows, "arrays do not match order 3 and vocabulary size 16"),
+            (set_id("probs2", 999), "probs2: row {row}: id 999 out of range for V=16"),
+            (set_value("probs3", 5e-324),
+             "probs3: row {row}: log10 probability 5e-324 must be finite and <= 0"),
+            (set_value("unigram", np.nan),
+             "unigram: row {row}: log10 probability nan must be finite and <= 0"),
+            (add_top_order_bows, "arrays do not match order 3 and vocabulary size 16"),
+            (set_value("bows2", -np.inf), "bows2: row {row}: back-off weight -inf must be finite"),
             # values no trained model holds
-            (3, None, lambda l: set_field(l, 0, "nan"), "log10 probability 'nan' must be finite and <= 0"),
-            (1, None, lambda l: set_field(l, 0, "inf"), "log10 probability 'inf' must be finite and <= 0"),
-            (2, None, lambda l: set_field(l, 0, "-inf"), "log10 probability '-inf' must be finite and <= 0"),
-            (2, None, lambda l: set_field(l, 0, "5.0"), "log10 probability '5.0' must be finite and <= 0"),
-            (2, 3, lambda l: set_field(l, 2, "inf"), "back-off weight 'inf' must be finite"),
-            (1, 3, lambda l: set_field(l, 2, "nan"), "back-off weight 'nan' must be finite"),
+            (set_value("probs3", np.nan),
+             "probs3: row {row}: log10 probability nan must be finite and <= 0"),
+            (set_value("unigram", np.inf),
+             "unigram: row {row}: log10 probability inf must be finite and <= 0"),
+            (set_value("probs2", -np.inf),
+             "probs2: row {row}: log10 probability -inf must be finite and <= 0"),
+            (set_value("probs2", 5.0),
+             "probs2: row {row}: log10 probability 5.0 must be finite and <= 0"),
+            (set_value("bows2", np.inf), "bows2: row {row}: back-off weight inf must be finite"),
+            (set_value("bows1", np.nan), "bows1: row {row}: back-off weight nan must be finite"),
         ],
         ids=["id-list", "id-count", "id-range", "probability", "na-unigram",
              "top-order-bow", "back-off", "nan-probability", "inf-probability",
              "minus-inf-probability", "positive-probability", "inf-back-off", "nan-back-off"],
     )
-    def test_error_names_line_and_message(self, tmp_path, section, fields, edit, message):
-        _, path, lines = saved_lines(tmp_path, TRIGRAM_CORPUS, 3)
-        i = middle_of_section(lines, section, fields)
-        lines[i] = edit(lines[i])
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(kn.KnParseError) as err:
-            kn.load_model(path)
-        assert str(err.value) == f"{path}:{i + 1}: {message}"
+    def test_error_names_line_and_message(self, tmp_path, corrupt, message):
+        _, path, _ = saved_model(tmp_path, TRIGRAM_CORPUS, 3)
+        assert read_saved(path)[0]["vocab"] == 16
+        row = corrupt(path)
+        assert refusal(path) == f"{path}: " + message.format(row=row)
 
     def test_long_and_short_id_lists_do_not_cancel(self, tmp_path):
-        _, path, lines = saved_lines(tmp_path, TRIGRAM_CORPUS, 3)
-        i = middle_of_section(lines, 3)
-        lines[i] = set_field(lines[i], 1, lines[i].split("\t")[1] + " 1")
-        lines[i + 1] = set_field(lines[i + 1], 1, "1 2")
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(kn.KnParseError) as err:
-            kn.load_model(path)
-        assert str(err.value) == f"{path}:{i + 1}: id list length != section order 3"
+        # one more id row and three fewer values in the same table: the
+        # file still holds as many bytes as its header lists
+        _, path, _ = saved_model(tmp_path, TRIGRAM_CORPUS, 3)
+        header, arrays = read_saved(path)
+        size = sum(a.nbytes for a in arrays.values())
+        arrays["probs3.ids"] = np.append(arrays["probs3.ids"], [[1, 2, 3]], axis=0)
+        arrays["probs3"] = arrays["probs3"][:-3]
+        assert sum(a.nbytes for a in arrays.values()) == size
+        relist(header, arrays)
+        write_saved(path, header, arrays)
+        assert refusal(path) == f"{path}: arrays do not match order 3 and vocabulary size 16"
 
     def test_malformed_copy_of_a_repeated_bow_names_its_line(self, tmp_path):
-        # back-off texts are parsed once per distinct text: a bad copy of a
-        # text that other lines repeat is a text of its own, and refused
-        _, path, lines = saved_lines(tmp_path, TRIGRAM_CORPUS, 3)
-        bows = [(i, line.split("\t")[2]) for i, line in enumerate(lines) if line.count("\t") == 2]
-        texts = [text for _, text in bows]
-        common = max(set(texts), key=texts.count)
-        rows = [i for i, text in bows if text == common]
+        # back-off weights repeat: a bad copy of a weight that other rows
+        # hold is refused, naming its own row
+        _, path, _ = saved_model(tmp_path, TRIGRAM_CORPUS, 3)
+        header, arrays = read_saved(path)
+        weights = arrays["bows1"].tolist()
+        common = max(set(weights), key=weights.count)
+        rows = [i for i, x in enumerate(weights) if x == common]
         assert len(rows) >= 3
         i = rows[len(rows) // 2]
-        lines[i] = set_field(lines[i], 2, common + "x")
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(kn.KnParseError) as err:
-            kn.load_model(path)
-        assert str(err.value) == f"{path}:{i + 1}: bad back-off weight {common + 'x'!r}"
+        arrays["bows1"][i] = np.nan
+        write_saved(path, header, arrays)
+        assert refusal(path) == f"{path}: bows1: row {i}: back-off weight nan must be finite"
 
     def test_duplicate_entry_names_its_line(self, tmp_path):
-        model, path, lines = saved_lines(tmp_path, TRIGRAM_CORPUS, 3)
-        i = middle_of_section(lines, 3)
-        lines.insert(i + 1, set_field(lines[i], 0, "-0.125"))
-        count = f"ngram 3={len(model.probs[3])}"
-        lines[lines.index(count)] = f"ngram 3={len(model.probs[3]) + 1}"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(kn.KnParseError) as err:
-            kn.load_model(path)
-        assert str(err.value) == f"{path}:{i + 2}: id list does not rise above the previous entry's"
+        # a copy of one id row inserted after it, with a value of its own
+        _, path, _ = saved_model(tmp_path, TRIGRAM_CORPUS, 3)
+        header, arrays = read_saved(path)
+        i = len(arrays["probs3"]) // 2
+        arrays["probs3.ids"] = np.insert(arrays["probs3.ids"], i + 1, arrays["probs3.ids"][i], axis=0)
+        arrays["probs3"] = np.insert(arrays["probs3"], i + 1, -0.125)
+        relist(header, arrays)
+        write_saved(path, header, arrays)
+        assert refusal(path) == f"{path}: probs3: row {i + 1} does not rise above the row before it"
 
 
 class TestExactLayout:
-    """A file that differs from the layout ``save_model`` writes is refused
-    with the file and the first line that differs."""
+    """A file that differs from the layout ``save_model`` writes is refused,
+    naming the file."""
 
-    def refused(self, path, lines):
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(kn.KnParseError) as err:
+    def refused(self, path, header, arrays):
+        write_saved(path, header, arrays)
+        with pytest.raises(ValueError) as err:
             kn.load_model(path)
         return str(err.value)
 
     def test_swapped_entries(self, tmp_path):
-        _, path, lines = saved_lines(tmp_path, TRIGRAM_CORPUS, 3)
-        i = middle_of_section(lines, 2)
-        lines[i], lines[i + 1] = lines[i + 1], lines[i]
-        assert self.refused(path, lines) == (
-            f"{path}:{i + 2}: id list does not rise above the previous entry's"
+        _, path, _ = saved_model(tmp_path, TRIGRAM_CORPUS, 3)
+        header, arrays = read_saved(path)
+        ids = arrays["probs2.ids"]
+        i = len(ids) // 2
+        ids[[i, i + 1]] = ids[[i + 1, i]]
+        assert self.refused(path, header, arrays) == (
+            f"{path}: probs2: row {i + 1} does not rise above the row before it"
         )
 
     def test_too_few_discounts(self, tmp_path):
-        _, path, lines = saved_lines(tmp_path, TRIGRAM_CORPUS, 3)
-        assert lines[3].startswith("# discounts ")
-        lines[3] = "# discounts 0.5"
-        assert self.refused(path, lines) == (
-            f"{path}:4: expected '# discounts' and 3 values, got '# discounts 0.5'"
-        )
+        _, path, _ = saved_model(tmp_path, TRIGRAM_CORPUS, 3)
+        header, arrays = read_saved(path)
+        header["discounts"] = [0.5]
+        assert self.refused(path, header, arrays) == f"{path}: expected 3 discounts, got [0.5]"
 
     def test_section_after_end(self, tmp_path):
-        _, path, lines = saved_lines(tmp_path, TRIGRAM_CORPUS, 3)
-        lines.append("\\1-grams:")
-        assert self.refused(path, lines) == (
-            f"{path}:{len(lines)}: unexpected line after \\end\\: '\\\\1-grams:'"
-        )
+        # a table's bytes once more after the last array
+        _, path, data = saved_model(tmp_path, TRIGRAM_CORPUS, 3)
+        _, arrays = read_saved(path)
+        path.write_bytes(data + arrays["probs2"].tobytes())
+        with pytest.raises(ValueError) as err:
+            kn.load_model(path)
+        assert str(err.value) == f"{path}: unexpected bytes after tensor 'bows2'"
 
     def test_count_line_moved_to_its_section(self, tmp_path):
-        _, path, lines = saved_lines(tmp_path, TRIGRAM_CORPUS, 3)
-        count = lines.pop(7)
-        assert count.startswith("ngram 3=")
-        lines.insert(lines.index("\\3-grams:"), count)
-        assert self.refused(path, lines) == (
-            f"{path}:8: expected 'ngram 3=<count>', got '\\\\1-grams:'"
+        # the array list in another order than the tables are written in
+        _, path, _ = saved_model(tmp_path, TRIGRAM_CORPUS, 3)
+        header, arrays = read_saved(path)
+        listed = header["arrays"]
+        header["arrays"] = listed[:1] + listed[3:5] + listed[1:3] + listed[5:]
+        assert self.refused(path, header, arrays) == (
+            f"{path}: arrays do not match order 3 and vocabulary size 16"
         )
 
     def test_signed_id(self, tmp_path):
-        _, path, lines = saved_lines(tmp_path, TRIGRAM_CORPUS, 3)
-        i = lines.index("\\1-grams:") + 1
-        assert lines[i].split("\t")[1] == "0"
-        lines[i] = set_field(lines[i], 1, "+0")
-        assert self.refused(path, lines) == f"{path}:{i + 1}: bad id list '+0'"
+        _, path, _ = saved_model(tmp_path, TRIGRAM_CORPUS, 3)
+        header, arrays = read_saved(path)
+        arrays["bows1.ids"][0, 0] = -1
+        assert self.refused(path, header, arrays) == f"{path}: bows1: row 0: id -1 out of range for V=16"
 
     def test_last_line_without_newline(self, tmp_path):
-        # a model cut by its final byte, the newline after \\end\\
-        _, path, lines = saved_lines(tmp_path, TRIGRAM_CORPUS, 3)
-        path.write_bytes(path.read_bytes()[:-1])
-        with pytest.raises(kn.KnParseError) as err:
+        # the header line alone, cut before its newline
+        _, path, data = saved_model(tmp_path, TRIGRAM_CORPUS, 3)
+        path.write_bytes(data.split(b"\n", 1)[0])
+        with pytest.raises(ValueError) as err:
             kn.load_model(path)
-        assert str(err.value) == f"{path}:{len(lines)}: last line does not end in a newline"
+        assert str(err.value) == f"{path}: truncated tensor 'unigram'"
 
     def test_crlf(self, tmp_path):
-        _, path, lines = saved_lines(tmp_path, TRIGRAM_CORPUS, 3)
-        path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
-        with pytest.raises(kn.KnParseError) as err:
+        # every 0x0a byte of the arrays becomes two bytes
+        _, path, data = saved_model(tmp_path, TRIGRAM_CORPUS, 3)
+        assert b"\n" in data.split(b"\n", 1)[1]
+        path.write_bytes(data.replace(b"\n", b"\r\n"))
+        with pytest.raises(ValueError) as err:
             kn.load_model(path)
-        assert str(err.value).startswith(f"{path}:1: expected '# authorlm-kn 1'")
+        assert str(err.value) == f"{path}: unexpected bytes after tensor 'bows2'"
 
 
 class TestBulkFloats:
-    """The block reader's float column takes and refuses exactly what
-    ``float()`` does, with the same bits."""
+    """Each table's values are stored and read as one block of raw float64
+    bytes."""
 
-    parse = staticmethod(kn._bulk_floats)
-
-    EDGE = [
-        "nan", "-nan", "NaN", "inf", "-Infinity", "1_0", "1__0", "_1", " 1.5", "1.5\t",
-        "0x10", "na", "1e", "1e5", "5e-324", "2e-324", "1e309", "-0.0", "+1", "1.",
-        ".5", "", "\uff11", "1,5",
-    ]
-
-    @staticmethod
-    def as_float(text):
-        try:
-            return float(text)
-        except ValueError:
-            return None
-
-    @pytest.mark.parametrize("text", EDGE)
-    def test_edge_strings_parse_like_float(self, text):
-        got = self.parse(np.array([text], dtype=object))
-        want = self.as_float(text)
-        if want is None:
-            assert got is None
-        else:
-            assert got.dtype == np.float64 and got.tobytes() == np.float64(want).tobytes()
-
-    def test_one_bad_field_refuses_the_block(self):
-        assert self.parse(np.array(["-0.5", "-0.5x", "-1"], dtype=object)) is None
-
-    def test_reprs_round_trip_bit_for_bit(self):
+    def test_reprs_round_trip_bit_for_bit(self, tmp_path):
+        # random bit patterns, signed zeros, subnormals and the extremes
+        # load back with the same bits
+        V = 9
+        model = kn.train_model(random_id_sentences(3, V, seed=3), 3, V)
         rng = np.random.default_rng(17)
-        values = np.concatenate([
-            -rng.exponential(3.0, size=2000),
-            rng.standard_normal(2000) * 10.0 ** rng.integers(-300, 300, size=2000),
-        ])
-        fields = np.array([repr(float(v)) for v in values], dtype=object)
-        assert self.parse(fields).tobytes() == values.tobytes()
+        edges = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308])
 
+        def draw(n, probabilities):
+            x = rng.integers(-(2**63), 2**63 - 1, size=n, dtype=np.int64).view(np.float64)
+            x = np.where(np.isfinite(x), x, -1.5)
+            x[: len(edges)] = edges[:n]
+            return np.where(x > 0, -x, x) if probabilities else x
 
-class TestDistinctFloats(TestBulkFloats):
-    """The back-off column's parser, one ``float()`` per distinct text,
-    passes the same tests."""
+        def redraw(tables, probabilities):
+            return {k: kn._Table(t.order, V, t.keys, draw(len(t), probabilities)) for k, t in tables.items()}
 
-    parse = staticmethod(kn._distinct_floats)
+        model = dataclasses.replace(
+            model,
+            unigram_log10=draw(V, True),
+            probs=redraw(model.probs, True),
+            bows=redraw(model.bows, False),
+        )
+        kn.save_model(model, tmp_path / "m.kn")
+        loaded = kn.load_model(tmp_path / "m.kn")
+        assert loaded.unigram_log10.view(np.int64).tolist() == model.unigram_log10.view(np.int64).tolist()
+        for tables, back in ((model.probs, loaded.probs), (model.bows, loaded.bows)):
+            for k, table in tables.items():
+                assert back[k].values.view(np.int64).tolist() == table.values.view(np.int64).tolist()
 
-    def test_repeated_texts_round_trip_bit_for_bit(self):
-        rng = np.random.default_rng(19)
-        values = rng.choice([-0.0, 0.0, -0.25, -1.5e-300, 5e-324], size=500)
-        fields = np.array([repr(float(v)) for v in values], dtype=object)
-        assert self.parse(fields).tobytes() == values.tobytes()
-
-    def test_bad_copy_of_a_good_text_refuses_the_block(self):
-        assert self.parse(np.array(["-0.5", "-0.5", "-0.5x", "-0.5"], dtype=object)) is None
+    def test_one_bad_field_refuses_the_block(self, tmp_path):
+        # one NaN as the last value of any table refuses the whole model
+        _, path, _ = saved_model(tmp_path, TRIGRAM_CORPUS, 3)
+        header, arrays = read_saved(path)
+        for name, values in arrays.items():
+            if name.endswith(".ids"):
+                continue
+            write_saved(path, header, {**arrays, name: np.append(values[:-1], np.nan)})
+            what = ("back-off weight nan must be finite" if name.startswith("bows")
+                    else "log10 probability nan must be finite and <= 0")
+            assert refusal(path) == f"{path}: {name}: row {len(values) - 1}: {what}"
 
 
 def read_entries(path):
     """(probs, bows) dicts of a saved model, keyed by id tuple."""
-    probs, bows = {}, {}
-    for line in path.read_text().splitlines():
-        fields = line.split("\t")
-        if len(fields) < 2:
-            continue
-        gram = tuple(int(t) for t in fields[1].split())
-        if fields[0] != "na":
-            probs[gram] = float(fields[0])
-        if len(fields) == 3:
-            bows[gram] = float(fields[2])
+    _, arrays = read_saved(path)
+    probs = {(i,): x for i, x in enumerate(arrays["unigram"].tolist())}
+    bows = {}
+    for name, values in arrays.items():
+        if not name.endswith(".ids") and name != "unigram":
+            rows = map(tuple, arrays[f"{name}.ids"].tolist())
+            (bows if name.startswith("bows") else probs).update(zip(rows, values.tolist()))
     return probs, bows
 
 
@@ -685,14 +781,14 @@ def scalar_log10(entries, context, target):
 
 class TestBatchedQueries:
     def test_batch_matches_rows_and_scalar_walk(self, tmp_path):
-        model, path, _ = saved_lines(tmp_path, TRIGRAM_CORPUS, 4)
+        model, path, _ = saved_model(tmp_path, TRIGRAM_CORPUS, 4)
         V = model.vocab_size
         _, pc = make_corpus(TRIGRAM_CORPUS, 4)
         rng = np.random.default_rng(3)
         windows = [s[i : i + 4] for s in pc.sentences for i in range(len(s) - 3)]
         rows = [(w[:3], w[3]) for w in windows]  # top-order hits
         start = (tp.START_ID,) * 3
-        assert start in model.bows[3] and start not in model.probs[3]  # an "na" entry
+        assert start in model.bows[3] and start not in model.probs[3]  # a back-off-only context
         rows += [(start, w) for w in range(V)]
         rows += [(tuple(rng.integers(0, V, size=3)), int(rng.integers(0, V))) for _ in range(300)]
         contexts = np.array([c for c, _ in rows], dtype=np.int64)
@@ -737,11 +833,11 @@ class TestWideKeys:
                 got = math.exp(model.log_prob(ctx, w))
                 assert got == pytest.approx(float(ref.prob(ctx, w)), abs=1e-12)
 
-        path = tmp_path / "m.arpa"
+        path = tmp_path / "m.kn"
         kn.save_model(model, path)
         loaded = kn.load_model(path)
-        kn.save_model(loaded, tmp_path / "again.arpa")
-        assert (tmp_path / "again.arpa").read_bytes() == path.read_bytes()
+        kn.save_model(loaded, tmp_path / "again.kn")
+        assert (tmp_path / "again.kn").read_bytes() == path.read_bytes()
         ctx = np.array([c for c in contexts for _ in targets], dtype=np.int64)
         tgt = np.array(targets * len(contexts), dtype=np.int64)
         assert loaded.log_probs(ctx, tgt).tobytes() == model.log_probs(ctx, tgt).tobytes()
