@@ -124,7 +124,7 @@ def _inventory(cfg: RunConfig, raw: bool = False) -> list[_Author]:
     for path in _author_files(cfg):
         name = path.stem
         vocab_path = cfg.output_dir / "preprocess" / f"{name}.vocab.tsv"
-        corpus_path = cfg.output_dir / "preprocess" / f"{name}.corpus.txt"
+        corpus_path = cfg.output_dir / "preprocess" / f"{name}.corpus"
         models = frozenset(
             (seed, method)
             for seed in cfg.seeds
@@ -358,7 +358,7 @@ def cmd_preprocess(cfg: RunConfig) -> int:
             vocab = textproc.build_vocabulary(tokens, threshold)
             processed = textproc.encode(tokens, vocab, order, stemming, threshold)
             textproc.save_vocabulary(vocab, out / f"{author}.vocab.tsv")
-            textproc.save_processed(processed, out / f"{author}.corpus.txt")
+            textproc.save_processed(processed, out / f"{author}.corpus")
         except (OSError, ValueError) as exc:
             print(f"preprocess: {author}: {exc}", file=sys.stderr)
             code = EXIT_PARTIAL
@@ -415,8 +415,7 @@ def cmd_train_ngram(cfg: RunConfig) -> int:
     _stage_dir(cfg, "models")
 
     def run(ai, author, seed, split):
-        sentences = [author.corpus.sentences[i] for i in split.train]
-        model = kn.train_model(sentences, author.order, author.vocab.size)
+        model = kn.train_model(author.corpus.sentences.take(split.train), author.order, author.vocab.size)
         try:
             kn.save_model(model, _model_path(cfg, author.name, seed, "kn"))
         except OSError as exc:  # a model that cannot be written is this item's failure
@@ -451,9 +450,8 @@ def cmd_eval(cfg: RunConfig) -> int:
     per_method = {method: [] for method in METHODS}
     for author, seed, split, method in items:
         model = _load_model(cfg, author, seed, method)
-        test = [author.corpus.sentences[i] for i in split.test]
         try:
-            perplexity = evaluation.perplexity(model, test).perplexity
+            perplexity = evaluation.perplexity(model, author.corpus.sentences.take(split.test)).perplexity
         except ValueError as exc:
             raise ConfigError(f"{_model_path(cfg, author.name, seed, method)}: {exc}") from None
         rows.append([author.name, seed, method, repr(perplexity)])

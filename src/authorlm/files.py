@@ -1,4 +1,4 @@
-"""The one place that writes files, the model container, and the CSV
+"""The one place that writes files, the binary container, and the CSV
 output format.
 
 ``write_file`` writes the new contents to a temporary file in the target's
@@ -8,9 +8,10 @@ truncated one.  There is no fsync: the aim is safety when a stage fails,
 not durability across a power loss.  A write that fails names the target
 only, never the temporary file, which is gone by then.
 
-Both model families are saved in one binary container (``write_arrays``,
-``read_arrays``): one sorted-key JSON header line, then the raw
-little-endian bytes of each array in header order, and nothing after them.
+Both model families and the encoded corpus are saved in one binary
+container (``write_arrays``, ``read_arrays``): one sorted-key JSON header
+line, then the raw little-endian bytes of each array in header order, and
+nothing after them.
 
 Every CSV output starts with one ``# generated <UTC timestamp>`` comment
 line, the only line allowed to differ between two runs of one config;
@@ -59,6 +60,23 @@ def write_arrays(path: str | Path, header: dict, arrays: Sequence[np.ndarray]) -
 Layout = list[tuple[str, str, tuple[int, ...]]]
 
 
+def row_count(arrays, i: int) -> int | None:
+    """The row count a header's i-th array entry states, if it is an int >= 0."""
+    try:
+        n = arrays[i][1][0]
+    except (TypeError, IndexError, KeyError):
+        return None
+    return n if type(n) is int and n >= 0 else None
+
+
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a ValueError for a repeated key, of which ``json`` keeps the last."""
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"header key {next(k for k in keys if keys.count(k) > 1)!r} repeated")
+    return dict(pairs)
+
+
 def read_arrays(
     path: str | Path, magic: str, version: int, layout: Callable[[str | Path, dict], Layout]
 ) -> tuple[dict, list[np.ndarray]]:
@@ -70,11 +88,13 @@ def read_arrays(
     """
     with open(path, "rb") as f:
         try:
-            header = json.loads(f.readline())
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not a model file") from exc
+            header = json.loads(f.readline(), object_pairs_hook=_object)
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            raise ValueError(f"{path}: no {magic} header") from exc
+        except ValueError as exc:  # a repeated key
+            raise ValueError(f"{path}: {exc}") from None
         if not isinstance(header, dict):
-            raise ValueError(f"{path}: not a model file")
+            raise ValueError(f"{path}: no {magic} header")
         if header.get("format") != magic:
             raise ValueError(f"{path}: unexpected format {header.get('format')!r}")
         if header.get("version") != version:

@@ -7,8 +7,8 @@ uniform distribution over the vocabulary, which keeps every probability
 strictly positive and every context's distribution summing to one.  The
 discounts are always estimated from the counts (``estimate_discounts``).
 
-Counting flattens the sentences once, takes each length's windows from
-that one id array, and collapses them into the distinct id rows, in
+Counting takes each length's windows from the sentences' one id array
+(``textproc.Sentences``) and collapses them into the distinct id rows, in
 lexicographic order, and their counts: the rows are packed into 1-D keys
 (base max id + 1) and ranked with one sort.  A continuation table is the
 same collapse over the suffixes of the distinct rows one order up.
@@ -51,8 +51,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .files import Layout, read_arrays, write_arrays
-from .textproc import flatten_padded
+from .files import Layout, read_arrays, row_count, write_arrays
+from .textproc import padded_sentences
 
 _KN_MAGIC = "authorlm-kn"
 _KN_VERSION = 2
@@ -183,13 +183,8 @@ def count(sentences: Iterable[Gram], order: int) -> CountTables:
     ``textproc.samples_from_sentences`` enumerates.  Every window of
     every length that fits inside a sentence counts, paddings included.
     """
-    lengths, ids = flatten_padded(sentences, order)
-    # ids from each position to the end of its sentence, that position included
-    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(ids))
-    raw = []
-    for k in range(1, order + 1):
-        starts = np.flatnonzero(room >= k)
-        raw.append(_distinct_rows(ids[starts[:, None] + np.arange(k)]))
+    s = padded_sentences(sentences, order)
+    raw = [_distinct_rows(s.ids[s.windows(k)[:, None] + np.arange(k)]) for k in range(1, order + 1)]
     # each distinct (k+1)-gram adds one preceding id to its length-k suffix
     continuation = [_distinct_rows(raw[k][0][:, 1:]) for k in range(1, order)]
     return CountTables(order=order, raw=tuple(raw), continuation=tuple(continuation))
@@ -379,15 +374,6 @@ def save_model(model: KnModel, path: str | Path) -> None:
     write_arrays(path, header, list(arrays.values()))
 
 
-def _row_count(arrays, i: int) -> int | None:
-    """The row count a header's i-th array entry states, if it is an int >= 0."""
-    try:
-        n = arrays[i][1][0]
-    except (TypeError, IndexError, KeyError):
-        return None
-    return n if type(n) is int and n >= 0 else None
-
-
 def _layout(path, header: dict) -> Layout:
     """The arrays a header's order and vocabulary size imply, with the row
     counts it states; the header must list exactly those."""
@@ -399,7 +385,7 @@ def _layout(path, header: dict) -> Layout:
         raise ValueError(f"{path}: expected {order} discounts, got {discounts!r}")
     layout = [("unigram", "<f8", (V,))]
     for name, k in _table_names(order):
-        n = _row_count(arrays, len(layout))
+        n = row_count(arrays, len(layout))
         layout += [(f"{name}.ids", "<i8", (n, k)), (name, "<f8", (n,))]
     if arrays != [[name, list(shape)] for name, _, shape in layout] or any(
         shape[0] is None for _, _, shape in layout

@@ -6,28 +6,28 @@ sentence-boundary padding, and split into train/validation/test parts.
 Everything downstream (both language model families) consumes the encoded
 form produced here.
 
-The vocabulary and encoded corpus files are read only in the one layout
-``save_vocabulary`` and ``save_processed`` write.  In both, ids are read
-only by ``parse_ids`` (ASCII digits, single spaces), many rows at once by
-``parse_id_rows``, and header integers by ``header_int``.
+Encoded sentences stay two int64 arrays (``Sentences``) from the saved
+file to the samples and counts the models train on.  The vocabulary is a
+text table and the encoded corpus a ``files`` container, each read only in
+the one layout ``save_vocabulary`` or ``save_processed`` writes.
 """
 
 from __future__ import annotations
 
-import contextlib
 import string
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import porter
-from .files import write_file
+from .files import Layout, read_arrays, row_count, write_arrays, write_file
 from .prng import stream
 
 SENTENCE_START = "<s>"
@@ -37,7 +37,8 @@ START_ID, END_ID, UNK_ID = 0, 1, 2
 _RESERVED = (SENTENCE_START, SENTENCE_END, UNKNOWN)
 
 _VOCAB_MAGIC = "authorlm-vocab 1"
-_CORPUS_MAGIC = "authorlm-corpus 1"
+_CORPUS_MAGIC = "authorlm-corpus"
+_CORPUS_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -159,24 +160,106 @@ def build_vocabulary(
     return Vocabulary(words=words, counts=vocab_counts)
 
 
+class Sentences(Sequence):
+    """Padded id sentences as int64 arrays: ``lengths``, one per sentence,
+    ``ids``, all their ids concatenated, and ``starts``, each one's offset
+    into ``ids``.  A read-only sequence of id tuples that compares equal to
+    a tuple of the same tuples; a slice is a ``Sentences``.
+    """
+
+    __slots__ = ("lengths", "ids", "starts")
+
+    def __init__(self, lengths: np.ndarray, ids: np.ndarray):
+        self.lengths, self.ids = lengths, ids
+        self.starts = np.cumsum(lengths) - lengths
+        for a in (lengths, ids, self.starts):
+            a.flags.writeable = False
+
+    @classmethod
+    def of(cls, sentences: Iterable[Sequence[int]]) -> Sentences:
+        """``sentences`` itself if a ``Sentences``, else its id sequences flattened."""
+        if isinstance(sentences, Sentences):
+            return sentences
+        sentences = list(sentences)
+        lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
+        ids = np.fromiter(chain.from_iterable(sentences), dtype=np.int64, count=int(lengths.sum()))
+        return cls(lengths, ids)
+
+    def take(self, indices: Iterable[int]) -> Sentences:
+        """The sentences at ``indices``, in that order, from one gather."""
+        indices = np.asarray(indices, dtype=np.int64)
+        lengths = self.lengths[indices]
+        return Sentences(lengths, self.ids[_runs(self.starts[indices], lengths)])
+
+    def windows(self, k: int) -> np.ndarray:
+        """The first position in ``ids`` of each length-k window inside a sentence."""
+        return _runs(self.starts, np.maximum(self.lengths - k + 1, 0))
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.take(np.arange(len(self))[index])
+        start = self.starts[index]
+        return tuple(self.ids[start : start + self.lengths[index]].tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, Sentences):
+            return np.array_equal(self.lengths, other.lengths) and np.array_equal(self.ids, other.ids)
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Sentences(lengths={self.lengths!r}, ids={self.ids!r})"
+
+
+def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The positions starts[r], ..., starts[r] + counts[r] - 1 of each run r, in order."""
+    return np.arange(int(counts.sum())) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+
+
+def padded_sentences(
+    sentences: Iterable[Sequence[int]], order: int, vocab_size: int | None = None
+) -> Sentences:
+    """``Sentences.of(sentences)``; a ValueError naming the first bad
+    sentence unless each is order-1 start ids, its content and one end id,
+    and, given ``vocab_size``, every id is in [0, vocab_size)."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    s = Sentences.of(sentences)
+    if vocab_size is not None:
+        outside = (s.ids < 0) | (s.ids >= vocab_size)
+        if outside.any():
+            at = int(np.argmax(outside))
+            k = int(np.searchsorted(s.starts, at, side="right")) - 1
+            raise ValueError(f"sentence {k}: id {s.ids[at]} outside the vocabulary of {vocab_size}")
+    bad = s.lengths < order
+    fits = ~bad
+    first = s.starts[fits]
+    pads = s.ids[first[:, None] + np.arange(order - 1)]
+    bad[fits] = (pads != START_ID).any(axis=1) | (s.ids[first + s.lengths[fits] - 1] != END_ID)
+    if bad.any():
+        raise ValueError(f"sentence {int(np.argmax(bad))} not padded for order {order}")
+    return s
+
+
 @dataclass(frozen=True)
 class ProcessedCorpus:
     """Encoded sentences plus the pipeline parameters that produced them.
 
-    Each sentence is a tuple of ids: order-1 start paddings, the content
-    ids (unknowns already substituted), and one end id.
+    Each sentence is order-1 start paddings, the content ids (unknowns
+    already substituted) and one end id, held as ``Sentences``.
     """
 
     vocabulary: Vocabulary
-    sentences: tuple[tuple[int, ...], ...]
+    sentences: Sentences
     order: int
     stemming: bool
     prune_threshold: float
 
     def __post_init__(self):
-        _, ids = flatten_padded(self.sentences, self.order)
-        if len(ids) and not (ids.min() >= 0 and ids.max() < self.vocabulary.size):
-            raise ValueError("sentence id outside the vocabulary")
+        checked = padded_sentences(self.sentences, self.order, self.vocabulary.size)
+        object.__setattr__(self, "sentences", checked)
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -185,30 +268,6 @@ class ProcessedCorpus:
         """Decoded sentence without the boundary padding."""
         s = self.sentences[index]
         return self.vocabulary.decode(s[self.order - 1 : -1])
-
-
-def _flatten(sentences: Iterable[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Each sentence's length, and all their ids concatenated (int64)."""
-    sentences = list(sentences)
-    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
-    ids = np.fromiter(chain.from_iterable(sentences), dtype=np.int64, count=int(lengths.sum()))
-    return lengths, ids
-
-
-def flatten_padded(sentences: Iterable[Sequence[int]], order: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_flatten``, refusing any sentence that is not order-1 start ids,
-    its content and one end id."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    lengths, ids = _flatten(sentences)
-    firsts = np.cumsum(lengths) - lengths
-    if (
-        (lengths < order).any()
-        or (ids[firsts + lengths - 1] != END_ID).any()
-        or any((ids[firsts + j] != START_ID).any() for j in range(order - 1))
-    ):
-        raise ValueError("sentence not padded for the stated order")
-    return lengths, ids
 
 
 def encode_sentence(tokens: Sequence[str], vocab: Vocabulary, order: int) -> tuple[int, ...]:
@@ -308,33 +367,17 @@ def samples_from_sentences(sentences: Iterable[Sequence[int]], order: int) -> Sa
     so a sentence of T content tokens yields T + 1 samples.
     """
     width = order - 1
-    lengths, ids = _flatten(sentences)
-    counts = np.maximum(lengths - width, 0)
-    m = int(counts.sum())
-    if m == 0:
-        return Samples(
-            contexts=np.empty((0, width), dtype=np.int64),
-            targets=np.empty(0, dtype=np.int64),
-        )
-    # window j, the r-th of its sentence, starts r ids after that sentence's
-    # first id; in the concatenation that is j plus a per-sentence shift
-    shift = (np.cumsum(lengths) - lengths) - (np.cumsum(counts) - counts)
-    starts = np.arange(m) + np.repeat(shift, counts)
-    return Samples(
-        contexts=sliding_window_view(ids, width)[starts],
-        targets=ids[starts + width],
-    )
+    s = Sentences.of(sentences)
+    ids, starts = s.ids, s.windows(order)
+    if not len(starts):  # no window of ``width`` ids to view
+        return Samples(np.empty((0, width), dtype=np.int64), np.empty(0, dtype=np.int64))
+    return Samples(contexts=sliding_window_view(ids, width)[starts], targets=ids[starts + width])
 
 
-def extract_samples(
-    processed: ProcessedCorpus, indices: Sequence[int] | None = None
-) -> Samples:
+def extract_samples(processed: ProcessedCorpus, indices: Sequence[int] | None = None) -> Samples:
     """Samples for the given sentence indices (all, if None)."""
-    if indices is None:
-        indices = range(len(processed.sentences))
-    return samples_from_sentences(
-        (processed.sentences[i] for i in indices), processed.order
-    )
+    sentences = processed.sentences if indices is None else processed.sentences.take(indices)
+    return samples_from_sentences(sentences, processed.order)
 
 
 def top_k_coverage(processed: ProcessedCorpus, ks: Sequence[int]) -> dict[int, float]:
@@ -343,15 +386,11 @@ def top_k_coverage(processed: ProcessedCorpus, ks: Sequence[int]) -> dict[int, f
     Boundary paddings are excluded; the unknown token competes like any
     other vocabulary entry, so k = vocabulary size always gives 1.0.
     """
-    counts = Counter()
-    for sent in processed.sentences:
-        counts.update(sent[processed.order - 1 : -1])
-    total = sum(counts.values())
-    ranked = sorted(counts.values(), reverse=True)
-    out = {}
-    for k in ks:
-        out[k] = sum(ranked[:k]) / total if total else 0.0
-    return out
+    s, pads = processed.sentences, processed.order - 1
+    counts = np.bincount(s.ids[_runs(s.starts + pads, s.lengths - pads - 1)])
+    ranked = sorted(counts[counts > 0].tolist(), reverse=True)
+    total = sum(ranked)
+    return {k: sum(ranked[:k]) / total if total else 0.0 for k in ks}
 
 
 def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
@@ -361,123 +400,79 @@ def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
     write_file(path, "\n".join(lines) + "\n")
 
 
-def _read_lines(path: str | Path, magic: str) -> list[str]:
-    """The lines of a file that starts with ``# <magic>`` and ends each line in ``\\n``."""
-    lines = Path(path).read_bytes().decode("utf-8").split("\n")
-    if lines[0] != f"# {magic}":
-        raise ValueError(f"{path}: expected header {magic!r} on line 1")
-    if lines.pop():
-        raise ValueError(f"{path}:{len(lines) + 1}: last line does not end in a newline")
-    return lines
-
-
-def header_int(line: str, prefix: str, least: int) -> int | None:
-    """n when the line is exactly ``prefix`` + str(n) for an n >= ``least``."""
+def header_int(line: str, prefix: str) -> int | None:
+    """n when the line is exactly ``prefix`` + str(n) for an n >= 0."""
     digits = line.removeprefix(prefix) if line.startswith(prefix) else ""
-    ok = digits.isascii() and digits.isdigit() and digits == str(int(digits))
-    return int(digits) if ok and int(digits) >= least else None
+    return int(digits) if digits.isascii() and digits.isdigit() and digits == str(int(digits)) else None
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
     """Read a table in the one layout ``save_vocabulary`` writes: the format
     header, ``# size N``, then exactly N ``word<TAB>i<TAB>count`` rows, i
-    the row index and count an integer >= 0 (``header_int`` digits)."""
-    lines = _read_lines(path, _VOCAB_MAGIC)
+    the row index and count an integer >= 0 (``header_int`` digits), each
+    line ending in ``\\n``."""
+    lines = Path(path).read_bytes().decode("utf-8").split("\n")
+    if lines[0] != f"# {_VOCAB_MAGIC}":
+        raise ValueError(f"{path}: expected header {_VOCAB_MAGIC!r} on line 1")
+    if lines.pop():
+        raise ValueError(f"{path}:{len(lines) + 1}: last line does not end in a newline")
     first = 2 if lines[1:2] and lines[1].startswith("#") else 1  # else line 2 is a row
     words, counts = [], []
     for lineno, line in enumerate(lines[first:], first + 1):
         fields = line.split("\t")
-        count = header_int(fields[2], "", 0) if len(fields) == 3 else None
+        count = header_int(fields[2], "") if len(fields) == 3 else None
         if count is None or fields[1] != str(len(words)):
             raise ValueError(f"{path}:{lineno}: expected word<TAB>{len(words)}<TAB>count, got {line!r}")
         words.append(fields[0])
         counts.append(count)
-    if first == 1 or header_int(lines[1], "# size ", 0) != len(words):
+    if first == 1 or header_int(lines[1], "# size ") != len(words):
         raise ValueError(f"{path}:2: expected '# size {len(words)}' for {len(words)} rows")
     return Vocabulary(words=tuple(words), counts=tuple(counts))
 
 
 def save_processed(processed: ProcessedCorpus, path: str | Path) -> None:
-    """Write encoded sentences (one per line, space-separated ids)."""
-    lines = [
-        f"# {_CORPUS_MAGIC}",
-        f"# order {processed.order}",
-        f"# stemming {int(processed.stemming)}",
-        f"# prune_threshold {processed.prune_threshold!r}",
-    ]
-    names = [str(i) for i in range(processed.vocabulary.size)]  # each id's text, made once
-    lines += [" ".join([names[i] for i in sent]) for sent in processed.sentences]
-    write_file(path, "\n".join(lines) + "\n")
-
-
-def parse_ids(text: str) -> np.ndarray | None:
-    """The ids of ``text`` as int64, in one numpy parse, or None unless the
-    text is runs of ASCII digits separated by single spaces.  On such text
-    numpy reads every id as ``int()`` does; a number beyond int64 is read
-    as the int64 maximum."""
-    if not text.isascii() or text.encode().translate(None, b"0123456789 ") or "  " in f" {text} ":
-        return None
-    return np.fromstring(text, dtype=np.int64, sep=" ")
-
-
-def parse_id_rows(rows: Sequence[str], vocab_size: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Each row's length and all the rows' ids, as ``_flatten`` gives them,
-    from one ``parse_ids`` call; None unless every row is ids in [0, V).
-    Each row is followed by the marker V, which no valid id equals, so the
-    markers are exactly the ids >= V when there is one per row."""
-    if not len(rows):
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    ids = parse_ids(f" {vocab_size} ".join(rows) + f" {vocab_size}")
-    if ids is None:
-        return None
-    markers = ids >= vocab_size
-    if markers.sum() != len(rows):
-        return None
-    return np.diff(np.flatnonzero(markers), prepend=-1) - 1, ids[~markers]
-
-
-def _sentence_error(lines: list[str], vocab_size: int, order: int) -> tuple[int, str]:
-    """Offset and message of the first sentence line ``load_processed``
-    refuses, keeping no sentence; a minus sign and digits are an id."""
-    for j, line in enumerate(lines):
-        tokens = line.split(" ")
-        ids = parse_ids(" ".join(t.removeprefix("-") for t in tokens))
-        if ids is None or len(ids) != len(tokens):
-            return j, "malformed sentence line"
-        outside = [t for t, i in zip(tokens, ids.tolist()) if t[0] == "-" or i >= vocab_size]
-        if outside:
-            return j, f"id {outside[0]} outside the vocabulary of {vocab_size}"
-        if len(ids) < order or ids[-1] != END_ID or (ids[: order - 1] != START_ID).any():
-            return j, "sentence not padded for the stated order"
-    raise AssertionError("every sentence line is valid")
+    """The ``files`` container: a header with the format, version, pipeline
+    settings, vocabulary size and array shapes, then the int64 lengths and ids."""
+    s = processed.sentences
+    header = {
+        "format": _CORPUS_MAGIC,
+        "version": _CORPUS_VERSION,
+        "order": processed.order,
+        "stemming": bool(processed.stemming),
+        "prune_threshold": float(processed.prune_threshold),
+        "vocab": processed.vocabulary.size,
+        "arrays": [["lengths", [len(s.lengths)]], ["ids", [len(s.ids)]]],
+    }
+    write_arrays(path, header, [s.lengths, s.ids])
 
 
 def load_processed(path: str | Path, vocab: Vocabulary) -> ProcessedCorpus:
-    """Read an encoded corpus in the one layout ``save_processed`` writes:
-    the format header, ``# order N`` (N >= 2), ``# stemming 0|1``,
-    ``# prune_threshold`` and a float in [0, 1], then one sentence per
-    line: ids in [0, V) padded for the order, parsed in one call.  A
-    refused body is scanned again only to name the first line that differs.
-    """
-    lines = _read_lines(path, _CORPUS_MAGIC)
-    head = (lines[1:4] + [""] * 3)[:3]  # a missing header line reads as ""
-    order = header_int(head[0], "# order ", 2)
-    stemming = header_int(head[1], "# stemming ", 0)
-    threshold, prefix = float("nan"), "# prune_threshold "
-    if head[2].startswith(prefix):
-        with contextlib.suppress(ValueError):
-            threshold = float(head[2].removeprefix(prefix))
-    for lineno, ok in enumerate((order is not None, stemming in (0, 1), 0 <= threshold <= 1), 2):
-        if not ok:
-            raise ValueError(f"{path}:{lineno}: bad header line {head[lineno - 2]!r}")
-    body = lines[4:]
-    parsed = parse_id_rows(body, vocab.size)
-    if parsed is not None:
-        flat, ends = parsed[1].tolist(), np.cumsum(parsed[0]).tolist()
-        sentences = tuple(tuple(flat[a:b]) for a, b in zip([0, *ends], ends))
-        try:
-            return ProcessedCorpus(vocab, sentences, order, bool(stemming), threshold)
-        except ValueError:  # a sentence not padded for the order
-            pass
-    j, message = _sentence_error(body, vocab.size, order)
-    raise ValueError(f"{path}:{5 + j}: {message}")
+    """Read a ``save_processed`` file for ``vocab``; a ValueError naming the
+    file for a header value of the wrong type or range, a vocabulary size not
+    ``vocab``'s, lengths that are not counts summing to the number of ids, or
+    a sentence ``ProcessedCorpus`` refuses."""
+
+    def layout(path, header: dict) -> Layout:
+        order, stemming, threshold, size, arrays = (
+            header.get(key) for key in ("order", "stemming", "prune_threshold", "vocab", "arrays")
+        )
+        for key, ok in [("order", type(order) is int and order >= 2), ("stemming", type(stemming) is bool),
+                        ("prune_threshold", type(threshold) is float and 0 <= threshold <= 1)]:
+            if not ok:
+                raise ValueError(f"{path}: bad {key} {header.get(key)!r}")
+        if type(size) is not int or size != vocab.size:
+            raise ValueError(f"{path}: vocabulary size {size!r}, the vocabulary has {vocab.size}")
+        n, total = row_count(arrays, 0), row_count(arrays, 1)
+        if arrays != [["lengths", [n]], ["ids", [total]]] or None in (n, total):
+            raise ValueError(f"{path}: arrays {arrays!r} are not lengths and ids")
+        return [("lengths", "<i8", (n,)), ("ids", "<i8", (total,))]
+
+    header, (lengths, ids) = read_arrays(path, _CORPUS_MAGIC, _CORPUS_VERSION, layout)
+    if lengths.min(initial=0) < 0 or lengths.max(initial=0) > len(ids) or lengths.sum() != len(ids):
+        raise ValueError(f"{path}: sentence lengths are not counts summing to the {len(ids)} ids")
+    try:
+        return ProcessedCorpus(
+            vocab, Sentences(lengths, ids), header["order"], header["stemming"], header["prune_threshold"]
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

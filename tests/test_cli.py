@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from kn_reference import edit_saved
+from textproc_reference import read_corpus, write_corpus
 
 import authorlm
 from authorlm import cli, evaluation, files, kn, nnlm, textproc
@@ -740,12 +741,12 @@ class TestCorruptInputs:
         assert run(stage, "--config", "cfg.json") == cli.EXIT_CONFIG
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1
-        assert "models/author01_0.kn: not a model file" in err
+        assert "models/author01_0.kn: no authorlm-kn header" in err
 
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda h: [h], "not a model file"),
+            (lambda h: [h], "no authorlm-nnlm header"),
             (lambda h: {k: v for k, v in h.items() if k != "config"}, "must have exactly the keys"),
             (lambda h: {**h, "config": {**h["config"], "bogus": 1}}, "must have exactly the keys"),
             (lambda h: {**h, "config": {k: v for k, v in h["config"].items() if k != "patience"}},
@@ -818,41 +819,54 @@ class TestCorruptInputs:
     def corpus_file(self, workdir):
         for command in ("synth", "preprocess"):
             assert run(command, "--config", "cfg.json") == cli.EXIT_OK, command
-        return workdir / "outputs" / "preprocess" / "author00.corpus.txt"
+        return workdir / "outputs" / "preprocess" / "author00.corpus"
 
     def test_negative_id_is_config_error(self, corpus_file, capsys):
-        lines = corpus_file.read_text().splitlines()
-        ids = lines[4].split()
-        lines[4] = " ".join(ids[:-1] + ["-1", ids[-1]])
-        corpus_file.write_text("\n".join(lines) + "\n")
+        header, lengths, ids = read_corpus(corpus_file)
+        ids[lengths[0] - 2] = -1  # sentence 0's last id before its end id
+        write_corpus(corpus_file, header, lengths, ids)
         capsys.readouterr()
         assert run("train-ngram", "--config", "cfg.json") == cli.EXIT_CONFIG
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1
-        assert "author00.corpus.txt:5: id -1 outside the vocabulary" in err
+        assert "author00.corpus: sentence 0: id -1 outside the vocabulary" in err
         assert not list((corpus_file.parents[1] / "models").glob("*.kn"))
 
     def test_header_without_value_is_config_error(self, corpus_file):
-        text = corpus_file.read_text()
-        corpus_file.write_text(text.replace("# order 4\n", "# order\n"))
+        header, lengths, ids = read_corpus(corpus_file)
+        del header["order"]
+        write_corpus(corpus_file, header, lengths, ids)
         proc = run_module("train-ngram", "--config", "cfg.json")
         assert proc.returncode == cli.EXIT_CONFIG
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
-        assert "author00.corpus.txt:2: bad header line '# order'" in proc.stderr
+        assert "author00.corpus: bad order None" in proc.stderr
 
     def test_duplicated_order_header_is_config_error(self, corpus_file, capsys):
-        # the earlier loader let the last "# order" win: order-3 models of
-        # sentences padded for order 4
-        text = corpus_file.read_text()
-        corpus_file.write_text(text.replace("# order 4\n", "# order 4\n# order 3\n"))
+        # json lets the last "order" win: order-3 models of sentences padded
+        # for order 4
+        data = corpus_file.read_bytes()
+        corpus_file.write_bytes(data.replace(b'"order": 4', b'"order": 4, "order": 3', 1))
         capsys.readouterr()
         assert run("train-ngram", "--config", "cfg.json") == cli.EXIT_CONFIG
         assert capsys.readouterr().err.splitlines() == [
-            f"authorlm train-ngram: {Path('outputs/preprocess/author00.corpus.txt')}:3: "
-            "bad header line '# order 3'"
+            f"authorlm train-ngram: {Path('outputs/preprocess/author00.corpus')}: "
+            "header key 'order' repeated"
         ]
         assert not list((corpus_file.parents[1] / "models").glob("*.kn"))
+
+    @pytest.mark.parametrize("stage", ["train-nnlm", "train-ngram", "eval", "experiment"])
+    def test_out_of_vocabulary_id_stops_every_stage(self, corpus_file, stage, capsys):
+        header, lengths, ids = read_corpus(corpus_file)
+        V = header["vocab"]
+        ids[header["order"] - 1] = V  # sentence 0's first id after its paddings
+        write_corpus(corpus_file, header, lengths, ids)
+        capsys.readouterr()
+        assert run(stage, "--config", "cfg.json") == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"authorlm {stage}: {Path('outputs/preprocess/author00.corpus')}: "
+            f"sentence 0: id {V} outside the vocabulary of {V}"
+        ]
 
     def test_text_changed_since_preprocess_is_config_error(self, trained, capsys):
         # a split of 63 sentences would take training sentences into the test pools
@@ -987,10 +1001,10 @@ class TestCorruptionReplay:
 
     KINDS = ["truncate", "byte-flip", "byte-insert", "duplicate-line", "swap-lines", "crlf"]
     TARGETS = {
-        "arpa": "models/{}_0.kn",  # the Kneser-Ney model's ARPA-style back-off tables
+        "kn": "models/{}_0.kn",
         "nnlm": "models/{}_0.nnlm",
         "vocab": "preprocess/{}.vocab.tsv",
-        "corpus": "preprocess/{}.corpus.txt",
+        "corpus": "preprocess/{}.corpus",
     }
 
     @pytest.fixture(scope="class")

@@ -117,12 +117,14 @@ class TestContainer:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda h: b"{", "not a model file"),
-            (lambda h: b"[]", "not a model file"),
+            (lambda h: b"{", "no test header"),
+            (lambda h: b"[]", "no test header"),
+            (lambda h: b"[" * 100_000, "no test header"),
             (lambda h: h.replace(b'"test"', b'"other"'), "unexpected format 'other'"),
             (lambda h: h.replace(b'"version": 1', b'"version": 2'), "unsupported version 2"),
+            (lambda h: h.replace(b'"version": 1', b'"version": 1, "version": 1'), "header key 'version' repeated"),
         ],
-        ids=["not-json", "not-object", "format", "version"],
+        ids=["not-json", "not-object", "nested-too-deep", "format", "version", "repeated-key"],
     )
     def test_header_refusals(self, tmp_path, edit, message):
         path = tmp_path / "m.bin"

@@ -533,8 +533,8 @@ class TestCorruptFile:
     @pytest.mark.parametrize(
         "corrupt, message",
         [
-            (edit_bytes(lambda data: b"not a model\n" + data), "not a model file"),
-            (edit_bytes(lambda data: b"[1, 2]\n" + data.split(b"\n", 1)[1]), "not a model file"),
+            (edit_bytes(lambda data: b"not a model\n" + data), "no authorlm-kn header"),
+            (edit_bytes(lambda data: b"[1, 2]\n" + data.split(b"\n", 1)[1]), "no authorlm-kn header"),
             (set_header(format="authorlm-nnlm"), "unexpected format 'authorlm-nnlm'"),
             (set_header(version=1), "unsupported version 1"),
             (set_header(vocab=True), "bad order 3 or vocabulary size True"),

@@ -295,7 +295,7 @@ class TestSerialization:
         sentences = [["alpha", "beta"], ["beta"], []]
         vocab = tp.build_vocabulary(sentences[:2])
         pc = tp.encode(sentences, vocab, order=3, stemming=False, prune_threshold=1e-5)
-        path = tmp_path / "c.txt"
+        path = tmp_path / "c.corpus"
         tp.save_processed(pc, path)
         loaded = tp.load_processed(path, vocab)
         assert loaded == pc
@@ -303,10 +303,10 @@ class TestSerialization:
         assert loaded.stemming is False
 
     def test_corpus_missing_header(self, tmp_path):
-        path = tmp_path / "c.txt"
+        path = tmp_path / "c.corpus"
         path.write_text("0 3 1\n")
         vocab = tp.build_vocabulary([["a"]])
-        with pytest.raises(ValueError, match="header"):
+        with pytest.raises(ValueError, match="c.corpus: no authorlm-corpus header"):
             tp.load_processed(path, vocab)
 
     def test_vocab_bad_line(self, tmp_path):
@@ -369,34 +369,49 @@ class TestSerialization:
 
     @pytest.mark.parametrize("first", ["", "# authorlm-corpus 0\n", "# authorlm-vocab 1\n"])
     def test_corpus_wrong_or_missing_magic(self, tmp_path, first):
+        # the header line dropped, or an earlier text header in its place
         vocab = tp.build_vocabulary([["a"]])
-        path = tmp_path / "c.txt"
+        path = tmp_path / "c.corpus"
         tp.save_processed(tp.encode([["a"]], vocab, order=2), path)
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text(first + "".join(lines[1:]))
-        with pytest.raises(ValueError, match="c.txt: expected header"):
+        body = path.read_bytes().split(b"\n", 1)[1]
+        path.write_bytes(first.encode() + body)
+        with pytest.raises(ValueError, match="c.corpus: no authorlm-corpus header"):
             tp.load_processed(path, vocab)
 
 
-CORPUS_HEADER = "# authorlm-corpus 1\n# order 3\n# stemming 1\n# prune_threshold 1e-05\n"
+def edit_corpus(edit):
+    """A corruption that rewrites a saved corpus with ``edit`` applied to
+    its (header, lengths, ids)."""
+    def corrupt(path):
+        header, lengths, ids = textproc_reference.read_corpus(path)
+        edit(header, lengths, ids)
+        textproc_reference.write_corpus(path, header, lengths, ids)
+    return corrupt
 
 
-def load_both(path, vocab, loaders=(tp.load_processed, textproc_reference.load_processed)):
-    """The outcome of the loader and of the earlier per-line one: what it
-    loaded, or the message of the ValueError it raised."""
-    outcomes = []
-    for load in loaders:
-        try:
-            outcomes.append(load(path, *vocab))
-        except ValueError as exc:
-            outcomes.append(str(exc))
-    return outcomes
+def edit_bytes(edit):
+    """A corruption that replaces a saved corpus's bytes with ``edit`` of them."""
+    return lambda path: path.write_bytes(edit(path.read_bytes()))
+
+
+def set_header(**values):
+    return edit_corpus(lambda header, lengths, ids: header.update(values))
 
 
 class TestCorpusLoader:
-    """``load_processed`` against the earlier per-line parser."""
+    """``load_processed`` reads the one layout ``save_processed`` writes and
+    refuses every other file with a ValueError naming it."""
 
     vocab = tp.build_vocabulary([["a", "b", "c", "d", "e"]])  # V = 8
+
+    def saved(self, directory):
+        """The file of three sentences at order 3, the second of them
+        holding content id 3."""
+        corpus = tp.encode([["a", "b"], ["a"], []], self.vocab, order=3)
+        assert corpus.sentences[1] == (0, 0, 3, 1)
+        path = directory / "c.corpus"
+        tp.save_processed(corpus, path)
+        return path
 
     @given(
         sentences=st.lists(
@@ -413,110 +428,129 @@ class TestCorpusLoader:
         vocab = tp.build_vocabulary(sentences, threshold)
         corpus = tp.encode(sentences, vocab, order, stemming, threshold)
         tp.save_vocabulary(vocab, directory / "v.tsv")
-        tp.save_processed(corpus, directory / "c.txt")
-        loaders = (tp.load_vocabulary, textproc_reference.load_vocabulary)
-        assert load_both(directory / "v.tsv", (), loaders) == [vocab, vocab]
-        assert load_both(directory / "c.txt", (vocab,)) == [corpus, corpus]
+        tp.save_processed(corpus, directory / "c.corpus")
+        for load in (tp.load_vocabulary, textproc_reference.load_vocabulary):
+            assert load(directory / "v.tsv") == vocab
+        loaded = tp.load_processed(directory / "c.corpus", vocab)
+        assert loaded == corpus
+        # the same corpus writes the same bytes, loaded or not
+        tp.save_processed(loaded, directory / "again.corpus")
+        assert (directory / "again.corpus").read_bytes() == (directory / "c.corpus").read_bytes()
 
     @given(
         order=st.integers(min_value=2, max_value=4),
         lines=st.lists(st.lists(st.integers(min_value=0, max_value=7), max_size=8), max_size=12),
     )
     @settings(max_examples=150, deadline=None)
-    def test_matches_per_line_parse(self, tmp_path_factory, order, lines):
-        # files in the layout: the header on lines 1-4, one sentence per line
-        path = tmp_path_factory.mktemp("corpus") / "c.txt"
-        text = f"# authorlm-corpus 1\n# order {order}\n# stemming 0\n# prune_threshold 0.25\n"
-        for content in lines:
-            text += " ".join(map(str, [tp.START_ID] * (order - 1) + content + [tp.END_ID])) + "\n"
-        path.write_text(text)
-        new, old = load_both(path, (self.vocab,))
-        assert new == old
-        assert len(new.sentences) == len(lines)
+    def test_loads_each_sentence_as_written(self, tmp_path_factory, order, lines):
+        # files written without the library: each sentence's ids in order
+        path = tmp_path_factory.mktemp("corpus") / "c.corpus"
+        rows = [(tp.START_ID,) * (order - 1) + tuple(content) + (tp.END_ID,) for content in lines]
+        header = {
+            "format": "authorlm-corpus", "version": 2, "order": order, "stemming": False,
+            "prune_threshold": 0.25, "vocab": 8,
+            "arrays": [["lengths", [len(rows)]], ["ids", [sum(map(len, rows))]]],
+        }
+        textproc_reference.write_corpus(path, header, [len(r) for r in rows], [i for r in rows for i in r])
+        loaded = tp.load_processed(path, self.vocab)
+        assert tuple(loaded.sentences) == tuple(rows)
+        assert (loaded.order, loaded.stemming, loaded.prune_threshold) == (order, False, 0.25)
 
     @pytest.mark.parametrize(
-        "text, message",
+        "corrupt, message",
         [
-            # the variants the earlier parser read like files in the layout
-            (CORPUS_HEADER.replace("# prune_threshold 1e-05\n", "") + "0 0 3 1\n# prune_threshold 0.25\n",
-             ":4: bad header line '0 0 3 1'"),
-            (CORPUS_HEADER + "0 0 3 1\n\n0 0 5 1\n", ":6: malformed sentence line"),
-            (CORPUS_HEADER + "0 0 3 1\n0\t0 5 1\n", ":6: malformed sentence line"),
-            (CORPUS_HEADER + "0 0 3 1\n0 0  5 1\n", ":6: malformed sentence line"),
-            (CORPUS_HEADER + "0 0 3 1\n 0 0 5 1\n", ":6: malformed sentence line"),
-            (CORPUS_HEADER + "0 0 3 1 \n", ":5: malformed sentence line"),
-            # further leniencies of the earlier parser
-            (CORPUS_HEADER + "0 0 3 1\n# order 3\n", ":6: malformed sentence line"),
-            (CORPUS_HEADER.replace("# order 3\n", "# order 4\n# order 3\n") + "0 0 3 1\n",
-             ":3: bad header line '# order 3'"),
-            (CORPUS_HEADER.replace("# order 3", "# order 1") + "3 1\n",
-             ":2: bad header line '# order 1'"),
-            (CORPUS_HEADER.replace("# stemming 1", "# stemming 2") + "0 0 3 1\n",
-             ":3: bad header line '# stemming 2'"),
-            (CORPUS_HEADER.replace("1e-05", "nan") + "0 0 3 1\n",
-             ":4: bad header line '# prune_threshold nan'"),
-            (CORPUS_HEADER.replace("1e-05", "1.5") + "0 0 3 1\n",
-             ":4: bad header line '# prune_threshold 1.5'"),
-            (CORPUS_HEADER + "0 0 3 1\n# note\n0 0 5 1\n", ":6: malformed sentence line"),
-            (CORPUS_HEADER + "0 0 3 1\r\n", ":5: malformed sentence line"),
-            (CORPUS_HEADER.replace("\n", "\r\n") + "0 0 3 1\r\n",
-             ": expected header 'authorlm-corpus 1' on line 1"),
-            (CORPUS_HEADER + "0 0 +5 1\n", ":5: malformed sentence line"),
-            (CORPUS_HEADER + "0 0 \u0663 1\n", ":5: malformed sentence line"),
-            (CORPUS_HEADER + "0 0 1_0 1\n", ":5: malformed sentence line"),
-            (CORPUS_HEADER + "0 0 3 1", ":5: last line does not end in a newline"),
-            (CORPUS_HEADER + "0 3 1\n", ":5: sentence not padded for the stated order"),
+            (edit_bytes(lambda data: b"0 0 3 1\n" + data.split(b"\n", 1)[1]), "no authorlm-corpus header"),
+            (set_header(format="authorlm-kn"), "unexpected format 'authorlm-kn'"),
+            (set_header(version=1), "unsupported version 1"),
+            (set_header(arrays=[["ids", [12]], ["lengths", [3]]]),
+             "arrays [['ids', [12]], ['lengths', [3]]] are not lengths and ids"),
+            (edit_bytes(lambda data: data[:-1]), "truncated tensor 'ids'"),
+            (edit_bytes(lambda data: data + b"\0"), "unexpected bytes after tensor 'ids'"),
+            (edit_corpus(lambda header, lengths, ids: lengths.__setitem__(0, 6)),
+             "sentence lengths are not counts summing to the 12 ids"),
+            (edit_corpus(lambda header, lengths, ids: lengths.__setitem__(slice(None), [13, -5, 4])),
+             "sentence lengths are not counts summing to the 12 ids"),
+            (edit_corpus(lambda header, lengths, ids: ids.__setitem__(5, 3)), "sentence 1 not padded for order 3"),
+            (set_header(order=1), "bad order 1"),
+            (set_header(stemming=2), "bad stemming 2"),
+            (set_header(prune_threshold=float("nan")), "bad prune_threshold nan"),
+            (set_header(prune_threshold=1.5), "bad prune_threshold 1.5"),
+            (set_header(vocab=9), "vocabulary size 9, the vocabulary has 8"),
+            (edit_bytes(lambda data: data.replace(b'"order": 3', b'"order": 3, "order": 2')),
+             "header key 'order' repeated"),
         ],
         ids=[
-            "late-header", "blank-line", "tab", "double-space", "leading-edge", "trailing-edge",
-            "header-after-body", "duplicated-order", "order-1", "stemming-2", "threshold-nan",
-            "threshold-above-1", "comment-in-body", "crlf-line", "crlf-file", "plus-id",
-            "arabic-indic-digit", "underscore-id", "no-final-newline", "unpadded",
+            "not-json", "format", "version-1", "array-list", "truncated", "trailing-bytes", "lengths-sum",
+            "negative-length", "unpadded", "order-1", "stemming-2", "threshold-nan", "threshold-above-1",
+            "vocab", "duplicated-order",
         ],
     )
-    def test_refuses_file_outside_layout(self, tmp_path, text, message):
-        path = tmp_path / "c.txt"
-        path.write_bytes(text.encode())
+    def test_refuses_file_outside_layout(self, tmp_path, corrupt, message):
+        path = self.saved(tmp_path)
+        corrupt(path)
         with pytest.raises(ValueError) as refused:
             tp.load_processed(path, self.vocab)
-        assert str(refused.value) == f"{path}{message}"
+        assert str(refused.value) == f"{path}: {message}"
 
-    @pytest.mark.parametrize(
-        "line, as_before",
-        [("0 0 4 x 1", True), ("0 0 +3 1", False), ("0 0 - 1", True), ("   ", False)],
-        ids=["letter", "plus-sign", "lone-minus", "only-spaces"],
-    )
-    def test_malformed_body_as_before(self, tmp_path, line, as_before):
-        # the earlier parser read "+3" as 3 and "   " as an empty sentence
-        path = tmp_path / "c.txt"
-        path.write_text(CORPUS_HEADER + "0 0 3 1\n" + line + "\n0 0 5 4 1\n")
-        new, old = load_both(path, (self.vocab,))
-        assert new.endswith("c.txt:6: malformed sentence line")
-        assert (new == old) is as_before
-
-    @pytest.mark.parametrize("ids", ["0 0 -1 5 1", "0 0 8 1"], ids=["negative", "V"])
-    def test_rejects_id_outside_vocabulary(self, tmp_path, ids):
-        path = tmp_path / "c.txt"
-        path.write_text(CORPUS_HEADER + "0 0 3 1\n" + ids + "\n")
-        with pytest.raises(ValueError, match=r"c\.txt:6: id -?\d+ outside the vocabulary of 8"):
+    @pytest.mark.parametrize("bad", [-1, 8], ids=["negative", "V"])
+    def test_rejects_id_outside_vocabulary(self, tmp_path, bad):
+        path = self.saved(tmp_path)
+        edit_corpus(lambda header, lengths, ids: ids.__setitem__(7, bad))(path)
+        with pytest.raises(ValueError) as refused:
             tp.load_processed(path, self.vocab)
+        assert str(refused.value) == f"{path}: sentence 1: id {bad} outside the vocabulary of 8"
 
     def test_corpus_rejects_negative_id(self):
         with pytest.raises(ValueError, match="outside the vocabulary"):
             tp.ProcessedCorpus(self.vocab, ((0, 0, -1, 1),), 3, True, 0.0)
 
+    @pytest.mark.parametrize("key", ["order", "stemming", "prune_threshold"])
     @pytest.mark.parametrize(
-        "key, lineno", [("order", 2), ("stemming", 3), ("prune_threshold", 4)],
-        ids=["order", "stemming", "prune_threshold"],
+        "edit, shown",
+        [(lambda h, k: h.pop(k), "None"), (lambda h, k: h.update({k: None}), "None"),
+         (lambda h, k: h.update({k: "x"}), "'x'")],
+        ids=["bare", "blank", "word"],
     )
-    @pytest.mark.parametrize("value", ["", " ", " x"], ids=["bare", "blank", "word"])
-    def test_header_without_value(self, tmp_path, key, lineno, value):
-        path = tmp_path / "c.txt"
-        lines = CORPUS_HEADER.splitlines()
-        lines[lineno - 1] = f"# {key}{value}"
-        path.write_text("\n".join(lines) + "\n0 0 3 1\n")
-        with pytest.raises(ValueError, match=rf"c\.txt:{lineno}: bad header line '# {key}{value}'"):
+    def test_header_without_value(self, tmp_path, key, edit, shown):
+        # the key missing, null, or a string
+        path = self.saved(tmp_path)
+        edit_corpus(lambda header, lengths, ids: edit(header, key))(path)
+        with pytest.raises(ValueError) as refused:
             tp.load_processed(path, self.vocab)
+        assert str(refused.value) == f"{path}: bad {key} {shown}"
+
+
+class TestSentences:
+    @given(
+        contents=st.lists(st.lists(st.integers(min_value=3, max_value=7), max_size=6), min_size=1, max_size=10),
+        order=st.integers(min_value=2, max_value=4),
+        picks=st.lists(st.integers(min_value=0, max_value=1000), max_size=15),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_take_matches_tuple_selection(self, contents, order, picks):
+        vocab = tp.build_vocabulary([["a", "b", "c", "d", "e"]])
+        rows = tuple((tp.START_ID,) * (order - 1) + tuple(c) + (tp.END_ID,) for c in contents)
+        pc = tp.ProcessedCorpus(vocab, rows, order, False, 0.0)
+        indices = [i % len(rows) for i in picks]  # any order, repeats included
+        taken = pc.sentences.take(indices)
+        assert tuple(taken) == tuple(rows[i] for i in indices)
+        got, want = tp.extract_samples(pc, indices), tp.samples_from_sentences([rows[i] for i in indices], order)
+        assert np.array_equal(got.contexts, want.contexts) and np.array_equal(got.targets, want.targets)
+
+    def test_sequence_of_tuples(self):
+        rows = ((0, 3, 1), (0, 1), (0, 4, 5, 1))
+        s = tp.Sentences.of(rows)
+        assert len(s) == 3 and s[0] == rows[0] and s[-1] == rows[-1] and list(s) == list(rows)
+        assert s == rows and s != rows[:2] and s[1:] == rows[1:] and isinstance(s[1:], tp.Sentences)
+        with pytest.raises(ValueError):
+            s.ids[0] = 7
+
+    def test_of_passes_sentences_through(self):
+        vocab = tp.build_vocabulary([["a"]])
+        pc = tp.encode([["a"], ["a", "a"]], vocab, order=2)
+        assert tp.Sentences.of(pc.sentences) is pc.sentences
+        again = tp.ProcessedCorpus(vocab, pc.sentences, 2, True, 0.0)
+        assert again.sentences is pc.sentences
 
 
 class TestRawCorpus:

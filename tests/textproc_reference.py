@@ -1,16 +1,20 @@
-"""The earlier vocabulary and encoded-corpus loaders, kept as they were:
-one line at a time, ``int()`` per id and count, blank lines skipped, and
-any ``#`` line read as a header wherever it stands, the last one winning.
-``authorlm.textproc`` must load an equal vocabulary and corpus from every
-file in the layout ``save_vocabulary`` and ``save_processed`` write, and
-name the same line in the same message for the malformed sentence lines
-both refuse; these loaders also accept files outside that layout, which
-``authorlm.textproc`` refuses.
+"""The earlier vocabulary loader, kept as it was: one line at a time,
+``int()`` per id and count, blank lines skipped, and any ``#`` line read
+as a header wherever it stands.  ``authorlm.textproc`` must load an equal
+vocabulary from every file in the layout ``save_vocabulary`` writes; this
+loader also accepts files outside that layout, which ``authorlm.textproc``
+refuses.
+
+Also a library-free reader and writer of the encoded corpus file, for
+tests that edit one.
 """
 
+import json
 from pathlib import Path
 
-from authorlm.textproc import ProcessedCorpus, Vocabulary
+import numpy as np
+
+from authorlm.textproc import Vocabulary
 
 
 def _read_lines(path, magic: str) -> list[str]:
@@ -39,31 +43,18 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
     return Vocabulary(words=tuple(words), counts=tuple(counts))
 
 
-def load_processed(path: str | Path, vocab: Vocabulary) -> ProcessedCorpus:
-    order = stemming = prune_threshold = None
-    sentences = []
-    for lineno, line in enumerate(_read_lines(path, "authorlm-corpus 1"), 1):
-        if not line:
-            continue
-        if line.startswith("#"):
-            fields = line[1:].split()
-            if fields[:1] == ["order"]:
-                order = int(fields[1])
-            elif fields[:1] == ["stemming"]:
-                stemming = bool(int(fields[1]))
-            elif fields[:1] == ["prune_threshold"]:
-                prune_threshold = float(fields[1])
-            continue
-        try:
-            sentences.append(tuple(int(t) for t in line.split()))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: malformed sentence line") from exc
-    if order is None or stemming is None or prune_threshold is None:
-        raise ValueError(f"{path}: missing pipeline-parameter header")
-    return ProcessedCorpus(
-        vocabulary=vocab,
-        sentences=tuple(sentences),
-        order=order,
-        stemming=stemming,
-        prune_threshold=prune_threshold,
-    )
+def read_corpus(path: Path) -> tuple[dict, np.ndarray, np.ndarray]:
+    """(header, lengths, ids) of a saved corpus: the JSON header line, then
+    the int64 lengths and ids it lists, as writable copies."""
+    line, body = path.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    values = np.frombuffer(body, "<i8").copy()
+    n = header["arrays"][0][1][0]
+    return header, values[:n], values[n:]
+
+
+def write_corpus(path: Path, header: dict, lengths, ids) -> None:
+    """The file ``read_corpus`` reads: the sorted-key header line as given,
+    then the lengths' and ids' int64 bytes."""
+    line = json.dumps(header, sort_keys=True).encode() + b"\n"
+    path.write_bytes(line + np.asarray(lengths, "<i8").tobytes() + np.asarray(ids, "<i8").tobytes())
