@@ -8,12 +8,12 @@ accuracy-versus-text-length sweep and a confusion matrix.
 Run:  python demos/04_attribution.py   (about half a minute)
 """
 
-import numpy as np
-
-from authorlm import evaluation as ev
+from authorlm import evaluation as ev  # before numpy, so that BLAS runs one thread
 from authorlm import kn, nnlm, synthetic
 from authorlm import textproc as tp
 from authorlm.prng import derive_seed
+
+import numpy as np
 
 AUTHORS = 4
 lexicon = synthetic.default_lexicon(30)
@@ -61,12 +61,13 @@ for name, pp in result.perplexities.items():
 
 # --- accuracy versus number of test sentences, both methods
 print("\naccuracy by test-text length (40 trials per author):")
-reports = {}
-for method in ("nnlm", "kn"):
-    reports[method] = ev.accuracy_sweep(
-        candidates[method], pools, sentence_counts=[1, 2, 5, 10], trials=40, seed=0
-    )
-    curve = reports[method].accuracy_by_count()
+# one pass scores both methods: each trial's draw is shared, so the two
+# methods are compared on the same sentences
+reports = dict(zip(candidates, ev.accuracy_sweep(
+    list(candidates.values()), pools, sentence_counts=[1, 2, 5, 10], trials=40, seed=0
+)))
+for method, report in reports.items():
+    curve = report.accuracy_by_count()
     print(f"    {method}: " + "  ".join(f"s={s}: {a:.3f}" for s, a in curve.items()))
 
 # --- confusion matrix for single-sentence tests (the hardest case)

@@ -7,11 +7,22 @@ pooled test sentences to the minimum-perplexity author.
 """
 
 import os
+import sys
+import warnings
 
 # One BLAS thread per process.  Training runs one worker process per usable
 # CPU, and a multi-threaded BLAS can round a product differently from one
 # thread, which would make the model bytes depend on the core count.  This
-# takes effect only if numpy has not been imported before this package.
+# takes effect only if numpy has not been imported before this package, so
+# that case warns unless the environment already pinned OpenBLAS.
+if "numpy" in sys.modules and os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+    warnings.warn(
+        "numpy was imported before authorlm, so its BLAS may run several threads and "
+        "round model products differently; import authorlm before numpy, or set "
+        "OPENBLAS_NUM_THREADS=1 before starting Python",
+        RuntimeWarning,
+        stacklevel=2,
+    )
 os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
 from . import config, evaluation, kn, nnlm, porter, prng, synthetic, textproc

@@ -469,14 +469,43 @@ def cmd_eval(cfg: RunConfig) -> int:
     return EXIT_PARTIAL if skipped else EXIT_OK
 
 
+def _sweep_seed(cfg: RunConfig, authors: list[_Author], seed: int, methods: list[str]) -> list:
+    """One ``ExperimentReport`` per method of the seed, from one sweep over
+    every method's candidates; a ConfigError naming the model whose score
+    is not finite."""
+    exp = cfg.experiment
+    pools = {
+        author.name: textproc.preprocess_sentences(
+            [author.text.sentences[i] for i in author.splits[seed].test],
+            stemming=author.stemming,
+        )
+        for author in authors
+    }
+    candidates = [
+        [evaluation.AuthorModel(a.name, _load_model(cfg, a, seed, method), a.vocab) for a in authors]
+        for method in methods
+    ]
+    try:
+        return evaluation.accuracy_sweep(
+            candidates, pools, exp["sentence_counts"], exp["trials"],
+            seed=seed, excluded_authors=exp["excluded_authors"],
+        )
+    except evaluation.NonFiniteScore as exc:
+        method, author = divmod(exc.candidate, len(authors))
+        path = _model_path(cfg, authors[author].name, seed, methods[method])
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def cmd_experiment(cfg: RunConfig) -> int:
     """Attribution sweeps over every author whose text splits, for each
-    (method, seed) that has all of those authors' models.
+    (method, seed) that has all of those authors' models; one pass per
+    seed scores all of its methods.
 
     Test pools come from the raw text (tokenize + stem only, as the
     author's preprocess outputs say), not from the encoded corpus, because
     classification re-encodes them under every candidate's vocabulary;
-    only the lines of a seed's test part are stemmed.
+    only the lines of a seed's test part are stemmed, and only for a seed
+    that has a sweep.
     """
     exp = cfg.experiment
     need = max(exp["sentence_counts"], default=0)
@@ -511,32 +540,16 @@ def cmd_experiment(cfg: RunConfig) -> int:
             f"no sweep can run: {unrunnable[0]} (run `authorlm train-nnlm / train-ngram` first)"
         )
     skipped += unrunnable
-    pools = {
-        seed: {
-            author.name: textproc.preprocess_sentences(
-                [author.text.sentences[i] for i in author.splits[seed].test],
-                stemming=author.stemming,
-            )
-            for author in authors
-        }
-        for seed in cfg.seeds
-    }
     out = _stage_dir(cfg, "experiment")
+    reports = {}
+    for seed in cfg.seeds:
+        methods = [m for m, s in sweeps if s == seed]
+        if methods:
+            reports.update(zip(((m, seed) for m in methods), _sweep_seed(cfg, authors, seed, methods)))
 
     curves = defaultdict(list)
     for method, seed in sweeps:
-        candidates = [
-            evaluation.AuthorModel(a.name, _load_model(cfg, a, seed, method), a.vocab)
-            for a in authors
-        ]
-        try:
-            report = evaluation.accuracy_sweep(
-                candidates, pools[seed], exp["sentence_counts"], exp["trials"],
-                seed=seed, excluded_authors=exp["excluded_authors"],
-            )
-        except evaluation.NonFiniteScore as exc:
-            path = _model_path(cfg, authors[exc.candidate].name, seed, method)
-            raise ConfigError(f"{path}: {exc}") from None
+        report = reports[method, seed]
         files.write_csv(
             out / f"trials_{method}_{seed}.csv",
             ["method", "seed", "author", "sentence_count", "trial", "predicted", "correct"],

@@ -7,30 +7,35 @@ author's model, each with its own vocabulary, and predicts the author
 whose model assigns the lowest perplexity; ties break toward the lowest
 author index so repeated runs agree.
 
-Sweeps score once and sum per trial: the padded windows of every test
-pool are built once per model order, in local token indices, and one
+Sweeps score once and sum per trial, for every method in one pass: the
+table's rows are the candidates of each method's list in turn, and a
+trial's one draw, gather and row sum serve every list, each of which picks
+its best candidate over its own rows.  The padded windows of the test
+pools are built once per model order, in local token indices, and one
 gather through a lookup array encodes them under each candidate's
-vocabulary; every pool sentence is then scored under each candidate
-exactly once, in one query per candidate for the whole sweep, into one
-(candidates, tokens) matrix.  A model's per-token scores do not depend on
-what else shares a query (KN lookups are per row, and an NNLM scores each
-distinct context once, in fixed blocks), so this gives the bits that one
-query per pool gave.  A trial gathers its drawn sentences' columns in draw
-order and sums each row as ``perplexity`` sums a token stream, so its
+vocabulary, once per vocabulary when an author's models share one.  Pools
+are scored in author-order groups that keep the (candidates, tokens)
+table within ``_TABLE_VALUES`` values: every group sentence is scored
+under each candidate exactly once, in one query per candidate, and the
+group's trials run before the next group is scored.  A model's per-token
+scores do not depend on what else shares a query (KN lookups are per row,
+and an NNLM scores each distinct context once, in fixed blocks), so the
+grouping changes no bit.  A trial gathers its drawn sentences' columns in
+draw order and sums each row as ``perplexity`` sums a token stream, so its
 accumulated perplexity is that of the pooled token stream, with no
-per-sentence partial sums.  ``classify`` is the one-pool, one-trial case
-of the same code.
+per-sentence partial sums.  ``classify`` is the one-pool, one-trial,
+one-list case of the same code.
 
 A score that is not a finite number is an error, never a result: a
 non-finite per-token log probability or perplexity raises a ValueError
-(``NonFiniteScore`` with the candidate's index when candidates compete).
+(``NonFiniteScore`` with the candidate's row when candidates compete).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Protocol, Sequence
+from typing import Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -38,6 +43,9 @@ from .prng import stream
 from .textproc import END_ID, START_ID, Samples, Vocabulary, samples_from_sentences
 
 _CHUNK = 8192  # tokens summed per group in a stream; the grouping sets the perplexity bits
+# The most values (float64, 32 MB) a sweep's score table holds at a time:
+# pools are scored in groups under it, unless one pool alone exceeds it.
+_TABLE_VALUES = 2**22
 
 
 class LanguageModel(Protocol):
@@ -54,7 +62,8 @@ class LanguageModel(Protocol):
 
 class NonFiniteScore(ValueError):
     """A candidate's model gave a non-finite log probability or perplexity;
-    ``candidate`` is its index among the candidates scored."""
+    ``candidate`` is its row among the candidates scored (in a sweep, the
+    lists' candidates in turn)."""
 
     def __init__(self, candidate: int, what: str):
         super().__init__(f"model gives a non-finite {what}")
@@ -183,30 +192,38 @@ class _PoolTable:
 def _score_pool(authors: Sequence[AuthorModel], pool: Sequence[Sequence[str]]) -> _PoolTable:
     """Encode the sentences once per model order and score them under each
     candidate in one query; a ``NonFiniteScore`` when a log probability is
-    not finite.  A sweep passes every test pool's sentences at once."""
+    not finite.  Candidates that share an order and a vocabulary object
+    (one author's models of several methods) share one encoded copy, which
+    lives only while they are scored.  A sweep passes a group of test
+    pools' sentences at once."""
     encodings: dict[int, _PoolEncoding] = {}
+    shared: dict[tuple[int, int], list[int]] = {}  # (order, id(vocabulary)) -> rows
+    for c, author in enumerate(authors):
+        shared.setdefault((author.model.order, id(author.vocabulary)), []).append(c)
     ends = np.cumsum([len(sent) + 1 for sent in pool], dtype=np.int64)
     log_probs = np.empty((len(authors), int(ends[-1]) if len(ends) else 0))
-    for c, (row, author) in enumerate(zip(log_probs, authors)):
-        order = author.model.order
+    for (order, _), rows in shared.items():
         if order not in encodings:
             encodings[order] = _encode_pool(pool, order)
-        row[...] = _log_probs(author.model, encodings[order].samples(author.vocabulary))
-        if not np.isfinite(row).all():
-            raise NonFiniteScore(c, "log probability")
+        samples = encodings[order].samples(authors[rows[0]].vocabulary)
+        for c in rows:
+            log_probs[c] = _log_probs(authors[c].model, samples)
+            if not np.isfinite(log_probs[c]).all():
+                raise NonFiniteScore(c, "log probability")
     return _PoolTable(
         log_probs=log_probs,
         positions=[np.arange(end - len(sent) - 1, end) for sent, end in zip(pool, ends)],
     )
 
 
-def _decide(table: _PoolTable, chosen: Sequence[int]) -> tuple[int, list[float]]:
-    """Index of the minimum-perplexity candidate, and every perplexity.
+def _decide(table: _PoolTable, chosen: Sequence[int], lists: int = 1) -> tuple[list[int], list[float]]:
+    """The minimum-perplexity row of each of ``lists`` equal runs of the
+    table's rows (one run per candidate list), and every perplexity.
 
     Each candidate's perplexity is that of the chosen sentences' token
     stream in draw order; a ``NonFiniteScore`` when one is not finite.  Only
     a strictly lower perplexity replaces the best so far, so exact ties go
-    to the lowest candidate index.
+    to the lowest row of the run.
     """
     stream_positions = np.concatenate([table.positions[k] for k in chosen])
     n = len(stream_positions)
@@ -219,13 +236,12 @@ def _decide(table: _PoolTable, chosen: Sequence[int]) -> tuple[int, list[float]]
     else:
         totals = [_report(lp).total_log_prob for lp in streams]
     perps = [_perplexity(total, n) for total in totals]
-    best = 0
     for i, value in enumerate(perps):
         if not math.isfinite(value):
             raise NonFiniteScore(i, "perplexity")
-        if value < perps[best]:
-            best = i
-    return best, perps
+    k = len(perps) // lists
+    # min keeps the first of equal keys
+    return [min(range(m * k, m * k + k), key=perps.__getitem__) for m in range(lists)], perps
 
 
 def classify(
@@ -245,7 +261,7 @@ def classify(
     if not token_sentences:
         raise ValueError("no test sentences")
     table = _score_pool(authors, token_sentences)
-    best, perps = _decide(table, range(len(token_sentences)))
+    [best], perps = _decide(table, range(len(token_sentences)))
     return ClassificationResult(
         predicted_author=authors[best].author_id,
         perplexities={a.author_id: pp for a, pp in zip(authors, perps)},
@@ -299,58 +315,87 @@ class ExperimentReport:
         return matrix
 
 
+def _groups(pools: Sequence[Sequence[Sequence[str]]], rows: int) -> Iterator[range]:
+    """Runs of consecutive pools whose tokens times ``rows`` stay within
+    ``_TABLE_VALUES``; a pool that alone exceeds it is a run of its own."""
+    start, tokens = 0, 0
+    for i, pool in enumerate(pools):
+        size = sum(len(sent) + 1 for sent in pool)
+        if i > start and (tokens + size) * rows > _TABLE_VALUES:
+            yield range(start, i)
+            start, tokens = i, 0
+        tokens += size
+    if start < len(pools):
+        yield range(start, len(pools))
+
+
 def accuracy_sweep(
-    authors: Sequence[AuthorModel],
+    candidates: Sequence[Sequence[AuthorModel]],
     test_pools: Mapping[str, Sequence[Sequence[str]]],
     sentence_counts: Sequence[int],
     trials: int,
     seed: int,
     excluded_authors: Sequence[str] = (),
-) -> ExperimentReport:
-    """Classification accuracy versus test-text length.
+) -> list[ExperimentReport]:
+    """Classification accuracy versus test-text length, for each list of
+    candidates (one list per method), all in one pass.
 
-    For each (author, sentence count, trial) the trial's own PCG64 stream,
-    keyed by (seed, author index, count, trial), draws that many sentences
-    from the author's test pool without replacement.  Every pool sentence
-    is scored under every candidate once up front, in one query per
-    candidate; a trial only sums the rows of its drawn sentences.
+    Every list names the same authors in the same order.  For each (author,
+    sentence count, trial) the trial's own PCG64 stream, keyed by (seed,
+    author index, count, trial), draws that many sentences from the
+    author's test pool without replacement, and every list decides that one
+    draw among its own candidates.  The table's rows are the lists'
+    candidates in turn, so a ``NonFiniteScore``'s index ``c`` is candidate
+    ``c % authors`` of list ``c // authors``.  The pools are scored in
+    author-order groups of at most ``_TABLE_VALUES`` table values, one
+    query per candidate and group, and a group's trials run before the
+    next group is scored; a trial only sums the rows of its drawn
+    sentences.  One ``ExperimentReport`` per list, in list order.
     """
     sentence_counts = tuple(int(s) for s in sentence_counts)
     if any(s < 1 for s in sentence_counts):
         raise ValueError("sentence counts must be >= 1")
+    author_ids = [a.author_id for a in candidates[0]] if candidates else []
+    if any([a.author_id for a in authors] != author_ids for authors in candidates):
+        raise ValueError("every candidate list must name the same authors in the same order")
     max_s = max(sentence_counts, default=0)
-    pools = [test_pools[author.author_id] for author in authors]
-    for author, pool in zip(authors, pools):
+    pools = [test_pools[author_id] for author_id in author_ids]
+    for author_id, pool in zip(author_ids, pools):
         if len(pool) < max_s:
             raise ValueError(
-                f"author {author.author_id!r} has {len(pool)} test sentences, "
-                f"need {max_s}"
+                f"author {author_id!r} has {len(pool)} test sentences, need {max_s}"
             )
 
-    table = _score_pool(authors, [sent for pool in pools for sent in pool])
-    records = []
-    first = 0  # the index of the pool's first sentence in the table
-    for i, (author, pool) in enumerate(zip(authors, pools)):
-        for s in sentence_counts:
-            for t in range(trials):
-                chosen = stream(seed, i, s, t).choice(len(pool), size=s, replace=False)
-                best, _ = _decide(table, first + chosen)
-                records.append(
-                    TrialRecord(
-                        author_id=author.author_id,
-                        sentence_count=s,
-                        trial=t,
-                        predicted_author=authors[best].author_id,
-                    )
-                )
-        first += len(pool)
+    rows = [author for authors in candidates for author in authors]
+    records: list[list[TrialRecord]] = [[] for _ in candidates]
+    for group in _groups(pools, len(rows)):
+        table = _score_pool(rows, [sent for i in group for sent in pools[i]])
+        first = 0  # the index of the pool's first sentence in the table
+        for i in group:
+            pool = pools[i]
+            for s in sentence_counts:
+                for t in range(trials):
+                    chosen = stream(seed, i, s, t).choice(len(pool), size=s, replace=False)
+                    bests, _ = _decide(table, first + chosen, len(candidates))
+                    for list_records, best in zip(records, bests):
+                        list_records.append(TrialRecord(
+                            author_id=author_ids[i],
+                            sentence_count=s,
+                            trial=t,
+                            predicted_author=rows[best].author_id,
+                        ))
+            first += len(pool)
+        del table  # before the next group's table is filled
 
-    return ExperimentReport(
-        author_ids=tuple(a.author_id for a in authors),
-        sentence_counts=sentence_counts,
-        excluded_authors=tuple(excluded_authors),
-        records=tuple(records),
-    )
+    return [
+        ExperimentReport(
+            author_ids=tuple(author_ids),
+            sentence_counts=sentence_counts,
+            excluded_authors=tuple(excluded_authors),
+            records=tuple(list_records),
+        )
+        for list_records in records
+    ]
 
 
 def mean_std(values: Sequence[float]) -> tuple[float, float]:

@@ -23,7 +23,9 @@ are int64 when V**order < 2**63 and exact Python ints (object arrays)
 otherwise, so the choice depends only on the model's shape.  Every query
 (single probabilities, batches, whole distributions, and the lower-order
 terms ``build_model`` interpolates with) goes through one vectorized
-back-off walk, ``KnModel._walk``.
+back-off walk, ``KnModel._walk``, whose table lookups (``_Table.find``)
+binary-search each query's distinct keys in sorted order and gather the
+positions back.
 
 Float rule: counts, totals, discounts, the interpolation sum and the final
 ``* ln 10`` are exact IEEE operations and run vectorized; the
@@ -103,13 +105,20 @@ class _Table:
         return bool(self.find(_pack(ids, self.base, self.keys.dtype))[0][0])
 
     def find(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Hit mask over the packed query keys, and the hits' values."""
+        """Hit mask over the packed query keys, and the hits' values.
+
+        The query's distinct keys are searched in sorted order, so that
+        successive binary searches walk the table from one end to the other
+        instead of jumping around it; the results are gathered back to the
+        query's order.
+        """
         if not len(self.keys):
             return np.zeros(len(query), dtype=bool), self.values[:0]
-        pos = np.searchsorted(self.keys, query)
+        distinct, inverse = np.unique(query, return_inverse=True)
+        pos = np.searchsorted(self.keys, distinct)
         np.minimum(pos, len(self.keys) - 1, out=pos)
-        hit = self.keys[pos] == query
-        return hit, self.values[pos[hit]]
+        hit = (self.keys[pos] == distinct)[inverse]
+        return hit, self.values[pos][inverse[hit]]
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:

@@ -36,7 +36,14 @@ an edge kernel that can round differently (128 = 5 * 24 + 8, so rows
 thread, which importing the package sets up; several threads split a
 block's rows at other places.  Since a row's bits do not depend on its
 place, ``log_probs`` scores each distinct context of a query once and
-gathers every row's target from its context's scores.
+gathers every row's target from its context's scores.  Scoring normalizes
+only those targets: a block's logits are shifted by their row max, each
+target's shifted logit is gathered, and the row's log-sum-exp, taken with
+``exp`` in place over the spent block, is subtracted from it.  These are
+the two values the full log-softmax row subtracts, so the bits are the
+same without a pass over the other V - 1 entries.  Training keeps the full
+log-softmax, which ``backward`` reads, and ``distribution`` normalizes its
+one row.
 Validation runs through the same routine and sums the gathered log
 probabilities in groups of 4,096 values, in the order that one forward
 pass per 4,096 rows summed them, so validation losses and early stopping
@@ -223,9 +230,8 @@ class _Workspace:
         self.hidden = np.empty((rows, h))
         self.scratch = np.empty((rows, h))  # the sigmoid's exp(-|x|)
         self.mask = np.empty((rows, h), dtype=bool)
-        self.log_probs = np.empty((rows, v))
-        self.exp = np.empty((rows, v))
-        self.row_stat = np.empty((rows, 1))  # row max, then row log-sum-exp
+        self.logits = np.empty((rows, v))
+        self.row_max = np.empty((rows, 1))
 
 
 def _activations(params: NnlmParams, contexts: np.ndarray, work: _Workspace):
@@ -237,14 +243,19 @@ def _activations(params: NnlmParams, contexts: np.ndarray, work: _Workspace):
     pre = np.matmul(embedded, params.w_hid, out=work.hidden[:b])
     pre += params.b_hid
     hidden = _sigmoid(pre, pre, work.scratch[:b], work.mask[:b])
-    logits = np.matmul(hidden, params.w_out, out=work.log_probs[:b])
+    logits = np.matmul(hidden, params.w_out, out=work.logits[:b])
     logits += params.b_out
-    # log-softmax in place: subtract the row max, then the log-sum-exp
-    stat = work.row_stat[:b]
-    logits -= np.maximum.reduce(logits, axis=1, keepdims=True, out=stat)
-    np.add.reduce(np.exp(logits, out=work.exp[:b]), axis=1, keepdims=True, out=stat)
-    logits -= np.log(stat, out=stat)
+    logits -= np.maximum.reduce(logits, axis=1, keepdims=True, out=work.row_max[:b])
     return embedded, hidden, logits
+
+
+def _log_sum_exp(shifted: np.ndarray, out=None) -> np.ndarray:
+    """Each row's log of the sum of exp over its max-shifted logits, as a
+    (rows, 1) array; the exponentials go into ``out`` (which may be
+    ``shifted`` itself, then spent) or a new array.  Subtracting it from a
+    row's shifted logits gives the row's log-softmax."""
+    lse = np.add.reduce(np.exp(shifted, out=out), axis=1, keepdims=True)
+    return np.log(lse, out=lse)
 
 
 # Rows per scoring block.  Scoring runs every matrix product on exactly
@@ -259,17 +270,17 @@ _SCORE_ROWS = 144
 
 
 def _scored_blocks(params: NnlmParams, contexts: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """(first row, log-softmax rows) per block of ``_SCORE_ROWS`` contexts;
-    the last block is padded with id-0 rows, whose scores are ignored.
-    Every block is written into the same arrays, so a block's rows are
-    valid until the next one is yielded."""
+    """(first row, max-shifted logit rows) per block of ``_SCORE_ROWS``
+    contexts; the last block is padded with id-0 rows, whose scores are
+    ignored.  Every block is written into the same arrays, so a block's
+    rows are valid until the next one is yielded."""
     n = len(contexts)
     padded = np.zeros((-(-n // _SCORE_ROWS) * _SCORE_ROWS, contexts.shape[1]), dtype=np.int64)
     padded[:n] = contexts
     work = _Workspace(params, _SCORE_ROWS)
     for start in range(0, n, _SCORE_ROWS):
-        _, _, log_probs = _activations(params, padded[start : start + _SCORE_ROWS], work)
-        yield start, log_probs
+        _, _, shifted = _activations(params, padded[start : start + _SCORE_ROWS], work)
+        yield start, shifted
 
 
 def _distinct_contexts(contexts: np.ndarray, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -294,15 +305,18 @@ def _distinct_contexts(contexts: np.ndarray, vocab_size: int) -> tuple[np.ndarra
 def _target_log_probs(params: NnlmParams, contexts: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Log probability of each target, in row order.  Each distinct
     context is scored once, in ``_SCORE_ROWS`` blocks, and every row takes
-    its target's value from its context's scores."""
+    its target's shifted logit from its context's row, less that row's
+    log-sum-exp: the two values the full log-softmax row subtracts, so the
+    same bits, without normalizing the other V - 1 entries."""
     first, inverse = _distinct_contexts(contexts, params.b_out.shape[0])
     rows = np.argsort(inverse, kind="stable")  # grouped by distinct context
     owners = inverse[rows]
     cuts = np.searchsorted(owners, np.arange(0, len(first) + _SCORE_ROWS, _SCORE_ROWS))
     out = np.empty(len(targets))
-    for (start, log_probs), lo, hi in zip(_scored_blocks(params, contexts[first]), cuts, cuts[1:]):
-        block = rows[lo:hi]
-        out[block] = log_probs[owners[lo:hi] - start, targets[block]]
+    for (start, shifted), lo, hi in zip(_scored_blocks(params, contexts[first]), cuts, cuts[1:]):
+        block, owner = rows[lo:hi], owners[lo:hi] - start
+        picked = shifted[owner, targets[block]]
+        out[block] = picked - _log_sum_exp(shifted, out=shifted)[owner, 0]
     return out
 
 
@@ -319,6 +333,7 @@ def _forward(params: NnlmParams, batch: Samples) -> ForwardTrace:
     contexts, targets = batch
     work = _Workspace(params, len(contexts))
     embedded, hidden, log_probs = _activations(params, contexts, work)
+    log_probs -= _log_sum_exp(log_probs)  # the full log-softmax, which backward needs
     loss = cross_entropy(log_probs, targets)
     return ForwardTrace(embedded=embedded, hidden=hidden, log_probs=log_probs, loss=loss)
 
@@ -418,8 +433,9 @@ class NnlmModel:
         """Full next-word distribution for one context (probabilities)."""
         contexts = np.asarray([context], dtype=np.int64)
         _check_ids(contexts, np.zeros(1, dtype=np.int64), self.vocab_size)
-        [(_, log_probs)] = _scored_blocks(self.params, contexts)
-        return np.exp(log_probs[0])
+        [(_, shifted)] = _scored_blocks(self.params, contexts)
+        row = shifted[:1]
+        return np.exp(row - _log_sum_exp(row))[0]
 
 
 def _mean_loss(params: NnlmParams, samples: Samples, group: int = 4096) -> float:

@@ -264,7 +264,7 @@ def test_c5_synthetic_attribution():
             ev.AuthorModel(c.author_id, seed0_models[c.author_id][method], prepped[c.author_id][1])
             for c in corpora
         ]
-        sweep = ev.accuracy_sweep(candidates, pools, [1, 5, 20], trials=100, seed=0)
+        [sweep] = ev.accuracy_sweep([candidates], pools, [1, 5, 20], trials=100, seed=0)
         accs[method] = sweep.accuracy_by_count()
         assert accs[method][5] >= 0.90, (method, accs[method])
         assert accs[method][20] >= accs[method][1] - 0.02, (method, accs[method])

@@ -189,6 +189,37 @@ class TestConfigErrors:
         assert proc.stderr == ""
 
 
+class TestBlasPin:
+    """Importing the package before numpy pins OpenBLAS to one thread;
+    importing numpy first, unpinned, warns once and says how to fix it."""
+
+    def python(self, code, pinned, *flags):
+        env = module_env(unset=("OPENBLAS_NUM_THREADS",))
+        if pinned:
+            env["OPENBLAS_NUM_THREADS"] = "1"
+        return subprocess.run(
+            [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+
+    def test_numpy_first_warns_once(self):
+        proc = self.python("import numpy, authorlm", False)
+        assert proc.returncode == 0
+        [line] = proc.stderr.splitlines()
+        assert "RuntimeWarning: numpy was imported before authorlm" in line
+        assert "import authorlm before numpy, or set OPENBLAS_NUM_THREADS=1" in line
+        assert self.python("import numpy, authorlm", False, "-W", "error::RuntimeWarning").returncode != 0
+
+    @pytest.mark.parametrize(
+        "code, pinned",
+        [("import authorlm, numpy", False), ("import authorlm, numpy", True), ("import numpy, authorlm", True)],
+        ids=["package-first", "package-first-pinned", "numpy-first-pinned"],
+    )
+    def test_no_warning(self, code, pinned):
+        proc = self.python(code + "; import os; print(os.environ['OPENBLAS_NUM_THREADS'])",
+                           pinned, "-W", "error::RuntimeWarning")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+
+
 class TestPipeline:
     def run_all(self, workdir):
         for command in ("synth", "preprocess", "train-nnlm", "train-ngram", "eval", "experiment", "report"):
@@ -356,6 +387,29 @@ class TestPipeline:
             capsys.readouterr()
             assert run(stage, "--config", "cfg.json") == cli.EXIT_CONFIG, stage
             assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_seed_without_nnlm_models_sweeps_kn_alone(self, workdir, capsys):
+        write_config(workdir / "cfg.json", split={"ratios": [0.8, 0.1, 0.1], "seeds": [0, 1]})
+        for command in ("synth", "preprocess", "train-nnlm", "train-ngram"):
+            assert run(command, "--config", "cfg.json") == cli.EXIT_OK, command
+        capsys.readouterr()
+        assert run("experiment", "--config", "cfg.json") == cli.EXIT_OK
+        full = capsys.readouterr().out.splitlines()
+        out = workdir / "outputs" / "experiment"
+        body = lambda name: (out / name).read_bytes().split(b"\n", 1)[1]  # after the timestamp
+        kept = [f"{kind}_{sweep}.csv" for kind in ("trials", "confusion")
+                for sweep in ("nnlm_0", "kn_0", "kn_1")]
+        before = {name: body(name) for name in kept}
+        (workdir / "outputs" / "models" / "author01_1.nnlm").unlink()
+        assert run("experiment", "--config", "cfg.json") == cli.EXIT_PARTIAL
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["experiment: nnlm seed 1: skipped, no model for author01"]
+        # (method, seed) order, each line as the run with every model printed it
+        assert [line.split(":")[1] for line in full] == [" nnlm seed 0", " nnlm seed 1", " kn seed 0", " kn seed 1"]
+        assert captured.out.splitlines() == [full[0], *full[2:]]
+        assert not (out / "trials_nnlm_1.csv").exists()
+        assert not (out / "confusion_nnlm_1.csv").exists()
+        assert {name: body(name) for name in kept} == before
 
     def test_degenerate_split_is_partial_failure(self, workdir, capsys):
         # 12 sentences at 5% validation leave the validation part empty

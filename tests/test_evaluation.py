@@ -284,8 +284,8 @@ class TestSweep:
 
     def test_deterministic(self):
         authors, pools = self.make_setup()
-        r1 = ev.accuracy_sweep(authors, pools, [1, 3], trials=5, seed=11)
-        r2 = ev.accuracy_sweep(authors, pools, [1, 3], trials=5, seed=11)
+        r1 = ev.accuracy_sweep([authors], pools, [1, 3], trials=5, seed=11)
+        r2 = ev.accuracy_sweep([authors], pools, [1, 3], trials=5, seed=11)
         assert r1 == r2
 
     def test_matches_per_trial_reference(self):
@@ -294,7 +294,7 @@ class TestSweep:
         # D=6/H=10 runs OpenBLAS edge kernels on row counts that are not
         # a multiple of its micro-tile
         for authors in (kn_candidates(), nnlm_candidates(), nnlm_candidates(6, 10)):
-            report = ev.accuracy_sweep(authors, pools, counts, trials=8, seed=4)
+            [report] = ev.accuracy_sweep([authors], pools, counts, trials=8, seed=4)
             assert report.records == reference_sweep(authors, pools, counts, 8, seed=4)
             predicted = {r.predicted_author for r in report.records}
             assert len(predicted) == 3  # every candidate wins some trials
@@ -302,10 +302,88 @@ class TestSweep:
         authors = kn_candidates()
         authors.insert(1, ev.AuthorModel("copy", authors[0].model, authors[0].vocabulary))
         pools["copy"] = pools["c0"]
-        report = ev.accuracy_sweep(authors, pools, counts, trials=8, seed=4)
+        [report] = ev.accuracy_sweep([authors], pools, counts, trials=8, seed=4)
         assert report.records == reference_sweep(authors, pools, counts, 8, seed=4)
         assert "copy" not in {r.predicted_author for r in report.records}
         assert any(r.predicted_author == "c0" for r in report.records)
+
+    def method_lists(self):
+        """KN, NNLM and uniform-stub candidates of the same authors, each
+        list with an exact tie (a copy of c0 under another name); one
+        vocabulary object per author is shared by its three models."""
+        corpora = confusable_corpora()
+        lists = []
+        for method in ("kn", "nnlm", "stub"):
+            authors = []
+            for i, (name, vocab, pc, _) in enumerate(corpora):
+                if method == "kn":
+                    model = kn.train_model(pc.sentences, 3, vocab.size)
+                elif method == "nnlm":
+                    cfg = nnlm.NnlmConfig(
+                        vocab_size=vocab.size, order=3, embed_dim=4, hidden_dim=5,
+                        init_seed=i, init_scale=0.8,
+                    )
+                    model = nnlm.NnlmModel(cfg, nnlm.init_params(cfg))
+                else:
+                    model = StubModel(order=2, vocab_size=vocab.size)
+                authors.append(ev.AuthorModel(name, model, vocab))
+            authors.insert(1, ev.AuthorModel("copy", authors[0].model, authors[0].vocabulary))
+            lists.append(authors)
+        pools = {name: pool for name, _, _, pool in corpora}
+        pools["copy"] = pools["c0"]
+        return lists, pools
+
+    def test_one_pass_equals_one_sweep_per_list(self, monkeypatch):
+        lists, pools = self.method_lists()
+        counts, excluded = [1, 2, 5], ["c2"]
+        lookups = []
+        samples = ev._PoolEncoding.samples
+        def counting(self, vocab):
+            lookups.append(id(vocab))
+            return samples(self, vocab)
+        monkeypatch.setattr(ev._PoolEncoding, "samples", counting)
+        together = ev.accuracy_sweep(lists, pools, counts, trials=6, seed=3, excluded_authors=excluded)
+        # one lookup per (order, vocabulary): KN and NNLM share order 3
+        assert sorted(lookups) == sorted(2 * [id(a.vocabulary) for a in lists[0] if a.author_id != "copy"])
+        assert len(together) == len(lists)
+        for authors, report in zip(lists, together):
+            [alone] = ev.accuracy_sweep([authors], pools, counts, trials=6, seed=3, excluded_authors=excluded)
+            assert report == alone
+            assert report.records == reference_sweep(authors, pools, counts, 6, seed=3)
+            assert report.excluded_authors == ("c2",)
+            assert "copy" not in {r.predicted_author for r in report.records}
+        # the uniform stubs tie whenever vocabulary sizes do
+        assert {r.predicted_author for r in together[0].records} >= {"c0", "c1", "c2"}
+        assert together[0].accuracy_by_count() != together[2].accuracy_by_count()
+
+    @pytest.mark.parametrize("budget", [1, 200, 400])  # tokens per group; the pools hold about 180 each
+    def test_bounded_table_gives_the_same_records(self, monkeypatch, budget):
+        lists, pools = self.method_lists()
+        counts = [1, 3]
+        unbounded = ev.accuracy_sweep(lists, pools, counts, trials=5, seed=8)
+        rows = sum(len(authors) for authors in lists)
+        tables = []
+        score_pool = ev._score_pool
+        def recording(authors, sentences):
+            table = score_pool(authors, sentences)
+            tables.append((table.log_probs.size, len(sentences)))
+            return table
+        monkeypatch.setattr(ev, "_score_pool", recording)
+        monkeypatch.setattr(ev, "_TABLE_VALUES", budget * rows)
+        assert ev.accuracy_sweep(lists, pools, counts, trials=5, seed=8) == unbounded
+        pool_sizes = [len(pools[a.author_id]) for a in lists[0]]
+        assert 1 < len(tables) <= len(pool_sizes)
+        assert sum(n for _, n in tables) == sum(pool_sizes)
+        for size, n in tables:
+            assert size <= budget * rows or n in pool_sizes  # one pool above the budget stands alone
+
+    def test_lists_must_name_the_same_authors(self):
+        lists, pools = self.method_lists()
+        with pytest.raises(ValueError, match="same authors in the same order"):
+            ev.accuracy_sweep([lists[0], lists[1][::-1]], pools, [1], trials=1, seed=0)
+        with pytest.raises(ValueError, match="same authors in the same order"):
+            ev.accuracy_sweep([lists[0], lists[1][:2]], pools, [1], trials=1, seed=0)
+        assert ev.accuracy_sweep([], pools, [1], trials=1, seed=0) == []
 
     def test_scores_each_pool_sentence_once(self):
         corpora = confusable_corpora()
@@ -314,7 +392,7 @@ class TestSweep:
             ev.AuthorModel(name, CountingModel(order=3, vocab_size=vocab.size), vocab)
             for name, vocab, _, _ in corpora
         ]
-        ev.accuracy_sweep(authors, pools, [1, 3, 10], trials=5, seed=1)
+        ev.accuracy_sweep([authors], pools, [1, 3, 10], trials=5, seed=1)
         for author in authors:
             expected = Counter()
             for pool in pools.values():
@@ -372,7 +450,7 @@ class TestSweep:
         for chosen in ([0], [3, 1, 2], rng.choice(400, size=20, replace=False), [7, 0], range(400)):
             stream_positions = np.concatenate([table.positions[k] for k in chosen])
             want = [ev._report(row[stream_positions]).perplexity for row in table.log_probs]
-            best, perps = ev._decide(table, chosen)
+            [best], perps = ev._decide(table, chosen)
             assert perps == want
             assert best == want.index(min(want))
 
@@ -380,17 +458,17 @@ class TestSweep:
         authors, pools = self.make_setup()
         pools["bob"] = pools["bob"][:3]
         with pytest.raises(ValueError, match="bob"):
-            ev.accuracy_sweep(authors, pools, [5], trials=2, seed=0)
+            ev.accuracy_sweep([authors], pools, [5], trials=2, seed=0)
 
     def test_zero_trials_empty_report(self):
         authors, pools = self.make_setup()
-        report = ev.accuracy_sweep(authors, pools, [1, 2], trials=0, seed=0)
+        [report] = ev.accuracy_sweep([authors], pools, [1, 2], trials=0, seed=0)
         assert report.records == ()
 
     def test_excluded_authors_left_out_of_average(self):
         authors, pools = self.make_setup()
-        report = ev.accuracy_sweep(
-            authors, pools, [2], trials=4, seed=3, excluded_authors=["bob"]
+        [report] = ev.accuracy_sweep(
+            [authors], pools, [2], trials=4, seed=3, excluded_authors=["bob"]
         )
         acc = report.accuracy_by_count()
         only_alice = [r.correct for r in report.records if r.author_id == "alice"]
@@ -445,6 +523,24 @@ class TestNonFiniteScores:
             ev.classify(authors, [["x", "y"], ["y"]])
         assert err.value.candidate == 1
 
+    @pytest.mark.parametrize(
+        "value, what",
+        [(-math.inf, "log probability"), (-1e300, "perplexity")],
+        ids=["minus-inf", "overflowing"],
+    )
+    def test_sweep_names_the_row(self, value, what):
+        # rows are the lists' candidates in turn: list 1, candidate 1 is row 3 + 1
+        vocab, _ = encode_corpus([["x", "y"]])
+        lists = [
+            [ev.AuthorModel(name, ConstantModel(order=2, vocab_size=vocab.size, value=v), vocab)
+             for name, v in zip(("a", "b", "c"), values)]
+            for values in ((-1.0, -1.0, -1.0), (-1.0, value, -1.0))
+        ]
+        pools = dict.fromkeys(("a", "b", "c"), [["x", "y"], ["y"]])
+        with pytest.raises(ev.NonFiniteScore, match=f"^model gives a non-finite {what}$") as err:
+            ev.accuracy_sweep(lists, pools, [1], trials=1, seed=0)
+        assert err.value.candidate == 4
+
     def test_finite_perplexities_near_the_float_limit_are_kept(self):
         vocab, _ = encode_corpus([["x", "y"]])
         authors = [
@@ -465,7 +561,7 @@ class TestNonFiniteScores:
 class TestConfusion:
     def test_perfect_classifier_diagonal(self):
         authors, pools = TestSweep().make_setup()
-        report = ev.accuracy_sweep(authors, pools, [4], trials=6, seed=5)
+        [report] = ev.accuracy_sweep([authors], pools, [4], trials=6, seed=5)
         matrix = report.confusion()
         assert matrix.sum() == 2 * 6
         assert np.array_equal(matrix, np.diag(np.diag(matrix)))
@@ -473,7 +569,7 @@ class TestConfusion:
     def test_rows_sum_to_trial_counts(self):
         authors, pools = TestSweep().make_setup()
         counts = [1, 2, 3]
-        report = ev.accuracy_sweep(authors, pools, counts, trials=4, seed=6)
+        [report] = ev.accuracy_sweep([authors], pools, counts, trials=4, seed=6)
         matrix = report.confusion()
         assert matrix.sum(axis=1).tolist() == [len(counts) * 4] * 2
 
@@ -488,7 +584,7 @@ class TestConfusion:
             "a0": [["x", "y"], ["y", "y"], ["x"]],
             "a1": [["y", "x"], ["x", "x"], ["y"]],
         }
-        report = ev.accuracy_sweep(authors, pools, [2], trials=3, seed=7)
+        [report] = ev.accuracy_sweep([authors], pools, [2], trials=3, seed=7)
         matrix = report.confusion()
         # ties always resolve to author index 0
         assert matrix[:, 0].sum() == matrix.sum()
@@ -511,7 +607,7 @@ class TestConfusion:
             model = kn.train_model(pc.sentences[:120], 2, vocab.size)
             authors.append(ev.AuthorModel(chain.author_id, model, vocab))
             pools[chain.author_id] = tokens[120:]
-        report = ev.accuracy_sweep(authors, pools, [1], trials=60, seed=9)
+        [report] = ev.accuracy_sweep([authors], pools, [1], trials=60, seed=9)
         matrix = report.confusion()
         off_diagonal = matrix.sum() - np.trace(matrix)
         twin_block = matrix[0, 1] + matrix[1, 0]
@@ -557,7 +653,7 @@ class TestReportFiles:
 
     def test_trials_csv_layout(self, tmp_path):
         authors, pools = TestSweep().make_setup()
-        report = ev.accuracy_sweep(authors, pools, [1], trials=2, seed=1)
+        [report] = ev.accuracy_sweep([authors], pools, [1], trials=2, seed=1)
         path = tmp_path / "trials.csv"
         files.write_csv(
             path,

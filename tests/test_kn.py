@@ -814,6 +814,49 @@ class TestBatchedQueries:
             model.log_probs(contexts, np.array([0, 1, 1]))
 
 
+def unsorted_find(table, query):
+    """``_Table.find`` as one binary search per query key, in query order."""
+    hit = np.zeros(len(query), dtype=bool)
+    values = []
+    for i, key in enumerate(query.tolist()):
+        pos = int(np.searchsorted(table.keys, key))
+        if pos < len(table.keys) and table.keys[pos] == key:
+            hit[i] = True
+            values.append(table.values[pos])
+    return hit, np.array(values, dtype=np.float64)
+
+
+class TestSortedFind:
+    """Searching a query's sorted distinct keys gives each key's own result."""
+
+    @pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
+    def test_matches_one_search_per_key(self, dtype):
+        rng = np.random.default_rng(26)
+        big = 2**70 if dtype is object else 2**40  # object keys exceed int64
+        keys = np.unique(rng.integers(0, 10**6, size=500)).astype(dtype) * (big // 10**6)
+        table = kn._Table(2, 10**6, keys, rng.normal(size=len(keys)))
+        picks = keys[rng.integers(0, len(keys), size=300)]  # hits, many repeated
+        misses = np.arange(200).astype(dtype) * (big // 200) + 1
+        edges = np.array([0, keys[0], keys[-1], keys[-1] + 1, big * 2], dtype=dtype)
+        for query in (
+            np.concatenate([picks, misses, edges])[rng.permutation(505)],
+            np.concatenate([picks, picks[::-1]]),  # duplicates only
+            misses,
+            keys[:0],  # an empty query
+        ):
+            hit, values = table.find(query)
+            want_hit, want_values = unsorted_find(table, query)
+            assert hit.dtype == bool and np.array_equal(hit, want_hit)
+            assert values.tobytes() == want_values.tobytes()
+        assert query.dtype == dtype and table.find(keys)[0].all()
+
+    @pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
+    def test_empty_table_finds_nothing(self, dtype):
+        table = kn._Table(2, 9, np.array([], dtype=dtype), np.array([]))
+        hit, values = table.find(np.array([0, 5, 5, 80], dtype=dtype))
+        assert hit.tolist() == [False] * 4 and len(values) == 0
+
+
 class TestWideKeys:
     """V**order beyond int64: keys fall back to exact Python ints."""
 

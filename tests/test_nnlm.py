@@ -487,12 +487,13 @@ class TestQuery:
             init_seed=3, init_scale=0.5,
         )
         params = nnlm.init_params(cfg)
+        log_softmax = lambda shifted: shifted - nnlm._log_sum_exp(shifted)
         contexts = random_samples(vocab_size, 4, nnlm._SCORE_ROWS, seed=23).contexts
         [(_, first)] = nnlm._scored_blocks(params, contexts)
-        first = first.copy()
+        first = log_softmax(first)
         for shift in range(1, nnlm._SCORE_ROWS):
             [(_, rolled)] = nnlm._scored_blocks(params, np.roll(contexts, shift, axis=0))
-            assert np.roll(rolled, -shift, axis=0).tobytes() == first.tobytes(), shift
+            assert np.roll(log_softmax(rolled), -shift, axis=0).tobytes() == first.tobytes(), shift
 
     @SHAPES
     def test_scores_each_distinct_context_once(self, vocab_size, embed_dim, hidden_dim, monkeypatch):
@@ -519,6 +520,36 @@ class TestQuery:
         assert seen[len(distinct) :] == [(0, 0, 0)] * (len(seen) - len(distinct))
         for row, (context, target) in enumerate(zip(contexts, targets)):
             assert model.log_probs(context[None], target[None]).tobytes() == got[row].tobytes()
+
+    @SHAPES
+    def test_target_only_normalization_gathers_the_full_log_softmax(
+        self, vocab_size, embed_dim, hidden_dim
+    ):
+        # each target's shifted logit less its row's log-sum-exp is bit for
+        # bit the target's entry of the whole normalized row
+        cfg = nnlm.NnlmConfig(
+            vocab_size=vocab_size, order=4, embed_dim=embed_dim, hidden_dim=hidden_dim,
+            init_seed=5, init_scale=0.5,
+        )
+        model = nnlm.NnlmModel(config=cfg, params=nnlm.init_params(cfg))
+        rng = np.random.default_rng(24)
+        pool = random_samples(vocab_size, 4, 200, seed=25, repeat_words=True).contexts
+        contexts = pool[rng.integers(0, len(pool), size=1000)]  # repeats; 1000 % 144 != 0
+        targets = rng.integers(0, vocab_size, size=len(contexts))
+        rows = nnlm._SCORE_ROWS
+        padded = np.zeros((-(-len(contexts) // rows) * rows, 3), dtype=np.int64)
+        padded[: len(contexts)] = contexts
+        full = []
+        for start in range(0, len(padded), rows):
+            work = nnlm._Workspace(model.params, rows)
+            _, _, logits = nnlm._activations(model.params, padded[start : start + rows], work)
+            logits -= np.log(np.add.reduce(np.exp(logits), axis=1, keepdims=True))
+            full.append(logits.copy())
+        full = np.concatenate(full)[: len(contexts)]
+        want = full[np.arange(len(contexts)), targets]
+        assert model.log_probs(contexts, targets).tobytes() == want.tobytes()
+        assert nnlm._mean_loss(model.params, Samples(contexts, targets)) == -want.sum() / len(want)
+        assert model.distribution(contexts[7]).tobytes() == np.exp(full[7]).tobytes()
 
     def test_distinct_contexts_past_the_int64_range(self):
         # V**(order-1) = 10**24 does not fit one int64 key: ranks take over
