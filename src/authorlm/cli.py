@@ -330,8 +330,8 @@ def cmd_synth(cfg: RunConfig) -> int:
             for i in range(s["authors"])
         ]
         corpora = synthetic.generate_synthetic_corpus(authors, s["seed"], s["sentences"])
-    except ValueError as exc:  # an out-of-range synth setting
-        raise ConfigError(f"synth: {exc}") from None
+    except ValueError as exc:  # a backstop: validate checks every synth setting's range
+        raise ConfigError(str(exc)) from None
     cfg.corpus_dir.mkdir(parents=True, exist_ok=True)
     for corpus in corpora:
         path = cfg.corpus_dir / f"{corpus.author_id}.txt"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -206,10 +207,15 @@ class RunConfig:
         for key, values in repeatable:
             if len(set(values)) != len(values):
                 raise ConfigError(f"{key} must not repeat a value: {values}")
-        if self.synth["authors"] < 1:
-            raise ConfigError("synth.authors must be >= 1")
-        if len(self.synth["length_range"]) != 2:
-            raise ConfigError("synth.length_range must have two entries")
+        s, lengths = self.synth, self.synth["length_range"]
+        for key, ok, rule in [
+            ("authors", s["authors"] >= 1, ">= 1"), ("lexicon_size", s["lexicon_size"] >= 1, ">= 1"),
+            ("sentences", s["sentences"] >= 1, ">= 1"), ("seed", s["seed"] >= 0, ">= 0"),
+            ("concentration", 0 < s["concentration"] < math.inf, "positive and finite"),
+            ("length_range", len(lengths) == 2 and 1 <= lengths[0] <= lengths[1], "[lo, hi], 1 <= lo <= hi"),
+        ]:
+            if not ok:
+                raise ConfigError(f"synth.{key} must be {rule}, got {s[key]}")
         try:
             self.nnlm_config(MIN_VOCAB_SIZE, p["order"], init_seed=0)
         except ValueError as exc:

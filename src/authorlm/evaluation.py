@@ -9,22 +9,25 @@ author index so repeated runs agree.
 
 Sweeps score once and sum per trial, for every method in one pass: the
 table's rows are the candidates of each method's list in turn, and a
-trial's one draw, gather and row sum serve every list, each of which picks
-its best candidate over its own rows.  The padded windows of the test
-pools are built once per model order, in local token indices, and one
-gather through a lookup array encodes them under each candidate's
-vocabulary, once per vocabulary when an author's models share one.  Pools
-are scored in author-order groups that keep the (candidates, tokens)
-table within ``_TABLE_VALUES`` values: every group sentence is scored
-under each candidate exactly once, in one query per candidate, and the
-group's trials run before the next group is scored.  A model's per-token
-scores do not depend on what else shares a query (KN lookups are per row,
-and an NNLM scores each distinct context once, in fixed blocks), so the
-grouping changes no bit.  A trial gathers its drawn sentences' columns in
-draw order and sums each row as ``perplexity`` sums a token stream, so its
-accumulated perplexity is that of the pooled token stream, with no
-per-sentence partial sums.  ``classify`` is the one-pool, one-trial,
-one-list case of the same code.
+trial's one draw, gather and row sum serve every list, each of which
+picks its best candidate over its own rows.  The test pools are encoded
+once per model order by ``textproc.encode_local``, the encoder
+``preprocess`` uses, in local codes, and one gather of their windows
+through ``Vocabulary.ids`` encodes them under each candidate's
+vocabulary, once per vocabulary when an author's models share one.
+Pools are scored in author-order groups that keep the (candidates,
+tokens) table within ``_TABLE_VALUES`` values: every group sentence is
+scored under each candidate exactly once, in one query per candidate,
+and the group's trials run before the next group is scored.  A model's
+per-token scores do not depend on what else shares a query (KN lookups
+are per row, and an NNLM scores each distinct context once, in fixed
+blocks), so the grouping changes no bit.  Each sentence is a run of
+table columns, and a trial gathers its drawn sentences' runs in draw
+order (``textproc.runs``, as ``Sentences.take`` gathers ids) and sums
+each row as ``perplexity`` sums a token stream, so its accumulated
+perplexity is that of the pooled token stream, with no per-sentence
+partial sums.  ``classify`` is the one-pool, one-trial, one-list case of
+the same code.
 
 A score that is not a finite number is an error, never a result: a
 non-finite per-token log probability or perplexity raises a ValueError
@@ -40,7 +43,7 @@ from typing import Iterator, Mapping, Protocol, Sequence
 import numpy as np
 
 from .prng import stream
-from .textproc import END_ID, START_ID, Samples, Vocabulary, samples_from_sentences
+from .textproc import Samples, Vocabulary, encode_local, runs, samples_from_sentences
 
 _CHUNK = 8192  # tokens summed per group in a stream; the grouping sets the perplexity bits
 # The most values (float64, 32 MB) a sweep's score table holds at a time:
@@ -146,74 +149,45 @@ class ClassificationResult:
 
 
 @dataclass(frozen=True)
-class _PoolEncoding:
-    """A pool's padded windows in local token indices, built once per pool.
-
-    Index 0 is the start padding, 1 the sentence end and ``2 + j`` the
-    pool's j-th distinct token, so one gather through a candidate's lookup
-    array (``samples``) gives that candidate's encoded windows.
-    """
-
-    windows: Samples
-    distinct: tuple[str, ...]
-
-    def samples(self, vocab: Vocabulary) -> Samples:
-        lookup = np.array([START_ID, END_ID, *map(vocab.index_of, self.distinct)], dtype=np.int64)
-        return Samples(lookup[self.windows.contexts], lookup[self.windows.targets])
-
-
-def _encode_pool(pool: Sequence[Sequence[str]], order: int) -> _PoolEncoding:
-    """The pool's padded sentences' windows, in local token indices."""
-    if order < 2:
-        raise ValueError("order must be >= 2")
-    codes: dict[str, int] = {}
-    pad = (START_ID,) * (order - 1)
-    local = [
-        pad + tuple(codes.setdefault(word, len(codes) + 2) for word in sent) + (END_ID,)
-        for sent in pool
-    ]
-    return _PoolEncoding(samples_from_sentences(local, order), tuple(codes))
-
-
-@dataclass(frozen=True)
 class _PoolTable:
     """Every candidate's per-token log probabilities over pooled sentences.
 
     Row c of the C-contiguous (candidates, tokens) matrix ``log_probs`` is
     candidate c's token stream over all the sentences; sentence k owns the
-    columns ``positions[k]`` (a sentence yields the same number of tokens
-    under any vocabulary).
+    ``tokens[k]`` columns from ``starts[k]`` on (a sentence yields the same
+    number of tokens under any vocabulary).
     """
 
     log_probs: np.ndarray
-    positions: list[np.ndarray]
+    starts: np.ndarray
+    tokens: np.ndarray
 
 
 def _score_pool(authors: Sequence[AuthorModel], pool: Sequence[Sequence[str]]) -> _PoolTable:
     """Encode the sentences once per model order and score them under each
     candidate in one query; a ``NonFiniteScore`` when a log probability is
     not finite.  Candidates that share an order and a vocabulary object
-    (one author's models of several methods) share one encoded copy, which
-    lives only while they are scored.  A sweep passes a group of test
-    pools' sentences at once."""
-    encodings: dict[int, _PoolEncoding] = {}
+    (one author's models of several methods) share one gather of the
+    windows through that vocabulary's ids, which lives only while they are
+    scored.  A sweep passes a group of test pools' sentences at once."""
+    windows: dict[int, tuple[Samples, tuple[str, ...]]] = {}  # order -> local-code windows, words
     shared: dict[tuple[int, int], list[int]] = {}  # (order, id(vocabulary)) -> rows
     for c, author in enumerate(authors):
         shared.setdefault((author.model.order, id(author.vocabulary)), []).append(c)
-    ends = np.cumsum([len(sent) + 1 for sent in pool], dtype=np.int64)
-    log_probs = np.empty((len(authors), int(ends[-1]) if len(ends) else 0))
+    tokens = np.array([len(sent) + 1 for sent in pool], dtype=np.int64)
+    log_probs = np.empty((len(authors), int(tokens.sum())))
     for (order, _), rows in shared.items():
-        if order not in encodings:
-            encodings[order] = _encode_pool(pool, order)
-        samples = encodings[order].samples(authors[rows[0]].vocabulary)
+        if order not in windows:
+            local, words = encode_local(pool, order)
+            windows[order] = samples_from_sentences(local, order), words
+        local_samples, words = windows[order]
+        lookup = authors[rows[0]].vocabulary.ids(words)
+        samples = Samples(lookup[local_samples.contexts], lookup[local_samples.targets])
         for c in rows:
             log_probs[c] = _log_probs(authors[c].model, samples)
             if not np.isfinite(log_probs[c]).all():
                 raise NonFiniteScore(c, "log probability")
-    return _PoolTable(
-        log_probs=log_probs,
-        positions=[np.arange(end - len(sent) - 1, end) for sent, end in zip(pool, ends)],
-    )
+    return _PoolTable(log_probs=log_probs, starts=np.cumsum(tokens) - tokens, tokens=tokens)
 
 
 def _decide(table: _PoolTable, chosen: Sequence[int], lists: int = 1) -> tuple[list[int], list[float]]:
@@ -225,7 +199,7 @@ def _decide(table: _PoolTable, chosen: Sequence[int], lists: int = 1) -> tuple[l
     a strictly lower perplexity replaces the best so far, so exact ties go
     to the lowest row of the run.
     """
-    stream_positions = np.concatenate([table.positions[k] for k in chosen])
+    stream_positions = runs(table.starts[chosen], table.tokens[chosen])
     n = len(stream_positions)
     streams = np.take(table.log_probs, stream_positions, axis=1)
     # each row of a C-contiguous gather sums bit for bit as its own 1-D

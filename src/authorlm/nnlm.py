@@ -534,7 +534,10 @@ def _header_config(path, config) -> NnlmConfig:
 
 
 def _layout(path, header: dict) -> Layout:
-    """The tensors a header's config implies; the header must list exactly those."""
+    """The float64 tensors a header's config implies; the header must list
+    exactly those, with dtype ``<f8``."""
+    if header.get("dtype") != "<f8":
+        raise ValueError(f"{path}: dtype {header.get('dtype')!r}, expected '<f8'")
     shapes = tensor_shapes(_header_config(path, header.get("config")))
     if header.get("tensors") != [[name, list(shape)] for name, shape in zip(TENSOR_NAMES, shapes)]:
         raise ValueError(f"{path}: tensors {header.get('tensors')!r} do not match the config")

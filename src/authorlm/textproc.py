@@ -6,10 +6,13 @@ sentence-boundary padding, and split into train/validation/test parts.
 Everything downstream (both language model families) consumes the encoded
 form produced here.
 
-Encoded sentences stay two int64 arrays (``Sentences``) from the saved
-file to the samples and counts the models train on.  The vocabulary is a
-text table and the encoded corpus a ``files`` container, each read only in
-the one layout ``save_vocabulary`` or ``save_processed`` writes.
+``encode_local`` is the one encoder: ``preprocess`` and attribution pad
+and code token sentences with it, then gather through ``Vocabulary.ids``
+for each vocabulary.  Encoded sentences stay two int64 arrays
+(``Sentences``) from the saved file to the samples and counts the models
+train on.  The vocabulary is a text table and the encoded corpus a
+``files`` container, each read only in the one layout ``save_vocabulary``
+or ``save_processed`` writes.
 """
 
 from __future__ import annotations
@@ -125,6 +128,11 @@ class Vocabulary:
         """Id of a word, or the unknown id if it was pruned/unseen."""
         return self._index.get(word, UNK_ID)
 
+    def ids(self, words: Iterable[str]) -> np.ndarray:
+        """``[START_ID, END_ID]``, then each word's id (the unknown id if
+        pruned or unseen), as int64: the lookup ``encode_local``'s codes index."""
+        return np.array([START_ID, END_ID, *map(self._index.get, words, repeat(UNK_ID))], dtype=np.int64)
+
     def __contains__(self, word: str) -> bool:
         return word in self._index
 
@@ -189,11 +197,11 @@ class Sentences(Sequence):
         """The sentences at ``indices``, in that order, from one gather."""
         indices = np.asarray(indices, dtype=np.int64)
         lengths = self.lengths[indices]
-        return Sentences(lengths, self.ids[_runs(self.starts[indices], lengths)])
+        return Sentences(lengths, self.ids[runs(self.starts[indices], lengths)])
 
     def windows(self, k: int) -> np.ndarray:
         """The first position in ``ids`` of each length-k window inside a sentence."""
-        return _runs(self.starts, np.maximum(self.lengths - k + 1, 0))
+        return runs(self.starts, np.maximum(self.lengths - k + 1, 0))
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -213,9 +221,32 @@ class Sentences(Sequence):
         return f"Sentences(lengths={self.lengths!r}, ids={self.ids!r})"
 
 
-def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The positions starts[r], ..., starts[r] + counts[r] - 1 of each run r, in order."""
     return np.arange(int(counts.sum())) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+
+
+def encode_local(token_sentences: Sequence[Sequence[str]], order: int) -> tuple[Sentences, tuple[str, ...]]:
+    """The sentences padded for ``order`` in local codes, and the words coded.
+
+    Each sentence is order-1 start paddings (code 0), one code per token
+    and one end (code 1); ``2 + j`` codes ``words[j]``, the j-th distinct
+    token in first-seen order.  ``vocab.ids(words)[codes]`` is the
+    encoding under ``vocab``.  A ValueError for an order below 2.
+    """
+    if order < 2:
+        raise ValueError("order must be >= 2")
+    tokens = list(chain.from_iterable(token_sentences))
+    words = tuple(dict.fromkeys(tokens))
+    codes = dict(zip(words, range(2, len(words) + 2)))
+    counts = np.fromiter(map(len, token_sentences), dtype=np.int64, count=len(token_sentences))
+    lengths = counts + order
+    ends = np.cumsum(lengths)
+    ids = np.zeros(int(lengths.sum()), dtype=np.int64)
+    content = np.fromiter(map(codes.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    ids[runs(ends - counts - 1, counts)] = content
+    ids[ends - 1] = 1
+    return Sentences(lengths, ids), words
 
 
 def padded_sentences(
@@ -270,31 +301,14 @@ class ProcessedCorpus:
         return self.vocabulary.decode(s[self.order - 1 : -1])
 
 
-def encode_sentence(tokens: Sequence[str], vocab: Vocabulary, order: int) -> tuple[int, ...]:
-    if order < 2:
-        raise ValueError("order must be >= 2")
-    # the index's own get, with the unknown id as its default: no Python
-    # call per token
-    ids = tuple(map(vocab._index.get, tokens, repeat(UNK_ID)))
-    return (START_ID,) * (order - 1) + ids + (END_ID,)
-
-
 def encode(
-    token_sentences: Sequence[Sequence[str]],
-    vocab: Vocabulary,
-    order: int,
-    stemming: bool = True,
-    prune_threshold: float = 0.0,
+    token_sentences: Sequence[Sequence[str]], vocab: Vocabulary, order: int,
+    stemming: bool = True, prune_threshold: float = 0.0,
 ) -> ProcessedCorpus:
     """Encode preprocessed token sentences against a vocabulary."""
-    sentences = tuple(encode_sentence(s, vocab, order) for s in token_sentences)
-    return ProcessedCorpus(
-        vocabulary=vocab,
-        sentences=sentences,
-        order=order,
-        stemming=stemming,
-        prune_threshold=prune_threshold,
-    )
+    local, words = encode_local(token_sentences, order)
+    sentences = Sentences(local.lengths, vocab.ids(words)[local.ids])
+    return ProcessedCorpus(vocab, sentences, order, stemming, prune_threshold)
 
 
 @dataclass(frozen=True)
@@ -387,7 +401,7 @@ def top_k_coverage(processed: ProcessedCorpus, ks: Sequence[int]) -> dict[int, f
     other vocabulary entry, so k = vocabulary size always gives 1.0.
     """
     s, pads = processed.sentences, processed.order - 1
-    counts = np.bincount(s.ids[_runs(s.starts + pads, s.lengths - pads - 1)])
+    counts = np.bincount(s.ids[runs(s.starts + pads, s.lengths - pads - 1)])
     ranked = sorted(counts[counts > 0].tolist(), reverse=True)
     total = sum(ranked)
     return {k: sum(ranked[:k]) / total if total else 0.0 for k in ks}

@@ -137,12 +137,13 @@ class TestConfigErrors:
             # sums to 1 within 1e-9 as floats, but not as the rationals a split uses
             ("split.ratios=[0.6, 0.3000001, 0.0999999]", "split.ratios"),
             ("synth.length_range=[4, 5, 6]", "synth.length_range"),
-            ("synth.length_range=[5, 2]", "synth"),
-            ("synth.lexicon_size=0", "synth"),
-            ("synth.concentration=0", "synth: concentration"),
-            ("synth.sentences=0", "synth"),
+            ("synth.length_range=[5, 2]", "synth.length_range"),
+            ("synth.lexicon_size=0", "synth.lexicon_size"),
+            ("synth.concentration=0", "synth.concentration"),
+            ("synth.sentences=0", "synth.sentences"),
             ("synth.authors=0", "synth.authors"),
             ("synth.authors=-2", "synth.authors"),
+            ("synth.seed=-1", "synth.seed"),
         ],
     )
     def test_bad_setting_is_one_line_config_error(self, workdir, setting, named, capsys):
@@ -150,6 +151,21 @@ class TestConfigErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and named in err[0], err
         assert not (workdir / "corpus").exists()
+
+    @pytest.mark.parametrize(
+        "setting",
+        ["synth.concentration=-1", "synth.concentration=Infinity", "synth.lexicon_size=0",
+         "synth.sentences=0", "synth.length_range=[5, 2]", "synth.length_range=[0, 2]", "synth.seed=-1"],
+    )
+    def test_bad_synth_setting_stops_a_later_stage(self, workdir, setting, capsys):
+        # every command checks every setting, synth's included, before it writes anything
+        assert run("synth", "--config", "cfg.json") == cli.EXIT_OK
+        before = sorted(workdir.rglob("*"))
+        capsys.readouterr()
+        assert run("eval", "--config", "cfg.json", "--set", setting) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"authorlm eval: {setting.split('=')[0]} "), err
+        assert sorted(workdir.rglob("*")) == before
 
     @pytest.mark.parametrize(
         "argv", [["synth", "--workers", "1"], ["eval", "--bogus", "1"], ["nope"]]
@@ -735,7 +751,8 @@ class TestAcrossStages:
             )
             mine = authors.index(author)
             first = sum(len(pool) for pool in pools[:mine])
-            own = np.concatenate(table.positions[first : first + len(pools[mine])])
+            k = slice(first, first + len(pools[mine]))
+            own = textproc.runs(table.starts[k], table.tokens[k])
             assert row["perplexity"] == repr(evaluation._report(table.log_probs[0, own]).perplexity)
 
 
@@ -808,8 +825,12 @@ class TestCorruptInputs:
             (lambda h: {**h, "config": {**h["config"], "embed_dim": True}}, "bad embed_dim True"),
             (lambda h: {**h, "config": {**h["config"], "order": "4"}}, "bad order '4'"),
             (lambda h: {**h, "config": {**h["config"], "momentum": 1.5}}, "momentum must be in [0, 1)"),
+            (lambda h: {**h, "dtype": "garbage"}, "dtype 'garbage', expected '<f8'"),
+            (lambda h: {**h, "dtype": "<f4"}, "dtype '<f4', expected '<f8'"),
+            (lambda h: {k: v for k, v in h.items() if k != "dtype"}, "dtype None, expected '<f8'"),
         ],
-        ids=["not-object", "no-config", "unknown-key", "missing-key", "bool", "string", "range"],
+        ids=["not-object", "no-config", "unknown-key", "missing-key", "bool", "string", "range",
+             "dtype-garbage", "dtype-f4", "dtype-missing"],
     )
     def test_bad_nnlm_header_is_config_error(self, trained, edit, message, capsys):
         path = trained / "models" / "author00_0.nnlm"

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from kn_reference import ReferenceKn
+from textproc_reference import encode_sentence
 
 from authorlm import cli, files
 from authorlm import evaluation as ev
@@ -163,7 +164,7 @@ def reference_sweep(authors, pools, sentence_counts, trials, seed):
                 for candidate in authors:
                     order = candidate.model.order
                     encoded = [
-                        tp.encode_sentence(x, candidate.vocabulary, order) for x in sentences
+                        encode_sentence(x, candidate.vocabulary, order) for x in sentences
                     ]
                     perps.append(ev.perplexity(candidate.model, encoded).perplexity)
                 best = 0
@@ -182,12 +183,14 @@ class CountingModel:
     vocab_size: int
     scored: Counter = field(default_factory=Counter)
     calls: int = 0
+    queries: list = field(default_factory=list)  # (contexts, targets) of each call
 
     def log_prob(self, context, target):
         return math.log(1.0 / self.vocab_size)
 
     def log_probs(self, contexts, targets):
         self.calls += 1
+        self.queries.append((contexts, targets))
         self.scored.update((tuple(int(c) for c in ctx), int(t)) for ctx, t in zip(contexts, targets))
         return np.full(len(targets), math.log(1.0 / self.vocab_size))
 
@@ -231,7 +234,7 @@ class TestClassify:
             sentences = [tokens[int(i)] for i in pick]
             result = ev.classify(authors, sentences)
             samples = tp.samples_from_sentences(
-                [tp.encode_sentence(s, vocab, 2) for s in sentences], 2
+                [encode_sentence(s, vocab, 2) for s in sentences], 2
             )
             totals = [float(m.log_probs(samples.contexts, samples.targets).sum()) for m in models]
             assert result.predicted_author == f"m{int(np.argmax(totals))}"
@@ -337,11 +340,11 @@ class TestSweep:
         lists, pools = self.method_lists()
         counts, excluded = [1, 2, 5], ["c2"]
         lookups = []
-        samples = ev._PoolEncoding.samples
-        def counting(self, vocab):
-            lookups.append(id(vocab))
-            return samples(self, vocab)
-        monkeypatch.setattr(ev._PoolEncoding, "samples", counting)
+        ids = tp.Vocabulary.ids
+        def counting(self, words):
+            lookups.append(id(self))
+            return ids(self, words)
+        monkeypatch.setattr(tp.Vocabulary, "ids", counting)
         together = ev.accuracy_sweep(lists, pools, counts, trials=6, seed=3, excluded_authors=excluded)
         # one lookup per (order, vocabulary): KN and NNLM share order 3
         assert sorted(lookups) == sorted(2 * [id(a.vocabulary) for a in lists[0] if a.author_id != "copy"])
@@ -396,7 +399,7 @@ class TestSweep:
         for author in authors:
             expected = Counter()
             for pool in pools.values():
-                encoded = [tp.encode_sentence(x, author.vocabulary, 3) for x in pool]
+                encoded = [encode_sentence(x, author.vocabulary, 3) for x in pool]
                 samples = tp.samples_from_sentences(encoded, 3)
                 expected.update(
                     (tuple(int(c) for c in ctx), int(t))
@@ -415,27 +418,34 @@ class TestSweep:
 
     @pytest.mark.parametrize("order", [2, 3, 4, 5])
     def test_pool_encoding_matches_encode_sentence(self, order):
+        # preprocess's encode and the sweep's windows, from the one encoder,
+        # equal the per-sentence reference: empty sentences, words outside
+        # the vocabulary and the reserved token strings included
         vocab = tp.build_vocabulary([["a", "b", "c"], ["b", "c"]])
         pools = [
             [["a", "b"], ["zz", "a", "zz"], [], ["c", "c", "c", "b", "a"]],
             [[], []],
-            [["q"], ["<unk>", "<s>", "b"], ["r", "q", "a"]],
+            [["q"], ["<unk>", "<s>", "b"], ["r", "q", "</s>", "a"]],
         ]
         for pool in pools:
-            got = ev._encode_pool(pool, order).samples(vocab)
-            want = tp.samples_from_sentences(
-                [tp.encode_sentence(s, vocab, order) for s in pool], order
-            )
-            for g, w in zip(got, want):
+            want = [encode_sentence(s, vocab, order) for s in pool]
+            assert tp.encode(pool, vocab, order).sentences == tuple(want)
+            model = CountingModel(order=order, vocab_size=vocab.size)
+            ev._score_pool([ev.AuthorModel("a", model, vocab)], pool)
+            [got] = model.queries
+            for g, w in zip(got, tp.samples_from_sentences(want, order)):
                 assert g.dtype == w.dtype and g.shape == w.shape
                 assert np.array_equal(g, w)
 
     def test_pool_encoding_refuses_order_below_two(self):
         vocab = tp.build_vocabulary([["a"]])
         with pytest.raises(ValueError) as refused:
-            tp.encode_sentence(["a"], vocab, 1)
-        with pytest.raises(ValueError, match=re.escape(str(refused.value))):
-            ev._encode_pool([["a"]], 1)
+            encode_sentence(["a"], vocab, 1)
+        message = re.escape(str(refused.value))
+        with pytest.raises(ValueError, match=message):
+            tp.encode([["a"]], vocab, 1)
+        with pytest.raises(ValueError, match=message):
+            ev._score_pool([ev.AuthorModel("a", StubModel(order=1, vocab_size=vocab.size), vocab)], [["a"]])
 
     def test_decide_sums_each_stream_as_report_does(self):
         # row sums of the gathered streams equal _report's, past _CHUNK too
@@ -444,11 +454,11 @@ class TestSweep:
         lengths[7] = ev._CHUNK + 3
         ends = np.cumsum(lengths + 1)
         table = ev._PoolTable(
-            log_probs=np.log(rng.random((4, int(ends[-1])))),
-            positions=[np.arange(end - n - 1, end) for n, end in zip(lengths, ends)],
+            log_probs=np.log(rng.random((4, int(ends[-1])))), starts=ends - lengths - 1, tokens=lengths + 1
         )
         for chosen in ([0], [3, 1, 2], rng.choice(400, size=20, replace=False), [7, 0], range(400)):
-            stream_positions = np.concatenate([table.positions[k] for k in chosen])
+            stream_positions = np.concatenate([np.arange(ends[k] - lengths[k] - 1, ends[k]) for k in chosen])
+            assert np.array_equal(tp.runs(table.starts[chosen], table.tokens[chosen]), stream_positions)
             want = [ev._report(row[stream_positions]).perplexity for row in table.log_probs]
             [best], perps = ev._decide(table, chosen)
             assert perps == want

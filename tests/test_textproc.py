@@ -143,6 +143,17 @@ class TestEncode:
         pc = tp.encode([], vocab, order=3)
         assert len(pc) == 0
 
+    def test_local_codes_and_vocabulary_ids(self):
+        # codes 0 and 1 pad, then one code per distinct word in first-seen order
+        local, words = tp.encode_local([["b", "zz", "b"], [], ["<s>", "a"]], order=3)
+        assert words == ("b", "zz", "<s>", "a")
+        assert local == ((0, 0, 2, 3, 2, 1), (0, 0, 1), (0, 0, 4, 5, 1))
+        vocab = tp.build_vocabulary([["a", "b", "b"]])
+        ids = vocab.ids(words)
+        assert ids.dtype == np.int64
+        b, a = vocab.index_of("b"), vocab.index_of("a")
+        assert ids.tolist() == [tp.START_ID, tp.END_ID, b, tp.UNK_ID, tp.START_ID, a]
+
     @given(
         st.lists(st.sampled_from(["aa", "bb", "cc", "dd", "rare"]), max_size=12),
         st.integers(min_value=2, max_value=5),

@@ -5,8 +5,10 @@ vocabulary from every file in the layout ``save_vocabulary`` writes; this
 loader also accepts files outside that layout, which ``authorlm.textproc``
 refuses.
 
-Also a library-free reader and writer of the encoded corpus file, for
-tests that edit one.
+Also the earlier per-sentence encoder, the oracle for
+``authorlm.textproc.encode_local`` on both of its paths (``encode`` and
+the attribution sweep), and a library-free reader and writer of the
+encoded corpus file, for tests that edit one.
 """
 
 import json
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from authorlm.textproc import Vocabulary
+from authorlm.textproc import END_ID, START_ID, Vocabulary
 
 
 def _read_lines(path, magic: str) -> list[str]:
@@ -41,6 +43,14 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
     if lines[1:2] != [f"# size {len(words)}"]:
         raise ValueError(f"{path}:2: expected '# size {len(words)}' for {len(words)} rows")
     return Vocabulary(words=tuple(words), counts=tuple(counts))
+
+
+def encode_sentence(tokens, vocab: Vocabulary, order: int) -> tuple[int, ...]:
+    """One sentence's padded ids: order-1 start ids, each token's id (the
+    unknown id for a word outside ``vocab``) and one end id."""
+    if order < 2:
+        raise ValueError("order must be >= 2")
+    return (START_ID,) * (order - 1) + tuple(vocab.index_of(t) for t in tokens) + (END_ID,)
 
 
 def read_corpus(path: Path) -> tuple[dict, np.ndarray, np.ndarray]:
