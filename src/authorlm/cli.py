@@ -169,6 +169,19 @@ def _write_all(fd: int, data: bytes) -> None:
         data = data[os.write(fd, data) :]
 
 
+def _keep_freed_memory(libc) -> None:
+    """Have glibc's malloc keep what this process frees, where ``libc``
+    has ``mallopt``.  Its defaults map each block past a dynamic threshold
+    that starts at 128 KiB (an NNLM batch's (100, V) arrays at V of about
+    2,000, and the gradient vector) and hand freed heap tops back, so every
+    batch faulted its pages in again.  No block is mapped below 32 MiB,
+    glibc's 64-bit maximum, which also ends the dynamic threshold, and no
+    heap top below 256 MiB is returned."""
+    if mallopt := getattr(libc, "mallopt", None):
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+
+
 def _work(items, run, tasks: int, feed: int, out: int, stage_pid: int) -> None:
     """A forked worker: runs each item whose index it reads from ``tasks``
     and writes its record to ``out``: the length of the pickled (index,
@@ -176,10 +189,14 @@ def _work(items, run, tasks: int, feed: int, out: int, stage_pid: int) -> None:
     its bytes.  Ends the process instead of returning."""
     code = 1
     try:
+        libc = ctypes.CDLL(None)
         # an idle worker would wait on ``tasks`` forever once the stage
         # process is gone, so on Linux the kernel kills it when that dies
-        if prctl := getattr(ctypes.CDLL(None), "prctl", None):
+        if prctl := getattr(libc, "prctl", None):
             prctl(1, ctypes.c_ulong(9))  # PR_SET_PDEATHSIG, SIGKILL
+        # only the workers: the stage process keeps glibc's defaults, so
+        # the peak RSS of ``eval`` and ``experiment`` does not move
+        _keep_freed_memory(libc)
         os.close(feed)  # or ``tasks`` would never end
         while os.getppid() == stage_pid and (index := os.read(tasks, 4)):
             i = int.from_bytes(index, "little")

@@ -80,14 +80,20 @@ def _convert(default, value):
     """``value`` read as the type of ``default``, a list entry by entry.
 
     The one list whose default is empty, ``experiment.excluded_authors``,
-    holds strings.
+    holds strings.  A number is never read from a boolean, nor an integer
+    from a number with a fraction, which ``int`` would truncate.
     """
     if isinstance(default, list):
         if not isinstance(value, (list, tuple)):
             raise TypeError("not a list")
         return [_convert(default[0] if default else "", v) for v in value]
-    if isinstance(default, bool) and value not in (True, False):
-        raise ValueError("not true or false")
+    if isinstance(default, bool):
+        if value not in (True, False):
+            raise ValueError("not true or false")
+    elif isinstance(default, (int, float)) and isinstance(value, bool):
+        raise TypeError(f"{str(value).lower()} is not a number")
+    elif isinstance(default, int) and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
     return type(default)(value)
 
 

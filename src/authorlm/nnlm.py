@@ -54,11 +54,15 @@ preallocated ``_Workspace`` of ``_SCORE_ROWS`` rows for all the blocks of a
 call.  At V of about 2,000 a block's (rows, V) arrays are about 2 MB,
 above glibc's mmap threshold, so a fresh block would be mapped and its
 pages faulted in again each time: allocating per block made the ``english``
-benchmark's ``experiment`` stage about 30% slower.  Scoring validation in
-blocks keeps a training item's memory from growing with its validation
-set: at the paper's shapes (V = 6,000, D = 50, H = 200; 5,000 training and
-5,000 validation samples, 2 epochs) one item's process peaked at 501 MB
-with a 4,096-row validation pass and peaks at 111 MB with the blocks.
+benchmark's ``experiment`` stage about 30% slower.  The CLI's training
+workers keep freed memory in their heap (``cli._keep_freed_memory``), so
+their batch arrays reuse warm pages; the workspace still serves the stage
+processes, which keep glibc's defaults, and library callers.  Scoring
+validation in blocks keeps a training item's memory from growing with its
+validation set: at the paper's shapes (V = 6,000, D = 50, H = 200; 5,000
+training and 5,000 validation samples, 2 epochs) one item's process peaked
+at 501 MB with a 4,096-row validation pass and peaks at 111 MB with the
+blocks.
 """
 
 from __future__ import annotations

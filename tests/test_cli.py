@@ -1,14 +1,18 @@
 """End-to-end command tests: exit codes, outputs, overrides, determinism."""
 
 import contextlib
+import ctypes
+import io
 import json
 import os
 import random
+import resource
 import shutil
 import signal
 import subprocess
 import sys
 import time
+import types
 import warnings
 from pathlib import Path
 
@@ -126,6 +130,14 @@ class TestConfigErrors:
             ("split.seeds=3", "split.seeds"),
             ('split.ratios="abc"', "split.ratios"),
             ('nnlm={"embed_dim": 3}', "nnlm"),
+            # a fraction is not truncated into an integer setting, and a
+            # boolean is no number
+            ("split.seeds=[0.9]", "split.seeds"),
+            ("nnlm.max_epochs=2.5", "nnlm.max_epochs"),
+            ("experiment.sentence_counts=[1.5, 2]", "experiment.sentence_counts"),
+            ("nnlm.hidden_dim=true", "nnlm.hidden_dim"),
+            ("nnlm.learning_rate=true", "nnlm.learning_rate"),
+            ("synth.concentration=false", "synth.concentration"),
             # other out-of-range values
             ("split.seeds=[-1]", "split.seeds"),
             ("split.seeds=[0, 0]", "split.seeds"),
@@ -669,6 +681,31 @@ class TestWorkers:
         assert capsys.readouterr().out == ""
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(
+        not hasattr(ctypes.CDLL(None), "mallopt"), reason="needs a libc with mallopt"
+    )
+    def test_workers_keep_freed_memory(self):
+        # batch-shaped arrays: three (100, 2,000) float64 arrays and a
+        # 130k-value vector, allocated and freed 50 times in a worker; past
+        # the first iteration each reuses the pages of the one before, where
+        # glibc's defaults map and unmap them (about 50k minor faults)
+        def item(*_):
+            def batch():
+                arrays = [np.ones((100, 2000)) for _ in range(3)], np.ones(130_000)
+                del arrays
+
+            batch()
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(49):
+                batch()
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        author = types.SimpleNamespace(name="batches", splits={0: None})
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            [faults] = cli._run_items("batches", cli.RunConfig(), [author], item)
+        pages = (3 * 100 * 2000 + 130_000) * 8 // 4096  # one iteration's
+        assert faults < pages // 10, faults
 
     def test_killed_stage_takes_its_workers(self, workdir):
         # every item sleeps; once the stage process is killed, its workers
