@@ -37,7 +37,11 @@ processed = tp.encode(stemmed, vocab, order=3, prune_threshold=0.05)
 print("\nencoded sentences (order 3):")
 for sent in processed.sentences:
     print("   ", sent)
-print("decoded back:", processed.content_tokens(1))
+print("decoded back:", vocab.decode(processed.sentences[1][2:-1]))
+# the corpus keeps the token behind each unknown id, so the preprocessed
+# tokens of any sentence come back whole (as attribution needs them)
+print("tokens behind the unknown ids:", processed.unknown)
+print("sentence 1's tokens:", processed.tokens([1])[0])
 
 # --- deterministic 8:1:1 split (needs >= 10 sentences, so replicate)
 big = tp.encode(stemmed * 3, vocab, order=3, prune_threshold=0.05)

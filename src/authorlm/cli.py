@@ -6,8 +6,9 @@ the form ``<author>_<seed>.<ext>`` so runs are scriptable; every output is
 replaced atomically (``files.write_file``).
 
 The stages after preprocess start from one inventory per author: its
-inputs loaded once, each seed's split (or the error that refused it, such
-as missing preprocess outputs), and the (seed, method) models on disk.
+``preprocess/<author>.corpus`` loaded once, the one file of the author's
+that they read, each seed's split (or the error that refused it, such as
+a missing ``.corpus``), and the (seed, method) models on disk.
 They work on every item the inventory allows and print one stderr line for
 each item they skip; the training stages fork one worker process per
 usable CPU, which takes items from a pipe (``_run_items``).  Exit codes:
@@ -79,34 +80,26 @@ class _Author:
     """One author's inputs to a stage, loaded once.
 
     ``corpus`` is the encoded preprocess output, the one source of the
-    pipeline settings ``order`` and ``stemming`` (kept as fields) and of the
-    sentence count after preprocess; ``text`` is the author's raw text,
-    read only for the attribution sweep, which keeps the settings but not
-    the corpus.
-    ``splits[seed]`` is that seed's split of the sentences, or the
-    ``ValueError`` that refused it; ``models`` holds the (seed, method)
-    pairs whose model file exists.  An author whose preprocess outputs are
-    missing has no vocabulary, settings or corpus, and every seed refuses
-    it.
+    vocabulary, the pipeline settings, the sentence count and the test
+    pools' tokens.  ``splits[seed]`` is that seed's split of the sentences,
+    or the ``ValueError`` that refused it; ``models`` holds the (seed,
+    method) pairs whose model file exists.  An author whose ``.corpus`` is
+    missing has no corpus, and every seed refuses it.
     """
 
     name: str
-    vocab: textproc.Vocabulary | None
-    order: int | None
-    stemming: bool | None
     corpus: textproc.ProcessedCorpus | None
-    text: textproc.RawCorpus | None
     splits: dict
     models: frozenset
 
 
 def _load_model(cfg: RunConfig, author: _Author, seed: int, method: str):
     """The (seed, method) model of an author; a ConfigError naming the file
-    when its vocabulary size or order differs from the author's preprocess
-    outputs."""
+    when its vocabulary size or order differs from the author's
+    ``.corpus``."""
     path = _model_path(cfg, author.name, seed, method)
     model = _load(nnlm.load_model if method == "nnlm" else kn.load_model, path)
-    shape = (author.vocab.size, author.order)
+    shape = (author.corpus.vocabulary.size, author.corpus.order)
     if (model.vocab_size, model.order) != shape:
         raise ConfigError(
             f"{path}: model vocabulary size {model.vocab_size} and order {model.order}, "
@@ -115,15 +108,12 @@ def _load_model(cfg: RunConfig, author: _Author, seed: int, method: str):
     return model
 
 
-def _inventory(cfg: RunConfig, raw: bool = False) -> list[_Author]:
-    """Every author's inventory; ``raw`` also reads the author's text file,
-    a ConfigError naming it when its sentence count differs from the
-    encoded corpus, and then drops the corpus.  A ConfigError when no author
-    has preprocess outputs."""
+def _inventory(cfg: RunConfig) -> list[_Author]:
+    """Every author's inventory; a ConfigError when no author has a
+    ``.corpus``."""
     authors, missing = [], []
     for path in _author_files(cfg):
         name = path.stem
-        vocab_path = cfg.output_dir / "preprocess" / f"{name}.vocab.tsv"
         corpus_path = cfg.output_dir / "preprocess" / f"{name}.corpus"
         models = frozenset(
             (seed, method)
@@ -131,29 +121,19 @@ def _inventory(cfg: RunConfig, raw: bool = False) -> list[_Author]:
             for method in METHODS
             if _model_path(cfg, name, seed, method).exists()
         )
-        absent = [p for p in (vocab_path, corpus_path) if not p.exists()]
-        if absent:  # preprocess failed for this author
-            missing.append(absent[0])
-            refused = dict.fromkeys(cfg.seeds, ValueError(f"missing {absent[0]}"))
-            authors.append(_Author(name, None, None, None, None, None, refused, models))
+        if not corpus_path.exists():  # preprocess failed for this author
+            missing.append(corpus_path)
+            refused = dict.fromkeys(cfg.seeds, ValueError(f"missing {corpus_path}"))
+            authors.append(_Author(name, None, refused, models))
             continue
-        vocab = _load(textproc.load_vocabulary, vocab_path)
-        corpus = _load(textproc.load_processed, corpus_path, vocab)
-        text = _load(textproc.read_corpus_file, path) if raw else None
-        if text is not None and len(text.sentences) != len(corpus):
-            raise ConfigError(
-                f"{path}: {len(text.sentences)} sentences, preprocess outputs "
-                f"{len(corpus)} (rerun preprocess after changing the text)"
-            )
+        corpus = _load(textproc.load_processed, corpus_path)
         splits = {}
         for seed in cfg.seeds:
             try:
                 splits[seed] = textproc.split(len(corpus.sentences), seed, cfg.split["ratios"])
             except ValueError as exc:
                 splits[seed] = exc
-        authors.append(_Author(
-            name, vocab, corpus.order, corpus.stemming, None if raw else corpus, text, splits, models
-        ))
+        authors.append(_Author(name, corpus, splits, models))
     if len(missing) == len(authors):
         raise ConfigError(f"missing {missing[0]} (run `authorlm preprocess` first)")
     return authors
@@ -404,12 +384,13 @@ def cmd_train_nnlm(cfg: RunConfig) -> int:
     logs = _stage_dir(cfg, "logs")
 
     def run(ai, author, seed, split):
-        train_samples = textproc.extract_samples(author.corpus, split.train)
-        val_samples = textproc.extract_samples(author.corpus, split.validation)
+        corpus = author.corpus
+        train_samples = textproc.extract_samples(corpus, split.train)
+        val_samples = textproc.extract_samples(corpus, split.validation)
         # a vocabulary too small for the network, divergence or an output
         # that cannot be written is this item's failure
         try:
-            model_cfg = cfg.nnlm_config(author.vocab.size, author.order, derive_seed(seed, ai, 1))
+            model_cfg = cfg.nnlm_config(corpus.vocabulary.size, corpus.order, derive_seed(seed, ai, 1))
             model, history = nnlm.train(model_cfg, train_samples, val_samples)
             nnlm.save_model(model, _model_path(cfg, author.name, seed, "nnlm"))
             files.write_csv(
@@ -432,7 +413,8 @@ def cmd_train_ngram(cfg: RunConfig) -> int:
     _stage_dir(cfg, "models")
 
     def run(ai, author, seed, split):
-        model = kn.train_model(author.corpus.sentences.take(split.train), author.order, author.vocab.size)
+        corpus = author.corpus
+        model = kn.train_model(corpus.sentences.take(split.train), corpus.order, corpus.vocabulary.size)
         try:
             kn.save_model(model, _model_path(cfg, author.name, seed, "kn"))
         except OSError as exc:  # a model that cannot be written is this item's failure
@@ -491,15 +473,9 @@ def _sweep_seed(cfg: RunConfig, authors: list[_Author], seed: int, methods: list
     every method's candidates; a ConfigError naming the model whose score
     is not finite."""
     exp = cfg.experiment
-    pools = {
-        author.name: textproc.preprocess_sentences(
-            [author.text.sentences[i] for i in author.splits[seed].test],
-            stemming=author.stemming,
-        )
-        for author in authors
-    }
+    pools = {a.name: a.corpus.tokens(a.splits[seed].test) for a in authors}
     candidates = [
-        [evaluation.AuthorModel(a.name, _load_model(cfg, a, seed, method), a.vocab) for a in authors]
+        [evaluation.AuthorModel(a.name, _load_model(cfg, a, seed, method), a.corpus.vocabulary) for a in authors]
         for method in methods
     ]
     try:
@@ -518,16 +494,16 @@ def cmd_experiment(cfg: RunConfig) -> int:
     (method, seed) that has all of those authors' models; one pass per
     seed scores all of its methods.
 
-    Test pools come from the raw text (tokenize + stem only, as the
-    author's preprocess outputs say), not from the encoded corpus, because
-    classification re-encodes them under every candidate's vocabulary;
-    only the lines of a seed's test part are stemmed, and only for a seed
-    that has a sweep.
+    A seed's test pools are the preprocessed tokens of its test sentences,
+    as the author's ``.corpus`` keeps them (the token behind each unknown
+    id included), because classification re-encodes them under every
+    candidate's vocabulary; they are decoded only for a seed that has a
+    sweep.
     """
     exp = cfg.experiment
     need = max(exp["sentence_counts"], default=0)
     authors, skipped = [], []
-    for author in _inventory(cfg, raw=True):
+    for author in _inventory(cfg):
         refused = [s for s in author.splits.values() if isinstance(s, ValueError)]
         if refused:
             skipped.append(f"{author.name}: left out, {refused[0]}")

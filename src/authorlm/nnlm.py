@@ -449,7 +449,7 @@ def _mean_loss(params: NnlmParams, samples: Samples, group: int = 4096) -> float
     picked = _target_log_probs(params, samples.contexts, samples.targets)
     total = 0.0
     for start in range(0, len(picked), group):
-        total += -picked[start : start + group].sum()
+        total -= float(picked[start : start + group].sum())
     return total / len(picked)
 
 
@@ -491,7 +491,7 @@ def train(
         train_loss = running / n
 
         val_loss = _mean_loss(params, validation_samples)
-        if not np.isfinite(val_loss):
+        if not math.isfinite(val_loss):
             raise TrainingDiverged(epoch, "validation")
         history.append(EpochStats(epoch, train_loss, val_loss))
 

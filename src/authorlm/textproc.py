@@ -10,9 +10,12 @@ form produced here.
 and code token sentences with it, then gather through ``Vocabulary.ids``
 for each vocabulary.  Encoded sentences stay two int64 arrays
 (``Sentences``) from the saved file to the samples and counts the models
-train on.  The vocabulary is a text table and the encoded corpus a
-``files`` container, each read only in the one layout ``save_vocabulary``
-or ``save_processed`` writes.
+train on.  The encoded corpus is one self-contained ``files`` container:
+its header holds the vocabulary and the token behind each unknown id, so
+``ProcessedCorpus.tokens`` gives back the preprocessed tokens of any
+sentence, and it is read only in the one layout ``save_processed``
+writes.  ``save_vocabulary`` writes a readable copy of the vocabulary,
+which nothing reads back.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -41,7 +44,7 @@ _RESERVED = (SENTENCE_START, SENTENCE_END, UNKNOWN)
 
 _VOCAB_MAGIC = "authorlm-vocab 1"
 _CORPUS_MAGIC = "authorlm-corpus"
-_CORPUS_VERSION = 2
+_CORPUS_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -280,6 +283,8 @@ class ProcessedCorpus:
 
     Each sentence is order-1 start paddings, the content ids (unknowns
     already substituted) and one end id, held as ``Sentences``.
+    ``unknown[j]`` is the token that the j-th unknown id in
+    ``sentences.ids`` stands for; a ValueError unless there is one per id.
     """
 
     vocabulary: Vocabulary
@@ -287,28 +292,42 @@ class ProcessedCorpus:
     order: int
     stemming: bool
     prune_threshold: float
+    unknown: tuple[str, ...] = ()
 
     def __post_init__(self):
         checked = padded_sentences(self.sentences, self.order, self.vocabulary.size)
         object.__setattr__(self, "sentences", checked)
+        ids = int(np.count_nonzero(checked.ids == UNK_ID))
+        if len(self.unknown) != ids:
+            raise ValueError(f"{len(self.unknown)} unknown tokens for {ids} unknown ids")
 
     def __len__(self) -> int:
         return len(self.sentences)
 
-    def content_tokens(self, index: int) -> list[str]:
-        """Decoded sentence without the boundary padding."""
-        s = self.sentences[index]
-        return self.vocabulary.decode(s[self.order - 1 : -1])
+    def tokens(self, indices: Iterable[int]) -> list[list[str]]:
+        """The preprocessed tokens of the sentences at ``indices``, in that
+        order: each content id's word, or the token behind an unknown id."""
+        s = self.sentences
+        indices = np.asarray(indices, dtype=np.int64)
+        counts = s.lengths[indices] - self.order
+        at = runs(s.starts[indices] + self.order - 1, counts)
+        ids = s.ids[at]
+        rank = np.cumsum(s.ids == UNK_ID) - 1  # of each unknown id among them all
+        codes = np.where(ids == UNK_ID, self.vocabulary.size + rank[at], ids)
+        words = iter(map((self.vocabulary.words + self.unknown).__getitem__, codes.tolist()))
+        return [list(islice(words, n)) for n in counts.tolist()]
 
 
 def encode(
     token_sentences: Sequence[Sequence[str]], vocab: Vocabulary, order: int,
     stemming: bool = True, prune_threshold: float = 0.0,
 ) -> ProcessedCorpus:
-    """Encode preprocessed token sentences against a vocabulary."""
+    """Encode preprocessed token sentences against a vocabulary, keeping
+    the token behind each unknown id."""
     local, words = encode_local(token_sentences, order)
-    sentences = Sentences(local.lengths, vocab.ids(words)[local.ids])
-    return ProcessedCorpus(vocab, sentences, order, stemming, prune_threshold)
+    ids = vocab.ids(words)[local.ids]
+    unknown = tuple(words[code - 2] for code in local.ids[ids == UNK_ID].tolist())
+    return ProcessedCorpus(vocab, Sentences(local.lengths, ids), order, stemming, prune_threshold, unknown)
 
 
 @dataclass(frozen=True)
@@ -408,74 +427,53 @@ def top_k_coverage(processed: ProcessedCorpus, ks: Sequence[int]) -> dict[int, f
 
 
 def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
-    """Write the word<TAB>id<TAB>count table with a small header."""
+    """Write the word<TAB>id<TAB>count table with a small header, a readable
+    copy of what the ``.corpus`` header holds."""
     lines = [f"# {_VOCAB_MAGIC}", f"# size {vocab.size}"]
     lines += [f"{w}\t{i}\t{c}" for i, (w, c) in enumerate(zip(vocab.words, vocab.counts))]
     write_file(path, "\n".join(lines) + "\n")
 
 
-def header_int(line: str, prefix: str) -> int | None:
-    """n when the line is exactly ``prefix`` + str(n) for an n >= 0."""
-    digits = line.removeprefix(prefix) if line.startswith(prefix) else ""
-    return int(digits) if digits.isascii() and digits.isdigit() and digits == str(int(digits)) else None
-
-
-def load_vocabulary(path: str | Path) -> Vocabulary:
-    """Read a table in the one layout ``save_vocabulary`` writes: the format
-    header, ``# size N``, then exactly N ``word<TAB>i<TAB>count`` rows, i
-    the row index and count an integer >= 0 (``header_int`` digits), each
-    line ending in ``\\n``."""
-    lines = Path(path).read_bytes().decode("utf-8").split("\n")
-    if lines[0] != f"# {_VOCAB_MAGIC}":
-        raise ValueError(f"{path}: expected header {_VOCAB_MAGIC!r} on line 1")
-    if lines.pop():
-        raise ValueError(f"{path}:{len(lines) + 1}: last line does not end in a newline")
-    first = 2 if lines[1:2] and lines[1].startswith("#") else 1  # else line 2 is a row
-    words, counts = [], []
-    for lineno, line in enumerate(lines[first:], first + 1):
-        fields = line.split("\t")
-        count = header_int(fields[2], "") if len(fields) == 3 else None
-        if count is None or fields[1] != str(len(words)):
-            raise ValueError(f"{path}:{lineno}: expected word<TAB>{len(words)}<TAB>count, got {line!r}")
-        words.append(fields[0])
-        counts.append(count)
-    if first == 1 or header_int(lines[1], "# size ") != len(words):
-        raise ValueError(f"{path}:2: expected '# size {len(words)}' for {len(words)} rows")
-    return Vocabulary(words=tuple(words), counts=tuple(counts))
-
-
 def save_processed(processed: ProcessedCorpus, path: str | Path) -> None:
     """The ``files`` container: a header with the format, version, pipeline
-    settings, vocabulary size and array shapes, then the int64 lengths and ids."""
-    s = processed.sentences
+    settings, the vocabulary's words and counts, the token behind each
+    unknown id and the array shapes, then the int64 lengths and ids."""
+    s, vocab = processed.sentences, processed.vocabulary
     header = {
         "format": _CORPUS_MAGIC,
         "version": _CORPUS_VERSION,
         "order": processed.order,
         "stemming": bool(processed.stemming),
         "prune_threshold": float(processed.prune_threshold),
-        "vocab": processed.vocabulary.size,
+        "words": list(vocab.words),
+        "counts": list(vocab.counts),
+        "unknown": list(processed.unknown),
         "arrays": [["lengths", [len(s.lengths)]], ["ids", [len(s.ids)]]],
     }
     write_arrays(path, header, [s.lengths, s.ids])
 
 
-def load_processed(path: str | Path, vocab: Vocabulary) -> ProcessedCorpus:
-    """Read a ``save_processed`` file for ``vocab``; a ValueError naming the
-    file for a header value of the wrong type or range, a vocabulary size not
-    ``vocab``'s, lengths that are not counts summing to the number of ids, or
-    a sentence ``ProcessedCorpus`` refuses."""
+def load_processed(path: str | Path) -> ProcessedCorpus:
+    """Read a ``save_processed`` file; a ValueError naming the file for a
+    header value of the wrong type or range, a vocabulary ``Vocabulary``
+    refuses, lengths that are not counts summing to the number of ids, or
+    sentences or unknown tokens ``ProcessedCorpus`` refuses."""
 
     def layout(path, header: dict) -> Layout:
-        order, stemming, threshold, size, arrays = (
-            header.get(key) for key in ("order", "stemming", "prune_threshold", "vocab", "arrays")
+        order, stemming, threshold, words, counts, unknown, arrays = (
+            header.get(key) for key in ("order", "stemming", "prune_threshold", "words", "counts", "unknown", "arrays")
         )
         for key, ok in [("order", type(order) is int and order >= 2), ("stemming", type(stemming) is bool),
                         ("prune_threshold", type(threshold) is float and 0 <= threshold <= 1)]:
             if not ok:
                 raise ValueError(f"{path}: bad {key} {header.get(key)!r}")
-        if type(size) is not int or size != vocab.size:
-            raise ValueError(f"{path}: vocabulary size {size!r}, the vocabulary has {vocab.size}")
+        strings = lambda values: type(values) is list and all(type(v) is str for v in values)
+        for key, ok, kind in [
+            ("words", strings(words), "strings"), ("unknown", strings(unknown), "strings"),
+            ("counts", type(counts) is list and all(type(c) is int and c >= 0 for c in counts), "integers >= 0"),
+        ]:
+            if not ok:
+                raise ValueError(f"{path}: {key} is not a list of {kind}")
         n, total = row_count(arrays, 0), row_count(arrays, 1)
         if arrays != [["lengths", [n]], ["ids", [total]]] or None in (n, total):
             raise ValueError(f"{path}: arrays {arrays!r} are not lengths and ids")
@@ -485,8 +483,10 @@ def load_processed(path: str | Path, vocab: Vocabulary) -> ProcessedCorpus:
     if lengths.min(initial=0) < 0 or lengths.max(initial=0) > len(ids) or lengths.sum() != len(ids):
         raise ValueError(f"{path}: sentence lengths are not counts summing to the {len(ids)} ids")
     try:
+        vocab = Vocabulary(tuple(header["words"]), tuple(header["counts"]))
         return ProcessedCorpus(
-            vocab, Sentences(lengths, ids), header["order"], header["stemming"], header["prune_threshold"]
+            vocab, Sentences(lengths, ids), header["order"], header["stemming"], header["prune_threshold"],
+            tuple(header["unknown"]),
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

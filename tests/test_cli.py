@@ -4,8 +4,10 @@ import contextlib
 import ctypes
 import io
 import json
+import math
 import os
 import random
+import re
 import resource
 import shutil
 import signal
@@ -271,6 +273,92 @@ class TestPipeline:
         summary = json.loads((out / "report" / "summary.json").read_text())
         assert set(summary["perplexity"]) == {"nnlm", "kn"}
 
+    def test_every_output_parses_as_its_column_type(self, workdir):
+        # every CSV cell as its column's type, and every number of both summary.json files
+        write_config(
+            workdir / "cfg.json", synth={"authors": 2, "lexicon_size": 12, "sentences": 120, "seed": 3},
+            experiment={"sentence_counts": [1, 2, 10], "trials": 3, "excluded_authors": []},
+        )
+        self.run_all(workdir)
+        out = workdir / "outputs"
+        authors = {p.stem for p in (workdir / "corpus").glob("*.txt")}
+
+        def finite(value: str) -> bool:
+            try:
+                return math.isfinite(float(value))
+            except ValueError:
+                return False
+
+        integer = re.compile(r"-?[0-9]+").fullmatch
+        columns = {
+            **dict.fromkeys(("author", "true\\predicted", "predicted"), authors.__contains__),
+            "method": cli.METHODS.__contains__,
+            "correct": ("0", "1").__contains__,
+            "display": lambda v: v.count("±") == 1 and all(map(finite, v.split("±"))),
+            **dict.fromkeys(("sentences", "tokens", "raw_vocab", "stemmed_vocab", "pruned_vocab", "epoch",
+                             "seed", "sentence_count", "trial", "s", *authors), integer),
+            **dict.fromkeys(("coverage_500", "coverage_1000", "coverage_2000", "train_loss", "validation_loss",
+                             "perplexity", "mean", "std", "mean_acc", "std_acc"), finite),
+        }
+        csvs = sorted(out.rglob("*.csv"))
+        assert len(csvs) == 1 + 2 + 2 + 4 + 1 + 4  # stats, logs, eval, sweeps, experiment summary, report
+        for path in csvs:
+            rows = files.read_csv(path)
+            assert rows, path
+            for row in rows:
+                assert None not in row and None not in row.values(), (path, row)
+                for column, value in row.items():
+                    assert columns[column](value), (path, column, value)
+
+        def leaves(node):
+            if isinstance(node, (dict, list)):
+                for child in node.values() if isinstance(node, dict) else node:
+                    yield from leaves(child)
+            else:
+                yield node
+
+        experiment = json.loads((out / "experiment" / "summary.json").read_text())
+        report = json.loads((out / "report" / "summary.json").read_text())
+        for summary in (experiment, report):
+            numbers = list(leaves(summary))
+            assert numbers and all(type(x) in (int, float) and math.isfinite(x) for x in numbers), numbers
+        # sentence counts are keys sorted as text
+        by_count = [experiment["methods"][m]["accuracy_by_count"] for m in cli.METHODS]
+        by_count += [report["accuracy"][m] for m in cli.METHODS]
+        assert all(list(counts) == ["1", "10", "2"] for counts in by_count), by_count
+
+    def test_pruned_tokens_reach_the_sweep(self, workdir):
+        # at a 0.05 threshold some test sentences hold tokens pruned from
+        # their author's vocabulary and kept in the other's: experiment's
+        # trials are those of a sweep over pools stemmed from the raw lines
+        counts, trials = [1, 3], 10
+        write_config(workdir / "cfg.json", experiment={"sentence_counts": counts, "trials": trials})
+        prune = ["--set", "pipeline.prune_threshold=0.05"]
+        for command in ("synth", "preprocess", "train-nnlm", "train-ngram", "experiment"):
+            assert run(command, "--config", "cfg.json", *prune) == cli.EXIT_OK, command
+        out = workdir / "outputs"
+        names = ["author00", "author01"]
+        vocabs, pools = {}, {}
+        for name in names:
+            lines = textproc.read_corpus_file(workdir / "corpus" / f"{name}.txt").sentences
+            vocabs[name] = textproc.build_vocabulary(textproc.preprocess_sentences(lines), 0.05)
+            test = textproc.split(len(lines), 0, [0.8, 0.1, 0.1]).test
+            pools[name] = textproc.preprocess_sentences([lines[i] for i in test], stemming=True)
+        pruned = {name: {t for s in pools[name] for t in s if t not in vocabs[name]} for name in names}
+        assert all(pruned.values()), pruned
+        assert pruned["author00"] & set(vocabs["author01"].words), pruned
+        assert pruned["author01"] & set(vocabs["author00"].words), pruned
+        candidates = [
+            [evaluation.AuthorModel(name, load(out / "models" / f"{name}_0.{method}"), vocabs[name]) for name in names]
+            for method, load in (("nnlm", nnlm.load_model), ("kn", kn.load_model))
+        ]
+        reports = evaluation.accuracy_sweep(candidates, pools, counts, trials, seed=0)
+        for method, report in zip(("nnlm", "kn"), reports):
+            rows = files.read_csv(out / "experiment" / f"trials_{method}_0.csv")
+            assert [(r["author"], int(r["sentence_count"]), int(r["trial"]), r["predicted"]) for r in rows] == [
+                (r.author_id, r.sentence_count, r.trial, r.predicted_author) for r in report.records
+            ]
+
     def test_repeat_runs_byte_identical(self, workdir):
         self.run_all(workdir)
         first = {
@@ -351,7 +439,7 @@ class TestPipeline:
             codes.append(run(stage, "--config", "cfg.json"))
             errors[stage] = capsys.readouterr().err.splitlines()
         assert codes == [2, 2, 2, 2, 2, 0]
-        missing = f"missing {Path('outputs/preprocess/broken.vocab.tsv')}"
+        missing = f"missing {Path('outputs/preprocess/broken.corpus')}"
         assert errors == {
             "preprocess": ["preprocess: broken: corpus 'broken' has no sentences"],
             "train-nnlm": [f"train-nnlm: broken seed 0: {missing}"],
@@ -773,7 +861,7 @@ class TestAcrossStages:
         authors = sorted(p.stem for p in (outputs / "corpus").glob("*.txt"))
         for row in scored:
             author, seed, method = row["author"], int(row["seed"]), row["method"]
-            vocab = textproc.load_vocabulary(out / "preprocess" / f"{author}.vocab.tsv")
+            vocab = textproc.load_processed(out / "preprocess" / f"{author}.corpus").vocabulary
             if method == "nnlm":
                 model = nnlm.load_model(out / "models" / f"{author}_{seed}.nnlm")
             else:
@@ -970,7 +1058,7 @@ class TestCorruptInputs:
     @pytest.mark.parametrize("stage", ["train-nnlm", "train-ngram", "eval", "experiment"])
     def test_out_of_vocabulary_id_stops_every_stage(self, corpus_file, stage, capsys):
         header, lengths, ids = read_corpus(corpus_file)
-        V = header["vocab"]
+        V = len(header["words"])
         ids[header["order"] - 1] = V  # sentence 0's first id after its paddings
         write_corpus(corpus_file, header, lengths, ids)
         capsys.readouterr()
@@ -981,17 +1069,19 @@ class TestCorruptInputs:
         ]
 
     def test_text_changed_since_preprocess_is_config_error(self, trained, capsys):
-        # a split of 63 sentences would take training sentences into the test pools
-        with open(trained.parent / "corpus" / "author00.txt", "a") as text:
-            text.write("w001 w002\nw003 w004\nw005 w006\n")
+        # authors are the texts' names: renamed texts have no .corpus
+        for text in (trained.parent / "corpus").glob("*.txt"):
+            text.rename(text.with_name(f"new_{text.name}"))
         capsys.readouterr()
         assert run("experiment", "--config", "cfg.json") == cli.EXIT_CONFIG
         assert capsys.readouterr().err.splitlines() == [
-            f"authorlm experiment: {Path('corpus/author00.txt')}: 63 sentences, "
-            "preprocess outputs 60 (rerun preprocess after changing the text)"
+            f"authorlm experiment: missing {Path('outputs/preprocess/new_author00.corpus')} "
+            "(run `authorlm preprocess` first)"
         ]
 
-    def test_experiment_stems_as_preprocess_did(self, trained, monkeypatch, capsys):
+    def test_experiment_stems_as_preprocess_did(self, trained, monkeypatch):
+        # the test pools are the tokens preprocess stemmed: experiment stems
+        # nothing itself, so another stemming setting changes no trial
         seen = []
         preprocess_sentences = textproc.preprocess_sentences
 
@@ -1004,8 +1094,27 @@ class TestCorruptInputs:
         monkeypatch.setattr(textproc, "preprocess_sentences", spy)
         code = run("experiment", "--config", "cfg.json", "--set", "pipeline.stemming=false")
         assert code == cli.EXIT_OK
-        assert seen == [True, True]  # one test pool per author
+        assert seen == []
         assert (trained / "experiment" / "trials_nnlm_0.csv").read_text().splitlines()[1:] == before
+
+    def test_text_edited_after_preprocess_changes_no_output(self, trained):
+        # every later stage reads only the .corpus: edited texts with the
+        # same names, no .vocab.tsv and another stemming setting change no
+        # byte of what they write, timestamp lines aside
+        stages = ("train-nnlm", "train-ngram", "eval", "experiment")
+        for stage in stages[2:]:
+            assert run(stage, "--config", "cfg.json") == cli.EXIT_OK, stage
+        body = lambda path: [line for line in path.read_bytes().splitlines() if not line.startswith(b"# generated")]
+        outputs = lambda: {p: body(p) for d in ("models", "logs", "eval", "experiment") for p in (trained / d).iterdir()}
+        before = outputs()
+        for text in (trained.parent / "corpus").glob("*.txt"):
+            lines = text.read_text().splitlines()
+            text.write_text("".join(" ".join(reversed(line.split())) + " w001\n" for line in lines) + "w002 w003\n")
+        for vocab in (trained / "preprocess").glob("*.vocab.tsv"):
+            vocab.unlink()
+        for stage in stages:
+            assert run(stage, "--config", "cfg.json", "--set", "pipeline.stemming=false") == cli.EXIT_OK, stage
+        assert outputs() == before
 
     @pytest.mark.parametrize("stage", ["eval", "experiment"])
     def test_refusal_is_the_one_stderr_line(self, trained, stage, capsys):
@@ -1020,12 +1129,16 @@ class TestCorruptInputs:
         named = f"authorlm {stage}: {path.relative_to(trained.parent)}: "
         assert len(err) == 1 and err[0].startswith(named), err
 
-    def test_bad_vocabulary_header_is_config_error(self, trained, capsys):
-        path = trained / "preprocess" / "author00.vocab.tsv"
-        path.write_text(path.read_text().replace("authorlm-vocab 1", "authorlm-vocab 9"))
+    def test_bad_vocabulary_header_is_config_error(self, corpus_file, capsys):
+        header, lengths, ids = read_corpus(corpus_file)
+        header["words"][0] = "<S>"
+        write_corpus(corpus_file, header, lengths, ids)
         capsys.readouterr()
         assert run("experiment", "--config", "cfg.json") == cli.EXIT_CONFIG
-        assert "expected header" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            f"authorlm experiment: {Path('outputs/preprocess/author00.corpus')}: "
+            "reserved tokens missing or out of order"
+        ]
 
     @pytest.mark.parametrize("stage", ["eval", "experiment"])
     def test_overflowing_nnlm_score_is_config_error(self, trained, stage, capsys):
@@ -1054,16 +1167,41 @@ class TestCorruptInputs:
             "probs2: row 1 does not rise above the row before it"
         ]
 
-    def test_vocabulary_rows_must_match_size_header(self, trained, capsys):
-        path = trained / "preprocess" / "author00.vocab.tsv"
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-2]) + "\n")
+    def test_vocabulary_rows_must_match_size_header(self, corpus_file, capsys):
+        # one count per word
+        header, lengths, ids = read_corpus(corpus_file)
+        del header["words"][-2:]
+        write_corpus(corpus_file, header, lengths, ids)
+        capsys.readouterr()
+        assert run("train-nnlm", "--config", "cfg.json") == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"authorlm train-nnlm: {Path('outputs/preprocess/author00.corpus')}: counts/words length mismatch"
+        ]
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda header: header.update(unknown=["w001"]), "1 unknown tokens for 0 unknown ids"),
+        (lambda header: header.update(unknown="w001"), "unknown is not a list of strings"),
+    ], ids=["count", "type"])
+    def test_bad_unknown_section_is_config_error(self, corpus_file, edit, message, capsys):
+        header, lengths, ids = read_corpus(corpus_file)
+        edit(header)
+        write_corpus(corpus_file, header, lengths, ids)
         capsys.readouterr()
         assert run("experiment", "--config", "cfg.json") == cli.EXIT_CONFIG
         assert capsys.readouterr().err.splitlines() == [
-            f"authorlm experiment: {Path('outputs/preprocess/author00.vocab.tsv')}:2: "
-            f"expected '# size {len(lines) - 4}' for {len(lines) - 4} rows"
+            f"authorlm experiment: {Path('outputs/preprocess/author00.corpus')}: {message}"
         ]
+
+    def test_version_2_corpus_is_config_error(self, corpus_file):
+        # the layout before the vocabulary moved into the header
+        header, lengths, ids = read_corpus(corpus_file)
+        header = {k: v for k, v in header.items() if k not in ("words", "counts", "unknown")}
+        write_corpus(corpus_file, {**header, "version": 2, "vocab": 15}, lengths, ids)
+        proc = run_module("train-ngram", "--config", "cfg.json")
+        assert (proc.returncode, proc.stderr) == (
+            cli.EXIT_CONFIG,
+            f"authorlm train-ngram: {Path('outputs/preprocess/author00.corpus')}: unsupported version 2\n",
+        )
 
     @pytest.mark.parametrize(
         "setting, stages, shape",
@@ -1144,6 +1282,8 @@ class TestCorruptionReplay:
                            "--corpus-dir", str(template / "corpus"), "--output-dir", str(out))
             err = capsys.readouterr().err
             assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_PARTIAL), (stage, code, err)
+            if target == "vocab":  # a readable copy that no stage reads
+                assert code == cli.EXIT_OK, (stage, err)
             if code == cli.EXIT_CONFIG:  # one line, and no numpy warning before it
                 assert len(err.splitlines()) == 1 and not caught, (stage, err, caught)
             if code == cli.EXIT_OK and stage == "eval":

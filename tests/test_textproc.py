@@ -160,11 +160,13 @@ class TestEncode:
     )
     @settings(max_examples=60, deadline=None)
     def test_roundtrip_with_unknowns(self, sentence, order):
+        # the ids decode to the unknown word; the corpus keeps the tokens behind them
         vocab = tp.build_vocabulary([["aa", "aa", "bb", "bb", "cc", "dd"]])
         pc = tp.encode([sentence], vocab, order=order)
-        decoded = pc.content_tokens(0)
-        expected = [w if w in vocab else tp.UNKNOWN for w in sentence]
-        assert decoded == expected
+        decoded = vocab.decode(pc.sentences[0][order - 1 : -1])
+        assert decoded == [w if w in vocab else tp.UNKNOWN for w in sentence]
+        assert pc.unknown == tuple(w for w in sentence if w not in vocab)
+        assert pc.tokens([0, 0]) == [sentence, sentence]
 
 
 class TestSplit:
@@ -297,86 +299,110 @@ class TestCoverage:
 
 class TestSerialization:
     def test_vocabulary_roundtrip(self, tmp_path):
+        # the readable copy, read by the reference loader
         vocab = tp.build_vocabulary([["alpha", "beta", "alpha", "x"]], 0.0)
         path = tmp_path / "v.tsv"
         tp.save_vocabulary(vocab, path)
-        assert tp.load_vocabulary(path) == vocab
+        assert textproc_reference.load_vocabulary(path) == vocab
 
     def test_corpus_roundtrip(self, tmp_path):
-        sentences = [["alpha", "beta"], ["beta"], []]
-        vocab = tp.build_vocabulary(sentences[:2])
+        sentences = [["alpha", "beta"], ["beta", "gamma"], []]
+        vocab = tp.build_vocabulary([["alpha", "beta"], ["beta"]])
         pc = tp.encode(sentences, vocab, order=3, stemming=False, prune_threshold=1e-5)
         path = tmp_path / "c.corpus"
         tp.save_processed(pc, path)
-        loaded = tp.load_processed(path, vocab)
+        loaded = tp.load_processed(path)
         assert loaded == pc
+        assert loaded.vocabulary == vocab
+        assert loaded.unknown == ("gamma",)
+        assert loaded.tokens([2, 1, 0]) == sentences[::-1]
         assert loaded.prune_threshold == 1e-5
         assert loaded.stemming is False
 
     def test_corpus_missing_header(self, tmp_path):
         path = tmp_path / "c.corpus"
         path.write_text("0 3 1\n")
-        vocab = tp.build_vocabulary([["a"]])
         with pytest.raises(ValueError, match="c.corpus: no authorlm-corpus header"):
-            tp.load_processed(path, vocab)
+            tp.load_processed(path)
+
+    def saved(self, directory):
+        """A corpus of two sentences, one unknown among them, saved."""
+        vocab = tp.build_vocabulary([["alpha", "beta", "alpha", "x"]], 0.0)
+        path = directory / "c.corpus"
+        tp.save_processed(tp.encode([["alpha", "y"], ["beta", "x"]], vocab, order=2), path)
+        return path
+
+    def refused(self, path, edit) -> str:
+        """The refusal of the file at ``path`` once ``edit`` has changed its header."""
+        header, lengths, ids = textproc_reference.read_corpus(path)
+        edit(header)
+        textproc_reference.write_corpus(path, header, lengths, ids)
+        with pytest.raises(ValueError) as refused:
+            tp.load_processed(path)
+        message = str(refused.value)
+        assert message.startswith(f"{path}: ")
+        return message.removeprefix(f"{path}: ")
 
     def test_vocab_bad_line(self, tmp_path):
-        path = tmp_path / "v.tsv"
-        path.write_text("# authorlm-vocab 1\n# size 2\n<s>\t0\t0\nbroken line\n")
-        with pytest.raises(ValueError, match="v.tsv:4: expected word<TAB>1<TAB>count"):
-            tp.load_vocabulary(path)
+        # a vocabulary entry that is not a word
+        path = self.saved(tmp_path)
+        assert self.refused(path, lambda h: h["words"].__setitem__(3, 7)) == "words is not a list of strings"
 
     @pytest.mark.parametrize(
-        "edit, lineno",
+        "edit, message",
         [
-            (lambda t: t.replace("\t3\t", "\t+3\t"), 6),
-            (lambda t: t.replace("\t0\t0\n", "\t0\t-7\n"), 3),
-            (lambda t: t.replace("\n<unk>", "\n# note\n<unk>"), 5),
-            (lambda t: t.replace("\n<unk>", "\n\n<unk>"), 5),
-            (lambda t: t.replace("\t2\t0\n", "\t2\t0\r\n"), 5),
-            (lambda t: t.replace("\t2\t0\n", "\t2\t٣\n"), 5),
+            (lambda h: h["counts"].__setitem__(3, "+3"), "counts is not a list of integers >= 0"),
+            (lambda h: h["counts"].__setitem__(0, -7), "counts is not a list of integers >= 0"),
+            (lambda h: h["words"].insert(3, "# note"), "counts/words length mismatch"),
+            (lambda h: h["words"].__setitem__(3, None), "words is not a list of strings"),
+            (lambda h: h["words"].__setitem__(2, "<unk>\r"), "reserved tokens missing or out of order"),
+            (lambda h: h["counts"].__setitem__(2, "٣"), "counts is not a list of integers >= 0"),
+            (lambda h: h["counts"].__setitem__(2, True), "counts is not a list of integers >= 0"),
+            (lambda h: h["words"].__setitem__(4, h["words"][3]), "duplicate words in vocabulary"),
         ],
-        ids=["plus-id", "negative-count", "comment-row", "blank-row", "cr-row", "non-ascii-count"],
+        ids=["plus-id", "negative-count", "comment-row", "blank-row", "cr-row", "non-ascii-count",
+             "bool-count", "duplicate-word"],
     )
-    def test_vocab_row_outside_layout(self, tmp_path, edit, lineno):
-        vocab = tp.build_vocabulary([["alpha", "beta", "alpha", "x"]], 0.0)
-        path = tmp_path / "v.tsv"
-        tp.save_vocabulary(vocab, path)
-        path.write_text(edit(path.read_text()))
-        with pytest.raises(ValueError, match=rf"v\.tsv:{lineno}: expected word<TAB>\d+<TAB>count"):
-            tp.load_vocabulary(path)
+    def test_vocab_row_outside_layout(self, tmp_path, edit, message):
+        # the vocabulary section of the header: one word and one count >= 0 per id
+        assert self.refused(self.saved(tmp_path), edit) == message
 
     def test_vocab_crlf_refused_on_line_1(self, tmp_path):
-        vocab = tp.build_vocabulary([["a"]])
-        path = tmp_path / "v.tsv"
-        tp.save_vocabulary(vocab, path)
-        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        with pytest.raises(ValueError, match="v.tsv: expected header 'authorlm-vocab 1' on line 1"):
-            tp.load_vocabulary(path)
+        # reserved words carrying the CR of CRLF line ends
+        def edit(header):
+            header["words"][:3] = [word + "\r" for word in header["words"][:3]]
+
+        assert self.refused(self.saved(tmp_path), edit) == "reserved tokens missing or out of order"
 
     @pytest.mark.parametrize(
-        "edit", [lambda lines: lines[:-1], lambda lines: lines[:1] + lines[2:]],
+        "edit, message",
+        [(lambda h: h["words"].pop(), "counts/words length mismatch"),
+         (lambda h: h.pop("words"), "words is not a list of strings")],
         ids=["row-deleted", "header-missing"],
     )
-    def test_vocab_rows_must_match_size_header(self, tmp_path, edit):
-        vocab = tp.build_vocabulary([["alpha", "beta", "alpha", "x"]], 0.0)
-        path = tmp_path / "v.tsv"
-        tp.save_vocabulary(vocab, path)
-        lines = edit(path.read_text().splitlines())
-        path.write_text("\n".join(lines) + "\n")
-        rows = sum(not line.startswith("#") for line in lines)
-        with pytest.raises(ValueError, match=f"v.tsv:2: expected '# size {rows}' for {rows} rows"):
-            tp.load_vocabulary(path)
+    def test_vocab_rows_must_match_size_header(self, tmp_path, edit, message):
+        assert self.refused(self.saved(tmp_path), edit) == message
 
     @pytest.mark.parametrize("first", ["", "# authorlm-vocab 2\n", "# size 4\n"])
     def test_vocab_wrong_or_missing_magic(self, tmp_path, first):
-        vocab = tp.build_vocabulary([["a"]])
-        path = tmp_path / "v.tsv"
-        tp.save_vocabulary(vocab, path)
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text(first + "".join(lines[1:]))
-        with pytest.raises(ValueError, match="v.tsv: expected header"):
-            tp.load_vocabulary(path)
+        # the section opens with the reserved words, not a blank or a line of the readable copy
+        edit = lambda header: header["words"].__setitem__(0, first)
+        assert self.refused(self.saved(tmp_path), edit) == "reserved tokens missing or out of order"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda h: h.pop("unknown"), "unknown is not a list of strings"),
+            (lambda h: h.update(unknown="y"), "unknown is not a list of strings"),
+            (lambda h: h.update(unknown=[None]), "unknown is not a list of strings"),
+            (lambda h: h.update(unknown=[]), "0 unknown tokens for 1 unknown ids"),
+            (lambda h: h["unknown"].append("z"), "2 unknown tokens for 1 unknown ids"),
+        ],
+        ids=["missing", "string", "not-a-word", "too-few", "too-many"],
+    )
+    def test_unknown_section_outside_layout(self, tmp_path, edit, message):
+        # one token per unknown id, in the order of the ids
+        assert self.refused(self.saved(tmp_path), edit) == message
 
     @pytest.mark.parametrize("first", ["", "# authorlm-corpus 0\n", "# authorlm-vocab 1\n"])
     def test_corpus_wrong_or_missing_magic(self, tmp_path, first):
@@ -387,7 +413,7 @@ class TestSerialization:
         body = path.read_bytes().split(b"\n", 1)[1]
         path.write_bytes(first.encode() + body)
         with pytest.raises(ValueError, match="c.corpus: no authorlm-corpus header"):
-            tp.load_processed(path, vocab)
+            tp.load_processed(path)
 
 
 def edit_corpus(edit):
@@ -440,10 +466,11 @@ class TestCorpusLoader:
         corpus = tp.encode(sentences, vocab, order, stemming, threshold)
         tp.save_vocabulary(vocab, directory / "v.tsv")
         tp.save_processed(corpus, directory / "c.corpus")
-        for load in (tp.load_vocabulary, textproc_reference.load_vocabulary):
-            assert load(directory / "v.tsv") == vocab
-        loaded = tp.load_processed(directory / "c.corpus", vocab)
-        assert loaded == corpus
+        assert textproc_reference.load_vocabulary(directory / "v.tsv") == vocab
+        loaded = tp.load_processed(directory / "c.corpus")
+        assert loaded == corpus and loaded.vocabulary == vocab
+        # every sentence's tokens, the pruned ones included
+        assert loaded.tokens(range(len(sentences))) == sentences
         # the same corpus writes the same bytes, loaded or not
         tp.save_processed(loaded, directory / "again.corpus")
         assert (directory / "again.corpus").read_bytes() == (directory / "c.corpus").read_bytes()
@@ -457,14 +484,16 @@ class TestCorpusLoader:
         # files written without the library: each sentence's ids in order
         path = tmp_path_factory.mktemp("corpus") / "c.corpus"
         rows = [(tp.START_ID,) * (order - 1) + tuple(content) + (tp.END_ID,) for content in lines]
+        unknown = [f"u{k}" for k in range(sum(content.count(tp.UNK_ID) for content in lines))]
         header = {
-            "format": "authorlm-corpus", "version": 2, "order": order, "stemming": False,
-            "prune_threshold": 0.25, "vocab": 8,
-            "arrays": [["lengths", [len(rows)]], ["ids", [sum(map(len, rows))]]],
+            "format": "authorlm-corpus", "version": 3, "order": order, "stemming": False,
+            "prune_threshold": 0.25, "words": list(self.vocab.words), "counts": list(self.vocab.counts),
+            "unknown": unknown, "arrays": [["lengths", [len(rows)]], ["ids", [sum(map(len, rows))]]],
         }
         textproc_reference.write_corpus(path, header, [len(r) for r in rows], [i for r in rows for i in r])
-        loaded = tp.load_processed(path, self.vocab)
+        loaded = tp.load_processed(path)
         assert tuple(loaded.sentences) == tuple(rows)
+        assert loaded.vocabulary == self.vocab and list(loaded.unknown) == unknown
         assert (loaded.order, loaded.stemming, loaded.prune_threshold) == (order, False, 0.25)
 
     @pytest.mark.parametrize(
@@ -473,6 +502,7 @@ class TestCorpusLoader:
             (edit_bytes(lambda data: b"0 0 3 1\n" + data.split(b"\n", 1)[1]), "no authorlm-corpus header"),
             (set_header(format="authorlm-kn"), "unexpected format 'authorlm-kn'"),
             (set_header(version=1), "unsupported version 1"),
+            (set_header(version=2), "unsupported version 2"),
             (set_header(arrays=[["ids", [12]], ["lengths", [3]]]),
              "arrays [['ids', [12]], ['lengths', [3]]] are not lengths and ids"),
             (edit_bytes(lambda data: data[:-1]), "truncated tensor 'ids'"),
@@ -486,12 +516,12 @@ class TestCorpusLoader:
             (set_header(stemming=2), "bad stemming 2"),
             (set_header(prune_threshold=float("nan")), "bad prune_threshold nan"),
             (set_header(prune_threshold=1.5), "bad prune_threshold 1.5"),
-            (set_header(vocab=9), "vocabulary size 9, the vocabulary has 8"),
+            (edit_corpus(lambda header, lengths, ids: header["counts"].pop()), "counts/words length mismatch"),
             (edit_bytes(lambda data: data.replace(b'"order": 3', b'"order": 3, "order": 2')),
              "header key 'order' repeated"),
         ],
         ids=[
-            "not-json", "format", "version-1", "array-list", "truncated", "trailing-bytes", "lengths-sum",
+            "not-json", "format", "version-1", "version-2", "array-list", "truncated", "trailing-bytes", "lengths-sum",
             "negative-length", "unpadded", "order-1", "stemming-2", "threshold-nan", "threshold-above-1",
             "vocab", "duplicated-order",
         ],
@@ -500,7 +530,7 @@ class TestCorpusLoader:
         path = self.saved(tmp_path)
         corrupt(path)
         with pytest.raises(ValueError) as refused:
-            tp.load_processed(path, self.vocab)
+            tp.load_processed(path)
         assert str(refused.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("bad", [-1, 8], ids=["negative", "V"])
@@ -508,7 +538,7 @@ class TestCorpusLoader:
         path = self.saved(tmp_path)
         edit_corpus(lambda header, lengths, ids: ids.__setitem__(7, bad))(path)
         with pytest.raises(ValueError) as refused:
-            tp.load_processed(path, self.vocab)
+            tp.load_processed(path)
         assert str(refused.value) == f"{path}: sentence 1: id {bad} outside the vocabulary of 8"
 
     def test_corpus_rejects_negative_id(self):
@@ -527,7 +557,7 @@ class TestCorpusLoader:
         path = self.saved(tmp_path)
         edit_corpus(lambda header, lengths, ids: edit(header, key))(path)
         with pytest.raises(ValueError) as refused:
-            tp.load_processed(path, self.vocab)
+            tp.load_processed(path)
         assert str(refused.value) == f"{path}: bad {key} {shown}"
 
 

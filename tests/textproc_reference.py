@@ -1,14 +1,14 @@
 """The earlier vocabulary loader, kept as it was: one line at a time,
 ``int()`` per id and count, blank lines skipped, and any ``#`` line read
-as a header wherever it stands.  ``authorlm.textproc`` must load an equal
-vocabulary from every file in the layout ``save_vocabulary`` writes; this
-loader also accepts files outside that layout, which ``authorlm.textproc``
-refuses.
+as a header wherever it stands.  It is the oracle for
+``authorlm.textproc.save_vocabulary``: every ``.vocab.tsv`` it writes
+must load back as the vocabulary it was given.
 
 Also the earlier per-sentence encoder, the oracle for
 ``authorlm.textproc.encode_local`` on both of its paths (``encode`` and
 the attribution sweep), and a library-free reader and writer of the
-encoded corpus file, for tests that edit one.
+encoded corpus file (version 3, whose header holds the vocabulary and the
+token behind each unknown id), for tests that edit one.
 """
 
 import json
@@ -54,17 +54,19 @@ def encode_sentence(tokens, vocab: Vocabulary, order: int) -> tuple[int, ...]:
 
 
 def read_corpus(path: Path) -> tuple[dict, np.ndarray, np.ndarray]:
-    """(header, lengths, ids) of a saved corpus: the JSON header line, then
-    the int64 lengths and ids it lists, as writable copies."""
+    """(header, lengths, ids) of a saved version-3 corpus: the JSON header
+    line, then the int64 lengths and ids it lists, as writable copies."""
     line, body = path.read_bytes().split(b"\n", 1)
     header = json.loads(line)
+    if header.get("version") != 3:
+        raise ValueError(f"{path}: version {header.get('version')!r}, expected 3")
     values = np.frombuffer(body, "<i8").copy()
     n = header["arrays"][0][1][0]
     return header, values[:n], values[n:]
 
 
 def write_corpus(path: Path, header: dict, lengths, ids) -> None:
-    """The file ``read_corpus`` reads: the sorted-key header line as given,
-    then the lengths' and ids' int64 bytes."""
+    """A file in ``read_corpus``'s layout: the sorted-key header line as
+    given (of any version), then the lengths' and ids' int64 bytes."""
     line = json.dumps(header, sort_keys=True).encode() + b"\n"
     path.write_bytes(line + np.asarray(lengths, "<i8").tobytes() + np.asarray(ids, "<i8").tobytes())
