@@ -45,7 +45,7 @@ for ctx, label in [((a,), "a"), ((tp.UNK_ID,), "<unk>")]:
     print(f"sum of P(.|{label}) = {dist.sum():.12f}")
 
 # --- the saved model: one JSON header line, then the raw arrays it lists
-# (unigram log10 probabilities, then each table's id rows and log10 values)
+# (unigram log10 probabilities, then each table's int64 keys and log10 values)
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "demo.kn"
     kn.save_model(model, path)
@@ -57,11 +57,12 @@ with tempfile.TemporaryDirectory() as tmp:
 
 # --- the stored tables, through the API: log10 unigram probabilities,
 # then the sorted tables of bigram probabilities and back-off weights; a
-# table key is the id tuple read as a base-V number (w1 * V + w2)
+# k-gram's key is its suffix's row one order down times V plus its first
+# id, so a bigram (w1, w2) has the key w2 * V + w1 and a context w1 the key w1
 V, words = vocab.size, vocab.words
 probs, bows = restored.probs[2], restored.bows[1]
 print("\nlog10 P(w):", dict(zip(words, restored.unigram_log10.round(6).tolist())))
-print("log10 P(w2|w1):", {(words[key // V], words[key % V]): x
+print("log10 P(w2|w1):", {(words[key % V], words[key // V]): x
                           for key, x in zip(probs.keys.tolist(), probs.values.round(6).tolist())})
 print("log10 backoff(w1):", {words[key]: x
                              for key, x in zip(bows.keys.tolist(), bows.values.round(6).tolist())})

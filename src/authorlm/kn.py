@@ -9,23 +9,27 @@ discounts are always estimated from the counts (``estimate_discounts``).
 
 Counting takes each length's windows from the sentences' one id array
 (``textproc.Sentences``) and collapses them into the distinct id rows, in
-lexicographic order, and their counts: the rows are packed into 1-D keys
-(base max id + 1) and ranked with one sort.  A continuation table is the
-same collapse over the suffixes of the distinct rows one order up.
+lexicographic order, and their counts: each row becomes one int64 key
+that sorts like it (``textproc.row_keys``), and one sort of the keys finds
+the runs.  A continuation table is the same collapse over the suffixes of
+the distinct rows one order up.
 
-In memory a model is a dense unigram log10 array plus, per order, sorted
-packed tables (``_Table``): the id tuple (w1, ..., wk) is stored as the
-base-V number w1*V**(k-1) + ... + wk next to its log10 probability or
-log10 back-off weight.  For tuples of one length, key order is
-lexicographic id order, the order a saved model lists id rows in and the
-order count rows come in, so packing rows needs no sort.  Keys
-are int64 when V**order < 2**63 and exact Python ints (object arrays)
-otherwise, so the choice depends only on the model's shape.  Every query
-(single probabilities, batches, whole distributions, and the lower-order
-terms ``build_model`` interpolates with) goes through one vectorized
-back-off walk, ``KnModel._walk``, whose table lookups (``_Table.find``)
-binary-search each query's distinct keys in sorted order and gather the
-positions back.
+In memory a model is a dense unigram log10 array plus, per order, a
+sorted table (``_Table``) of int64 keys and their log10 probabilities or
+back-off weights.  The k-gram (w1, ..., wk) has the key r * V + w1, where
+r is the row of its suffix (w2, ..., wk) in the probability table one
+order down (w2 itself at k = 2, and 0 for a one-id context).  Every stored
+gram is a window of a padded sentence, so its suffix is a stored
+continuation gram, and keys stay below (rows one order down) * V, which
+fits int64 at any shape.  A key comes from a chain up the gram's
+suffixes, each key found giving the next rank, and the row it names holds
+the lower-order term ``build_model`` interpolates with.  Every query
+(single probabilities, batches, whole distributions) goes through one
+vectorized back-off walk, ``KnModel._walk``: a chain over the grams that
+end in the target, and one over the context's suffixes, each of whose
+keys is looked up in the back-off and probability tables of its length
+at once.  A lookup (``_lookup``) binary-searches the distinct keys in
+sorted order and gathers the positions back.
 
 Float rule: counts, totals, discounts, the interpolation sum and the final
 ``* ln 10`` are exact IEEE operations and run vectorized; the
@@ -38,10 +42,10 @@ distinct value (``_each_distinct``); probabilities are mostly distinct and
 are converted one by one.  The unigram level has always used ``np.log10``.
 
 A saved model is the ``files`` container holding exactly the stored
-tables: the unigram log10 array, then each table's id rows (the keys
-unpacked) and log10 values, as raw bytes, so a round-trip reproduces query
-results bit for bit and a model's bytes depend only on the model.
-``load_model`` checks every array before packing its rows into keys.
+tables: the unigram log10 array, then each table's keys and log10 values,
+as raw bytes, so a round-trip reproduces query results bit for bit and a
+model's bytes depend only on the model.  ``load_model`` checks every
+array, and that each key's suffix rank is a row one order down.
 """
 
 from __future__ import annotations
@@ -54,78 +58,49 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .files import Layout, read_arrays, row_count, write_arrays
-from .textproc import padded_sentences
+from .textproc import padded_sentences, row_keys
 
 _KN_MAGIC = "authorlm-kn"
-_KN_VERSION = 2
+_KN_VERSION = 3
 _LN10 = math.log(10.0)
 
 Gram = tuple[int, ...]
 
 
-def _key_dtype(vocab_size: int, order: int):
-    """int64 while every key of the model fits, exact Python ints beyond."""
-    return np.int64 if vocab_size**order < 2**63 else object
-
-
-def _pack(ids: np.ndarray, base: int, dtype) -> np.ndarray:
-    """Keys of the rows of an (n, k>=1) id array, read as base-``base`` numbers."""
-    keys = ids[:, 0].astype(dtype)
-    for j in range(1, ids.shape[1]):
-        keys = keys * base + ids[:, j]
-    return keys
-
-
-def _unpack(keys: np.ndarray, k: int, base: int) -> np.ndarray:
-    ids = np.empty((len(keys), k), dtype=np.int64)
-    for j in range(k - 1, -1, -1):
-        ids[:, j] = keys % base
-        keys = keys // base
-    return ids
-
-
+@dataclass(frozen=True)
 class _Table:
-    """One order's entries: sorted packed keys and their log10 values.
+    """One order's entries: sorted int64 keys and their log10 values."""
 
-    Supports ``len(table)`` and ``gram in table`` for id tuples.
-    """
-
-    __slots__ = ("order", "base", "keys", "values")
-
-    def __init__(self, order: int, base: int, keys: np.ndarray, values: np.ndarray):
-        self.order, self.base, self.keys, self.values = order, base, keys, values
+    keys: np.ndarray
+    values: np.ndarray
 
     def __len__(self) -> int:
         return len(self.keys)
 
-    def __contains__(self, gram) -> bool:
-        ids = np.asarray(gram, dtype=np.int64).reshape(1, -1)
-        if ids.shape[1] != self.order or ids.min() < 0 or ids.max() >= self.base:
-            return False
-        return bool(self.find(_pack(ids, self.base, self.keys.dtype))[0][0])
 
-    def find(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Hit mask over the packed query keys, and the hits' values.
+def _lookup(keys: np.ndarray, *tables: _Table) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per table, the hit mask over the keys and the hits' rows.
 
-        The query's distinct keys are searched in sorted order, so that
-        successive binary searches walk the table from one end to the other
-        instead of jumping around it; the results are gathered back to the
-        query's order.
-        """
-        if not len(self.keys):
-            return np.zeros(len(query), dtype=bool), self.values[:0]
-        distinct, inverse = np.unique(query, return_inverse=True)
-        pos = np.searchsorted(self.keys, distinct)
-        np.minimum(pos, len(self.keys) - 1, out=pos)
-        hit = (self.keys[pos] == distinct)[inverse]
-        return hit, self.values[pos][inverse[hit]]
+    The keys' distinct values are searched once, in sorted order, so that
+    successive binary searches walk each table from one end to the other
+    instead of jumping around it; the results are gathered back to the
+    keys' order.
+    """
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    found = []
+    for table in tables:
+        pos = np.searchsorted(table.keys, distinct)
+        hit = pos < len(table)
+        hit[hit] = table.keys[pos[hit]] == distinct[hit]
+        hit = hit[inverse]
+        found.append((hit, pos[inverse[hit]]))
+    return found
 
 
-def _run_starts(values: np.ndarray) -> np.ndarray:
-    """Index of the first element of each run of equal values."""
-    first = np.ones(len(values), dtype=bool)
-    first[1:] = values[1:] != values[:-1]
-    return np.flatnonzero(first)
+def _sorted(keys: np.ndarray, values: np.ndarray) -> _Table:
+    """The table of distinct keys and their values, in key order."""
+    order = np.argsort(keys)
+    return _Table(keys[order], values[order])
 
 
 def _each_distinct(convert, values: np.ndarray) -> np.ndarray:
@@ -141,16 +116,15 @@ def _each_distinct(convert, values: np.ndarray) -> np.ndarray:
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of an (n, k>=1) id array in lexicographic order,
-    and how often each occurs.
-
-    Rows read as base-(max id + 1) numbers sort like the rows themselves,
-    so one sort of the packed keys and one adjacent-key compare find the
-    runs, and each run's key unpacks back into its row.
-    """
-    base = int(rows.max(initial=0)) + 1
-    keys = np.sort(_pack(rows, base, _key_dtype(base, rows.shape[1])))
-    starts = _run_starts(keys)
-    return _unpack(keys[starts], rows.shape[1], base), np.diff(np.append(starts, len(keys)))
+    and how often each occurs: one sort of the rows' keys and one
+    adjacent-key compare find the runs."""
+    keys = row_keys(rows, int(rows.max(initial=0)) + 1)
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(first)
+    return rows[order[starts]], np.diff(np.append(starts, len(keys)))
 
 
 def _as_dict(rows: np.ndarray, counts: np.ndarray) -> dict[Gram, int]:
@@ -235,24 +209,49 @@ class KnModel:
         Each row backs off from its longest context suffix: a stored
         sequence ends the row's walk, a stored context adds its back-off
         weight, an unknown one adds nothing, and rows that never hit end on
-        the unigram.  Per row the additions come in the same order as in a
-        scalar walk, so every result is bit-identical to it.  The walk for
-        L reads only the tables of orders up to L + 1.
+        the unigram.  Stored grams are closed under suffixes, so a row's
+        walk ends at the longest stored gram that ends in its target, which
+        a chain up from the target finds; a chain over the context's
+        suffixes finds the weights of those at least as long.  Per row the
+        additions come in the same order as in a scalar walk (the weights,
+        longest context first, then the probability), so every result is
+        bit-identical to it.  The walk for L reads only the tables of
+        orders up to L + 1.
         """
         n, width = contexts.shape
-        base, dtype = self.vocab_size, _key_dtype(self.vocab_size, self.order)
-        out = np.empty(n)
+        V = self.vocab_size
+        level, log10_p = np.ones(n, dtype=np.int64), self.unigram_log10[targets]
+        rows, rank = np.arange(n), targets
+        for k in range(2, width + 2):
+            [(hit, rank)] = _lookup(rank * V + contexts[rows, width + 1 - k], self.probs[k])
+            rows = rows[hit]
+            level[rows], log10_p[rows] = k, self.probs[k].values[rank]
+        weights = []
+        rows = np.flatnonzero(level <= width)  # rows that back off at all
+        rank = np.zeros(len(rows), dtype=np.int64)
+        for k in range(1, width + 1):
+            key = rank * V + contexts[rows, width - k]
+            ranked = 1 < k < width  # the next key needs this suffix's rank
+            (found, pos), *suffix = _lookup(key, self.bows[k], *([self.probs[k]] if ranked else []))
+            weights.append((k, rows[found], self.bows[k].values[pos]))
+            if ranked:
+                [(hit, rank)] = suffix
+                rows = rows[hit]
+            elif k == 1:
+                rank = key
         acc = np.zeros(n)
-        rows = np.arange(n)
-        for k in range(width, 0, -1):
-            ctx = _pack(contexts[rows, width - k :], base, dtype)
-            hit, log10_p = self.probs[k + 1].find(ctx * base + targets[rows])
-            out[rows[hit]] = acc[rows[hit]] + log10_p
-            rows, ctx = rows[~hit], ctx[~hit]
-            found, bow = self.bows[k].find(ctx)
-            acc[rows[found]] += bow
-        out[rows] = acc[rows] + self.unigram_log10[targets[rows]]
-        return out
+        for k, rows, bow in reversed(weights):
+            keep = level[rows] <= k
+            acc[rows[keep]] += bow[keep]
+        return acc + log10_p
+
+    def _keys(self, grams: np.ndarray) -> np.ndarray:
+        """The keys of (n, k) id rows whose suffixes are stored."""
+        n, k = grams.shape
+        rank = grams[:, -1] if k > 1 else np.zeros(n, dtype=np.int64)
+        for j in range(2, k):
+            [(_, rank)] = _lookup(rank * self.vocab_size + grams[:, k - j], self.probs[j])
+        return rank * self.vocab_size + grams[:, 0]
 
     def _log10(self, contexts, targets) -> np.ndarray:
         """Range-checked walk; contexts longer than order-1 keep their tail."""
@@ -294,11 +293,16 @@ def build_model(tables: CountTables, vocab_size: int) -> KnModel:
     up, each order's seen sequences get max(count - D, 0) / total plus the
     context's back-off weight times the lower-order probability; the weight
     is D * distinct / total, which is exactly the mass removed by
-    discounting.  An order is computed in one batch: its lower-order terms
-    come from the walk over the finished lower orders.
+    discounting.  An order is computed in one batch.  A gram's suffix is a
+    stored gram one order down, so its lower-order term is that gram's
+    probability, in the row its key names.  A ValueError for an id outside
+    [0, vocab_size).
     """
     if vocab_size < 1:
         raise ValueError("vocab_size must be >= 1")
+    ids = tables.raw[0][0][:, 0]  # every id counted, sorted
+    if len(ids) and (ids[0] < 0 or ids[-1] >= vocab_size):
+        raise ValueError(f"id {ids[0] if ids[0] < 0 else ids[-1]} outside the vocabulary of {vocab_size}")
     order = tables.order
     discounts = estimate_discounts(tables)
 
@@ -321,29 +325,22 @@ def build_model(tables: CountTables, vocab_size: int) -> KnModel:
         probs={},
         bows={},
     )
-    dtype = _key_dtype(vocab_size, order)
     for k in range(2, order + 1):
         grams, counts = tables.discounted(k)
-        keys = _pack(grams, vocab_size, dtype)
-        # sorted grams group by context: one run per context
-        ctx = keys // vocab_size
-        starts = _run_starts(ctx)
-        distinct = np.diff(np.append(starts, len(keys)))
+        contexts = row_keys(grams[:, :-1], vocab_size)  # lexicographic grams: one run per context
+        _, starts, distinct = np.unique(contexts, return_index=True, return_counts=True)
         totals = np.add.reduceat(counts, starts)
         dk = discounts[k - 1]
         lam = dk * distinct / totals
-        model.bows[k - 1] = _Table(
-            k - 1, vocab_size, ctx[starts], _each_distinct(math.log10, lam)
-        )
-        lower = model._walk(grams[:, 1:-1], grams[:, -1])
+        model.bows[k - 1] = _sorted(model._keys(grams[starts, :-1]), _each_distinct(math.log10, lam))
+        keys = model._keys(grams)
+        lower = (model.unigram_log10 if k == 2 else model.probs[k - 1].values)[keys // vocab_size]
         lower = np.array([10.0**x for x in lower.tolist()])
         p = (
             np.maximum(counts - dk, 0.0) / np.repeat(totals, distinct)
             + np.repeat(lam, distinct) * lower
         )
-        model.probs[k] = _Table(
-            k, vocab_size, keys, np.array([math.log10(x) for x in p.tolist()])
-        )
+        model.probs[k] = _sorted(keys, np.array([math.log10(x) for x in p.tolist()]))
     return model
 
 
@@ -356,7 +353,7 @@ def train_model(
 
 
 def _table_names(order: int) -> list[tuple[str, int]]:
-    """Name and id-row width of each table, in file order: probabilities of
+    """Name and gram length of each table, in file order: probabilities of
     orders 2..N, then back-off weights of context lengths 1..N-1."""
     return [(f"probs{k}", k) for k in range(2, order + 1)] + [(f"bows{k}", k) for k in range(1, order)]
 
@@ -365,18 +362,17 @@ def save_model(model: KnModel, path: str | Path) -> None:
     """The model container (``files.write_arrays``).  The header holds the
     format, version, order, vocabulary size, discounts and each array's
     name and shape.  Then come the dense unigram log10 array and, per
-    table, its sorted id rows (int64, n x k) and their log10 values."""
-    V = model.vocab_size
+    table, its sorted keys (int64) and their log10 values."""
     arrays = {"unigram": model.unigram_log10}
     for name, k in _table_names(model.order):
         table = (model.probs if name.startswith("probs") else model.bows)[k]
-        arrays[f"{name}.ids"] = _unpack(table.keys, k, V)
+        arrays[f"{name}.keys"] = table.keys
         arrays[name] = table.values
     header = {
         "format": _KN_MAGIC,
         "version": _KN_VERSION,
         "order": model.order,
-        "vocab": V,
+        "vocab": model.vocab_size,
         "discounts": list(model.discounts),
         "arrays": [[name, list(a.shape)] for name, a in arrays.items()],
     }
@@ -393,9 +389,9 @@ def _layout(path, header: dict) -> Layout:
             and all(type(d) in (int, float) for d in discounts)):
         raise ValueError(f"{path}: expected {order} discounts, got {discounts!r}")
     layout = [("unigram", "<f8", (V,))]
-    for name, k in _table_names(order):
+    for name, _ in _table_names(order):
         n = row_count(arrays, len(layout))
-        layout += [(f"{name}.ids", "<i8", (n, k)), (name, "<f8", (n,))]
+        layout += [(f"{name}.keys", "<i8", (n,)), (name, "<f8", (n,))]
     if arrays != [[name, list(shape)] for name, _, shape in layout] or any(
         shape[0] is None for _, _, shape in layout
     ):
@@ -420,27 +416,26 @@ def _check_values(path, name: str, values: np.ndarray) -> None:
 def load_model(path: str | Path) -> KnModel:
     """Read a ``save_model`` file (``files.read_arrays``).  Refuses, naming
     the file, an array list that differs from what the order and vocabulary
-    size imply, ids outside [0, V), id rows that do not rise strictly
-    within a table, a log10 probability that is not finite and <= 0, and a
-    back-off weight that is not finite; no trained model holds one.  A bad
-    entry's message also names its table and row (counted from 0)."""
+    size imply, keys that do not rise strictly within a table, a key whose
+    suffix rank is not a row of the table one order down (an id below V at
+    k = 2, 0 at k = 1), a log10 probability that is not finite and <= 0,
+    and a back-off weight that is not finite; no trained model holds one.
+    A bad entry's message also names its table and row (counted from 0)."""
     header, arrays = read_arrays(path, _KN_MAGIC, _KN_VERSION, _layout)
     order, V = header["order"], header["vocab"]
     _check_values(path, "unigram", arrays[0])
-    dtype = _key_dtype(V, order)
     tables = {}
-    for (name, k), ids, values in zip(_table_names(order), arrays[1::2], arrays[2::2]):
-        bad = (ids < 0) | (ids >= V)
-        if bad.any():
-            row, col = np.argwhere(bad)[0]
-            raise ValueError(f"{path}: {name}: row {row}: id {ids[row, col]} out of range for V={V}")
-        keys = _pack(ids, V, dtype)
+    for (name, k), keys, values in zip(_table_names(order), arrays[1::2], arrays[2::2]):
         rising = keys[1:] > keys[:-1]
         if not rising.all():
             row = np.argmin(rising) + 1
             raise ValueError(f"{path}: {name}: row {row} does not rise above the row before it")
+        suffixes = 1 if k == 1 else V if k == 2 else len(tables[f"probs{k - 1}"])
+        row = 0 if len(keys) and keys[0] < 0 else np.searchsorted(keys, suffixes * V)
+        if row < len(keys):
+            raise ValueError(f"{path}: {name}: row {row}: suffix rank {keys[row] // V} is not in [0, {suffixes})")
         _check_values(path, name, values)
-        tables[name] = _Table(k, V, keys, values)
+        tables[name] = _Table(keys, values)
     return KnModel(
         order=order,
         vocab_size=V,

@@ -36,14 +36,15 @@ an edge kernel that can round differently (128 = 5 * 24 + 8, so rows
 thread, which importing the package sets up; several threads split a
 block's rows at other places.  Since a row's bits do not depend on its
 place, ``log_probs`` scores each distinct context of a query once and
-gathers every row's target from its context's scores.  Scoring normalizes
-only those targets: a block's logits are shifted by their row max, each
-target's shifted logit is gathered, and the row's log-sum-exp, taken with
-``exp`` in place over the spent block, is subtracted from it.  These are
-the two values the full log-softmax row subtracts, so the bits are the
-same without a pass over the other V - 1 entries.  Training keeps the full
-log-softmax, which ``backward`` reads, and ``distribution`` normalizes its
-one row.
+gathers every row's target from its context's scores; contexts are told
+apart by one int64 key each (``textproc.row_keys``, which n-gram counting
+shares).  Scoring normalizes only those targets: a block's logits are
+shifted by their row max, each target's shifted logit is gathered, and
+the row's log-sum-exp, taken with ``exp`` in place over the spent block,
+is subtracted from it.  These are the two values the full log-softmax row
+subtracts, so the bits are the same without a pass over the other V - 1
+entries.  Training keeps the full log-softmax, which ``backward`` reads,
+and ``distribution`` normalizes its one row.
 Validation runs through the same routine and sums the gathered log
 probabilities in groups of 4,096 values, in the order that one forward
 pass per 4,096 rows summed them, so validation losses and early stopping
@@ -76,7 +77,7 @@ import numpy as np
 
 from .files import Layout, read_arrays, write_arrays
 from .prng import stream
-from .textproc import Samples
+from .textproc import Samples, row_keys
 
 _MODEL_MAGIC = "authorlm-nnlm"
 _MODEL_VERSION = 1
@@ -288,21 +289,9 @@ def _scored_blocks(params: NnlmParams, contexts: np.ndarray) -> Iterator[tuple[i
 
 
 def _distinct_contexts(contexts: np.ndarray, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """(first row of each distinct context, each row's distinct index).
-
-    Each context is packed into one int64 key, column by column; when the
-    next column would overflow, the keys so far are replaced by their
-    ranks, which stay below the row count.
-    """
-    keys = np.zeros(len(contexts), dtype=np.int64)
-    span = 1  # keys lie in [0, span)
-    for column in contexts.T:
-        if span * vocab_size >= 2**63:
-            _, keys = np.unique(keys, return_inverse=True)
-            span = int(keys.max()) + 1
-        keys = keys * vocab_size + column
-        span *= vocab_size
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    """(first row of each distinct context, each row's distinct index),
+    from one int64 key per context (``textproc.row_keys``)."""
+    _, first, inverse = np.unique(row_keys(contexts, vocab_size), return_index=True, return_inverse=True)
     return first, inverse
 
 

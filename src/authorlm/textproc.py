@@ -229,6 +229,22 @@ def runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(int(counts.sum())) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
 
 
+def row_keys(rows: np.ndarray, base: int) -> np.ndarray:
+    """int64 keys of the rows of an (n, k) array of ids in [0, base) that
+    sort like the rows.  Columns are packed base-``base``; before one would
+    overflow, the keys so far are replaced by their ranks, which stay below
+    the row count."""
+    keys = np.zeros(len(rows), dtype=np.int64)
+    span = 1  # keys lie in [0, span)
+    for column in rows.T:
+        if span * base >= 2**63:
+            _, keys = np.unique(keys, return_inverse=True)
+            span = int(keys.max(initial=0)) + 1
+        keys = keys * base + column
+        span *= base
+    return keys
+
+
 def encode_local(token_sentences: Sequence[Sequence[str]], order: int) -> tuple[Sentences, tuple[str, ...]]:
     """The sentences padded for ``order`` in local codes, and the words coded.
 

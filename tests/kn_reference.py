@@ -6,7 +6,8 @@ with no caching, tables, or log space.  Used as the oracle the library's
 float implementation must match.
 
 ``read_saved`` and ``write_saved`` read and write a saved model's file
-without the library, so that tests can inspect and corrupt it.
+without the library, so that tests can inspect and corrupt it, and
+``decode_keys`` turns a table's keys back into id tuples.
 """
 
 import json
@@ -90,16 +91,31 @@ class ReferenceKn:
 def read_saved(path):
     """(header, arrays) of a saved model: the JSON header line, then each
     array the header lists, in order, as a writable copy keyed by name
-    (id rows int64, everything else float64)."""
+    (keys int64, everything else float64)."""
     header, body = path.read_bytes().split(b"\n", 1)
     header, arrays, start = json.loads(header), {}, 0
     for name, shape in header["arrays"]:
         count = math.prod(shape)
-        dtype = "<i8" if name.endswith(".ids") else "<f8"
+        dtype = "<i8" if name.endswith(".keys") else "<f8"
         arrays[name] = np.frombuffer(body, dtype, count, start).reshape(shape).copy()
         start += 8 * count
     assert start == len(body)
     return header, arrays
+
+
+def decode_keys(V, keys):
+    """The id tuples of tables given as ``{"probs<k>" or "bows<k>": keys}``,
+    in row order: the key r * V + w of a k-gram is (w,) followed by row r
+    of probs<k-1>, which is the id r at k = 2 and nothing at k = 1."""
+    def length(name):
+        return int(name.removeprefix("probs").removeprefix("bows"))
+
+    grams = {}
+    for name in sorted(keys, key=length):
+        k = length(name)
+        suffixes = [()] if k == 1 else [(r,) for r in range(V)] if k == 2 else grams[f"probs{k - 1}"]
+        grams[name] = [(key % V, *suffixes[key // V]) for key in keys[name].tolist()]
+    return grams
 
 
 def write_saved(path, header, arrays):

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from kn_reference import edit_saved
+from kn_reference import decode_keys, edit_saved, read_saved, write_saved
 from textproc_reference import read_corpus, write_corpus
 
 import authorlm
@@ -1157,7 +1157,7 @@ class TestCorruptInputs:
         path = trained / "models" / "author01_0.kn"
 
         def swap(arrays):
-            arrays["probs2.ids"][[0, 1]] = arrays["probs2.ids"][[1, 0]]
+            arrays["probs2.keys"][[0, 1]] = arrays["probs2.keys"][[1, 0]]
 
         edit_saved(path, swap)
         capsys.readouterr()
@@ -1165,6 +1165,27 @@ class TestCorruptInputs:
         assert capsys.readouterr().err.splitlines() == [
             f"authorlm eval: {Path('outputs/models/author01_0.kn')}: "
             "probs2: row 1 does not rise above the row before it"
+        ]
+
+    def test_version_2_kn_is_config_error(self, trained, capsys):
+        # the layout before rank keys: each table's grams as (n, k) id rows
+        # in lexicographic order
+        path = trained / "models" / "author01_0.kn"
+        header, arrays = read_saved(path)
+        keys = {name[:-5]: a for name, a in arrays.items() if name.endswith(".keys")}
+        grams = decode_keys(header["vocab"], keys)
+        old = {"unigram": arrays["unigram"]}
+        for name in keys:  # in file order
+            rows = grams[name]
+            order = sorted(range(len(rows)), key=rows.__getitem__)
+            old[f"{name}.ids"] = np.array([rows[i] for i in order], dtype=np.int64)
+            old[name] = arrays[name][order]
+        header.update(version=2, arrays=[[name, list(a.shape)] for name, a in old.items()])
+        write_saved(path, header, old)
+        capsys.readouterr()
+        assert run("eval", "--config", "cfg.json") == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"authorlm eval: {Path('outputs/models/author01_0.kn')}: unsupported version 2"
         ]
 
     def test_vocabulary_rows_must_match_size_header(self, corpus_file, capsys):

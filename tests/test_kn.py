@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from kn_reference import ReferenceKn, brute_continuation, brute_counts, read_saved, write_saved
+from kn_reference import ReferenceKn, brute_continuation, brute_counts, decode_keys, read_saved, write_saved
 
 from authorlm import kn
 from authorlm import textproc as tp
@@ -27,6 +27,13 @@ def make_corpus(token_sentences, order):
 
 def abab(order=2):
     return make_corpus([["a", "b", "a", "b"]], order)
+
+
+def model_grams(model):
+    """Every table's id tuples, in row order, decoded from its keys."""
+    keys = {f"probs{k}": t.keys for k, t in model.probs.items()}
+    keys.update({f"bows{k}": t.keys for k, t in model.bows.items()})
+    return decode_keys(model.vocab_size, keys)
 
 
 def random_id_sentences(order, V, seed, n=30):
@@ -58,7 +65,7 @@ class TestCount:
         ids=["order1", "order2", "order3", "order4", "order5", "order5-V7000"],
     )
     def test_matches_bruteforce_recount(self, order, V):
-        # V=7000 at order 5 needs object keys (7000**5 > 2**63)
+        # V=7000 at order 5: 7000**5 > 2**63, and rank keys are still int64
         sentences = random_id_sentences(order, V, seed=17)
         tables = kn.count(sentences, order)
         raw = brute_counts(sentences, order)
@@ -70,9 +77,12 @@ class TestCount:
             assert tables.continuation_counts(k) == brute_continuation(raw, k)
         model = kn.build_model(tables, V)
         for table in (*model.probs.values(), *model.bows.values()):
+            assert table.keys.dtype == np.int64
             assert (table.keys[1:] > table.keys[:-1]).all()
-        if order > 1:
-            assert model.probs[order].keys.dtype == (object if V == 7000 else np.int64)
+        grams = model_grams(model)
+        for k in range(2, order + 1):
+            assert sorted(grams[f"probs{k}"]) == [tuple(g) for g in tables.discounted(k)[0].tolist()]
+            assert sorted(grams[f"bows{k - 1}"]) == sorted({g[:-1] for g in grams[f"probs{k}"]})
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_empty_input(self, order):
@@ -112,6 +122,15 @@ class TestCount:
     def test_rejects_unpadded(self):
         with pytest.raises(ValueError, match="padded"):
             kn.count([(3, 4, 1)], 3)  # needs two start ids
+
+    @pytest.mark.parametrize("sentence, V, bad", [((0, 0, 0, 5, -2, 1), 10, -2), ((0, 0, 0, 5, 4, 1), 4, 5)],
+                             ids=["negative", "not-below-V"])
+    def test_training_refuses_id_outside_vocabulary(self, sentence, V, bad):
+        tables = kn.count([sentence] * 3, 4)
+        for train in (lambda: kn.build_model(tables, V), lambda: kn.train_model([sentence] * 3, 4, V)):
+            with pytest.raises(ValueError) as err:
+                train()
+            assert str(err.value) == f"id {bad} outside the vocabulary of {V}"
 
 
 def unigram_tables(counts):
@@ -241,14 +260,15 @@ class TestProbabilities:
         order, V = 4, 9
         tables = kn.count(random_id_sentences(order, V, seed=7, n=80), order)
         model = kn.build_model(tables, V)
+        grams = model_grams(model)
         for k in range(2, order + 1):
-            grams, counts = tables.discounted(k)
-            ctx = kn._pack(grams, V, np.int64) // V
-            starts = kn._run_starts(ctx)
-            distinct = np.diff(np.append(starts, len(ctx)))
+            rows, counts = tables.discounted(k)
+            _, starts = np.unique(rows[:, :-1], axis=0, return_index=True)  # one run per context
+            distinct = np.diff(np.append(starts, len(rows)))
             lam = model.discounts[k - 1] * distinct / np.add.reduceat(counts, starts)
             assert len(np.unique(lam)) < len(lam)
-            want = np.array([math.log10(x) for x in lam.tolist()])
+            want = dict(zip(map(tuple, rows[starts, :-1].tolist()), (math.log10(x) for x in lam.tolist())))
+            want = np.array([want[gram] for gram in grams[f"bows{k - 1}"]])
             assert model.bows[k - 1].values.tobytes() == want.tobytes()
 
     def test_long_context_truncates(self):
@@ -287,8 +307,8 @@ class TestSerialization:
         sentences = [["x", "y"], ["x", "z"]]
         vocab, model, loaded = self.roundtrip(tmp_path, sentences, 3)
         ctx = (tp.START_ID, tp.START_ID)
-        assert ctx in model.bows[2] and ctx in loaded.bows[2]
-        assert ctx not in model.probs[2] and ctx not in loaded.probs[2]
+        for grams in (model_grams(model), model_grams(loaded)):
+            assert ctx in grams["bows2"] and ctx not in grams["probs2"]
         for w in range(vocab.size):
             assert model.log_prob(ctx, w) == loaded.log_prob(ctx, w)
 
@@ -342,7 +362,7 @@ class TestSerialization:
 
 def unigram_header(V):
     """The header of an order-1 model over V ids."""
-    return {"format": "authorlm-kn", "version": 2, "order": 1, "vocab": V,
+    return {"format": "authorlm-kn", "version": 3, "order": 1, "vocab": V,
             "discounts": [0.5], "arrays": [["unigram", [V]]]}
 
 
@@ -373,13 +393,13 @@ class TestSaveModelBytes:
     def test_random_models(self, tmp_path, order, V):
         model = kn.train_model(random_id_sentences(order, V, seed=order), order, V)
         if order > 1:
-            assert model.probs[order].keys.dtype == (object if V == 7000 else np.int64)
+            assert model.probs[order].keys.dtype == np.int64
         header, arrays = self.assert_same_bytes(tmp_path, model)
-        names = ["unigram"] + [f"probs{k}{part}" for k in range(2, order + 1) for part in (".ids", "")]
-        names += [f"bows{k}{part}" for k in range(1, order) for part in (".ids", "")]
+        names = ["unigram"] + [f"probs{k}{part}" for k in range(2, order + 1) for part in (".keys", "")]
+        names += [f"bows{k}{part}" for k in range(1, order) for part in (".keys", "")]
         assert [name for name, _ in header["arrays"]] == names
         assert {key: header[key] for key in ("format", "version", "order", "vocab")} == {
-            "format": "authorlm-kn", "version": 2, "order": order, "vocab": V
+            "format": "authorlm-kn", "version": 3, "order": order, "vocab": V
         }
 
     def test_na_entries(self, tmp_path):
@@ -388,16 +408,16 @@ class TestSaveModelBytes:
         vocab, pc = make_corpus([["x", "y"], ["x", "z"]], 3)
         model = kn.train_model(pc.sentences, 3, vocab.size)
         _, arrays = self.assert_same_bytes(tmp_path, model)
-        start = [tp.START_ID, tp.START_ID]
-        assert start in arrays["bows2.ids"].tolist()
-        assert start not in arrays["probs2.ids"].tolist()
+        start = (tp.START_ID, tp.START_ID)
+        grams = decode_keys(vocab.size, {name: arrays[f"{name}.keys"] for name in ("probs2", "bows2")})
+        assert start in grams["bows2"] and start not in grams["probs2"]
 
     def test_empty_tables(self, tmp_path):
         header, arrays = self.assert_same_bytes(tmp_path, kn.train_model([], 3, 5))
         assert header["arrays"] == [
             ["unigram", [5]],
-            ["probs2.ids", [0, 2]], ["probs2", [0]], ["probs3.ids", [0, 3]], ["probs3", [0]],
-            ["bows1.ids", [0, 1]], ["bows1", [0]], ["bows2.ids", [0, 2]], ["bows2", [0]],
+            ["probs2.keys", [0]], ["probs2", [0]], ["probs3.keys", [0]], ["probs3", [0]],
+            ["bows1.keys", [0]], ["bows1", [0]], ["bows2.keys", [0]], ["bows2", [0]],
         ]
 
     @pytest.mark.parametrize(
@@ -418,7 +438,7 @@ class TestSaveModelBytes:
         rng = np.random.default_rng(order)
 
         def draw(table):
-            return kn._Table(table.order, V, table.keys, rng.choice(pool, size=len(table)))
+            return kn._Table(table.keys, rng.choice(pool, size=len(table)))
 
         model = dataclasses.replace(
             model,
@@ -427,17 +447,15 @@ class TestSaveModelBytes:
             bows={k: draw(t) for k, t in model.bows.items()},
         )
         _, arrays = self.assert_same_bytes(tmp_path, model)
-        values = np.concatenate([a for name, a in arrays.items() if not name.endswith(".ids")])
+        values = np.concatenate([a for name, a in arrays.items() if not name.endswith(".keys")])
         assert set(values.view(np.int64).tolist()) == set(np.array(pool).view(np.int64).tolist())
 
     def test_empty_bow_tables(self, tmp_path):
         model = kn.train_model(random_id_sentences(3, 9, seed=5), 3, 9)
-        empty = {k: kn._Table(k, 9, table.keys[:0], table.values[:0]) for k, table in model.bows.items()}
+        empty = {k: kn._Table(table.keys[:0], table.values[:0]) for k, table in model.bows.items()}
         model = dataclasses.replace(model, bows=empty)
         header, _ = self.assert_same_bytes(tmp_path, model)
-        assert [shape for name, shape in header["arrays"] if name.startswith("bows")] == [
-            [0, 1], [0], [0, 2], [0]
-        ]
+        assert [shape for name, shape in header["arrays"] if name.startswith("bows")] == [[0]] * 4
 
 
 def saved_model(tmp_path, sentences, order):
@@ -482,12 +500,13 @@ def set_value(name, value):
     return edit_arrays(edit)
 
 
-def set_id(name, value):
+def set_last_key(name, rank, first=0):
+    """Make the last key of a table name the suffix rank ``rank``; it stays
+    above the key before it when ``rank`` is not below the last rank."""
     def edit(header, arrays):
-        ids = arrays[f"{name}.ids"]
-        row = len(ids) // 2
-        ids[row, -1] = value
-        return row
+        keys = arrays[f"{name}.keys"]
+        keys[-1] = rank * header["vocab"] + first
+        return len(keys) - 1
     return edit_arrays(edit)
 
 
@@ -502,27 +521,27 @@ def relist(header, arrays):
 
 @edit_arrays
 def swap_rows(header, arrays):
-    ids = arrays["probs3.ids"]
-    i = len(ids) // 2
-    ids[[i, i + 1]] = ids[[i + 1, i]]
+    keys = arrays["probs3.keys"]
+    i = len(keys) // 2
+    keys[[i, i + 1]] = keys[[i + 1, i]]
     return i + 1
 
 
 @edit_arrays
-def narrow_rows(header, arrays):
-    arrays["probs3.ids"] = arrays["probs3.ids"][:, 1:].copy()
+def keys_as_column(header, arrays):
+    arrays["probs3.keys"] = arrays["probs3.keys"].reshape(-1, 1)
     relist(header, arrays)
 
 
 @edit_arrays
 def add_top_order_bows(header, arrays):
-    arrays["bows3.ids"], arrays["bows3"] = arrays["probs3.ids"], arrays["probs3"]
+    arrays["bows3.keys"], arrays["bows3"] = arrays["probs3.keys"], arrays["probs3"]
     relist(header, arrays)
 
 
 @edit_arrays
 def drop_last_table(header, arrays):
-    del arrays["bows2.ids"], arrays["bows2"]
+    del arrays["bows2.keys"], arrays["bows2"]
     relist(header, arrays)
 
 
@@ -537,13 +556,14 @@ class TestCorruptFile:
             (edit_bytes(lambda data: b"[1, 2]\n" + data.split(b"\n", 1)[1]), "no authorlm-kn header"),
             (set_header(format="authorlm-nnlm"), "unexpected format 'authorlm-nnlm'"),
             (set_header(version=1), "unsupported version 1"),
+            (set_header(version=2), "unsupported version 2"),
             (set_header(vocab=True), "bad order 3 or vocabulary size True"),
             (drop_last_table, "arrays do not match order 3 and vocabulary size 16"),
             (edit_bytes(lambda data: data[:-4]), "truncated tensor 'bows2'"),
             (edit_bytes(lambda data: data + b"\0"), "unexpected bytes after tensor 'bows2'"),
         ],
-        ids=["not-json", "not-an-object", "format", "version", "vocab", "array-list", "truncated",
-             "trailing-bytes"],
+        ids=["not-json", "not-an-object", "format", "version", "version-2", "vocab", "array-list",
+             "truncated", "trailing-bytes"],
     )
     def test_refused_naming_the_file(self, tmp_path, corrupt, message):
         _, path, _ = saved_model(tmp_path, TRIGRAM_CORPUS, 3)
@@ -562,16 +582,16 @@ def refusal(path):
 
 class TestMalformedEntries:
     """One bad entry in the middle of a table: the error names the file,
-    the table and the entry's row, and what is wrong with it.  An entry
-    whose ids do not fit the table changes the array list instead, and the
+    the table and the entry's row, and what is wrong with it.  Keys that
+    are not one int64 per row change the array list instead, and the
     error says so."""
 
     @pytest.mark.parametrize(
         "corrupt, message",
         [
             (swap_rows, "probs3: row {row} does not rise above the row before it"),
-            (narrow_rows, "arrays do not match order 3 and vocabulary size 16"),
-            (set_id("probs2", 999), "probs2: row {row}: id 999 out of range for V=16"),
+            (keys_as_column, "arrays do not match order 3 and vocabulary size 16"),
+            (set_last_key("probs2", 999), "probs2: row {row}: suffix rank 999 is not in [0, 16)"),
             (set_value("probs3", 5e-324),
              "probs3: row {row}: log10 probability 5e-324 must be finite and <= 0"),
             (set_value("unigram", np.nan),
@@ -600,13 +620,25 @@ class TestMalformedEntries:
         row = corrupt(path)
         assert refusal(path) == f"{path}: " + message.format(row=row)
 
+    @pytest.mark.parametrize("name", ["probs3", "probs2", "bows2", "bows1"])
+    def test_suffix_rank_past_the_table_below(self, tmp_path, name):
+        # the last key names the first row past the table one order down:
+        # probs2 for a trigram, the V ids for a bigram, the one empty
+        # suffix for a one-id context
+        model, path, _ = saved_model(tmp_path, TRIGRAM_CORPUS, 3)
+        rows = {"probs3": len(model.probs[2]), "probs2": 16, "bows2": 16, "bows1": 1}[name]
+        row = set_last_key(name, rows)(path)
+        assert refusal(path) == f"{path}: {name}: row {row}: suffix rank {rows} is not in [0, {rows})"
+        set_last_key(name, rows - 1, first=15)(path)  # the largest key that fits
+        kn.load_model(path)
+
     def test_long_and_short_id_lists_do_not_cancel(self, tmp_path):
-        # one more id row and three fewer values in the same table: the
+        # three more keys and three fewer values in the same table: the
         # file still holds as many bytes as its header lists
         _, path, _ = saved_model(tmp_path, TRIGRAM_CORPUS, 3)
         header, arrays = read_saved(path)
         size = sum(a.nbytes for a in arrays.values())
-        arrays["probs3.ids"] = np.append(arrays["probs3.ids"], [[1, 2, 3]], axis=0)
+        arrays["probs3.keys"] = np.append(arrays["probs3.keys"], [10**6, 10**6 + 1, 10**6 + 2])
         arrays["probs3"] = arrays["probs3"][:-3]
         assert sum(a.nbytes for a in arrays.values()) == size
         relist(header, arrays)
@@ -628,11 +660,11 @@ class TestMalformedEntries:
         assert refusal(path) == f"{path}: bows1: row {i}: back-off weight nan must be finite"
 
     def test_duplicate_entry_names_its_line(self, tmp_path):
-        # a copy of one id row inserted after it, with a value of its own
+        # a copy of one key inserted after it, with a value of its own
         _, path, _ = saved_model(tmp_path, TRIGRAM_CORPUS, 3)
         header, arrays = read_saved(path)
         i = len(arrays["probs3"]) // 2
-        arrays["probs3.ids"] = np.insert(arrays["probs3.ids"], i + 1, arrays["probs3.ids"][i], axis=0)
+        arrays["probs3.keys"] = np.insert(arrays["probs3.keys"], i + 1, arrays["probs3.keys"][i])
         arrays["probs3"] = np.insert(arrays["probs3"], i + 1, -0.125)
         relist(header, arrays)
         write_saved(path, header, arrays)
@@ -652,9 +684,9 @@ class TestExactLayout:
     def test_swapped_entries(self, tmp_path):
         _, path, _ = saved_model(tmp_path, TRIGRAM_CORPUS, 3)
         header, arrays = read_saved(path)
-        ids = arrays["probs2.ids"]
-        i = len(ids) // 2
-        ids[[i, i + 1]] = ids[[i + 1, i]]
+        keys = arrays["probs2.keys"]
+        i = len(keys) // 2
+        keys[[i, i + 1]] = keys[[i + 1, i]]
         assert self.refused(path, header, arrays) == (
             f"{path}: probs2: row {i + 1} does not rise above the row before it"
         )
@@ -687,8 +719,8 @@ class TestExactLayout:
     def test_signed_id(self, tmp_path):
         _, path, _ = saved_model(tmp_path, TRIGRAM_CORPUS, 3)
         header, arrays = read_saved(path)
-        arrays["bows1.ids"][0, 0] = -1
-        assert self.refused(path, header, arrays) == f"{path}: bows1: row 0: id -1 out of range for V=16"
+        arrays["bows1.keys"][0] = -1
+        assert self.refused(path, header, arrays) == f"{path}: bows1: row 0: suffix rank -1 is not in [0, 1)"
 
     def test_last_line_without_newline(self, tmp_path):
         # the header line alone, cut before its newline
@@ -727,7 +759,7 @@ class TestBulkFloats:
             return np.where(x > 0, -x, x) if probabilities else x
 
         def redraw(tables, probabilities):
-            return {k: kn._Table(t.order, V, t.keys, draw(len(t), probabilities)) for k, t in tables.items()}
+            return {k: kn._Table(t.keys, draw(len(t), probabilities)) for k, t in tables.items()}
 
         model = dataclasses.replace(
             model,
@@ -747,7 +779,7 @@ class TestBulkFloats:
         _, path, _ = saved_model(tmp_path, TRIGRAM_CORPUS, 3)
         header, arrays = read_saved(path)
         for name, values in arrays.items():
-            if name.endswith(".ids"):
+            if name.endswith(".keys"):
                 continue
             write_saved(path, header, {**arrays, name: np.append(values[:-1], np.nan)})
             what = ("back-off weight nan must be finite" if name.startswith("bows")
@@ -757,13 +789,12 @@ class TestBulkFloats:
 
 def read_entries(path):
     """(probs, bows) dicts of a saved model, keyed by id tuple."""
-    _, arrays = read_saved(path)
+    header, arrays = read_saved(path)
     probs = {(i,): x for i, x in enumerate(arrays["unigram"].tolist())}
     bows = {}
-    for name, values in arrays.items():
-        if not name.endswith(".ids") and name != "unigram":
-            rows = map(tuple, arrays[f"{name}.ids"].tolist())
-            (bows if name.startswith("bows") else probs).update(zip(rows, values.tolist()))
+    grams = decode_keys(header["vocab"], {name[:-5]: a for name, a in arrays.items() if name.endswith(".keys")})
+    for name, rows in grams.items():
+        (bows if name.startswith("bows") else probs).update(zip(rows, arrays[name].tolist()))
     return probs, bows
 
 
@@ -788,7 +819,8 @@ class TestBatchedQueries:
         windows = [s[i : i + 4] for s in pc.sentences for i in range(len(s) - 3)]
         rows = [(w[:3], w[3]) for w in windows]  # top-order hits
         start = (tp.START_ID,) * 3
-        assert start in model.bows[3] and start not in model.probs[3]  # a back-off-only context
+        grams = model_grams(model)
+        assert start in grams["bows3"] and start not in grams["probs3"]  # a back-off-only context
         rows += [(start, w) for w in range(V)]
         rows += [(tuple(rng.integers(0, V, size=3)), int(rng.integers(0, V))) for _ in range(300)]
         contexts = np.array([c for c, _ in rows], dtype=np.int64)
@@ -815,57 +847,55 @@ class TestBatchedQueries:
 
 
 def unsorted_find(table, query):
-    """``_Table.find`` as one binary search per query key, in query order."""
+    """``_lookup`` as one binary search per query key, in query order."""
     hit = np.zeros(len(query), dtype=bool)
-    values = []
+    rows = []
     for i, key in enumerate(query.tolist()):
         pos = int(np.searchsorted(table.keys, key))
         if pos < len(table.keys) and table.keys[pos] == key:
             hit[i] = True
-            values.append(table.values[pos])
-    return hit, np.array(values, dtype=np.float64)
+            rows.append(pos)
+    return hit, np.array(rows, dtype=np.int64)
 
 
 class TestSortedFind:
     """Searching a query's sorted distinct keys gives each key's own result."""
 
-    @pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
-    def test_matches_one_search_per_key(self, dtype):
+    def test_matches_one_search_per_key(self):
         rng = np.random.default_rng(26)
-        big = 2**70 if dtype is object else 2**40  # object keys exceed int64
-        keys = np.unique(rng.integers(0, 10**6, size=500)).astype(dtype) * (big // 10**6)
-        table = kn._Table(2, 10**6, keys, rng.normal(size=len(keys)))
+        big = 2**40
+        keys = np.unique(rng.integers(0, 10**6, size=500)) * (big // 10**6)
+        tables = kn._Table(keys, rng.normal(size=len(keys))), kn._Table(keys[::3], rng.normal(size=len(keys[::3])))
         picks = keys[rng.integers(0, len(keys), size=300)]  # hits, many repeated
-        misses = np.arange(200).astype(dtype) * (big // 200) + 1
-        edges = np.array([0, keys[0], keys[-1], keys[-1] + 1, big * 2], dtype=dtype)
+        misses = np.arange(200) * (big // 200) + 1
+        edges = np.array([0, keys[0], keys[-1], keys[-1] + 1, big * 2])
         for query in (
             np.concatenate([picks, misses, edges])[rng.permutation(505)],
             np.concatenate([picks, picks[::-1]]),  # duplicates only
             misses,
             keys[:0],  # an empty query
         ):
-            hit, values = table.find(query)
-            want_hit, want_values = unsorted_find(table, query)
-            assert hit.dtype == bool and np.array_equal(hit, want_hit)
-            assert values.tobytes() == want_values.tobytes()
-        assert query.dtype == dtype and table.find(keys)[0].all()
+            for table, (hit, rows) in zip(tables, kn._lookup(query, *tables)):
+                want_hit, want_rows = unsorted_find(table, query)
+                assert hit.dtype == bool and np.array_equal(hit, want_hit)
+                assert rows.tolist() == want_rows.tolist()
+        assert kn._lookup(keys, tables[0])[0][0].all()
 
-    @pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
-    def test_empty_table_finds_nothing(self, dtype):
-        table = kn._Table(2, 9, np.array([], dtype=dtype), np.array([]))
-        hit, values = table.find(np.array([0, 5, 5, 80], dtype=dtype))
-        assert hit.tolist() == [False] * 4 and len(values) == 0
+    def test_empty_table_finds_nothing(self):
+        table = kn._Table(np.array([], dtype=np.int64), np.array([]))
+        [(hit, rows)] = kn._lookup(np.array([0, 5, 5, 80]), table)
+        assert hit.tolist() == [False] * 4 and len(rows) == 0
 
 
 class TestWideKeys:
-    """V**order beyond int64: keys fall back to exact Python ints."""
+    """V**order beyond int64: rank keys stay int64."""
 
     def test_order5_large_vocab_matches_reference_and_roundtrips(self, tmp_path):
         sentences = [["to", "be", "or", "not", "to", "be"], ["be", "not", "to", "see"]]
         vocab, pc = make_corpus(sentences, 5)
         V = 7000  # 7000**5 > 2**63
         model = kn.train_model(pc.sentences, 5, V)
-        assert model.probs[5].keys.dtype == object
+        assert model.probs[5].keys.dtype == np.int64
         ref = ReferenceKn(pc.sentences, 5, V)
         rng = np.random.default_rng(11)
         contexts = [s[i : i + 4] for s in pc.sentences for i in range(len(s) - 4)]
